@@ -8,13 +8,15 @@ quantities of the identity check as CSV.  Exit status: 0 all checks passed,
 
 Output is deterministic for a fixed command line: per-sample randomness is
 derived from (seed, sample index), floats are rendered at a fixed precision
-with sorted keys, and the worker pool (--threads) only maps pure per-sample
-closures, reduced in index order by the single writer.
+with sorted keys, and the optional worker pool (--threads N) only maps pure
+per-sample closures, reduced in index order by the single writer.  Samples run
+in the calling thread by default: the per-sample work holds the GIL, so a
+thread pool makes runs slower, not faster.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,12 +26,15 @@ from .identity import (SamplerExhausted, VerificationReport, lratio, rel_err,
                        verify_recursion, verify_weyl_constancy, _rng_for)
 from .numfield import FieldData, PlaceKind, inert_place, split_place
 from .paramcalc import verify_appendix
-from .weylsum import MAX_WEYL_RANK, SizeError, case_ranks
+from .weylsum import SizeError, case_ranks, weyl_order
 from .zetarec import zeta_closed
 
 USAGE_ERROR = 2
 JSON_DIGITS = 17
 TABLE_DIGITS = 15
+# Largest double Weyl sum a command accepts, in (w', w) pairs per sample: every
+# n <= 10 fits (n = 10 is 1.8e8 pairs), n = 11 is 2.1e9 pairs, hours per sample.
+MAX_WEYL_PAIRS = 200_000_000
 
 
 class UsageError(Exception):
@@ -89,9 +94,10 @@ class RunConfig:
                 raise UsageError(f"--n {self.n} outside the guarded range 1..3 "
                                  "(use --force-large to override)")
         if self.command in ("identity", "weyl", "recursion", "table"):
-            big_rank, small_rank = case_ranks(self.n + 1)
-            if max(big_rank, small_rank, (self.n + 2) // 2) > MAX_WEYL_RANK:
-                raise UsageError(f"--n {self.n} exceeds the Weyl enumeration guard")
+            pairs = math.prod(weyl_order(l) for l in case_ranks(self.n + 1))
+            if pairs > MAX_WEYL_PAIRS:
+                raise UsageError(f"--n {self.n} needs {pairs} Weyl pairs per sample, "
+                                 f"over the limit of {MAX_WEYL_PAIRS}")
 
     def places(self) -> list[PlaceKind]:
         requested = {"inert": [PlaceKind.INERT], "split": [PlaceKind.SPLIT],
@@ -144,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for per-sample evaluation "
-                            "(default: available parallelism)")
+                            "(default: 1, samples run in the calling thread)")
 
     p = sub.add_parser("identity", help="end-to-end period identity zeta*S(1) vs Delta*L(1/2)")
     common(p)
@@ -237,10 +243,9 @@ def _csv_quote(cell: str) -> str:
 
 
 def _pool_map(threads: int | None):
-    count = threads if threads is not None else (os.cpu_count() or 1)
-    if count <= 1:
+    if threads is None or threads <= 1:
         return map, None
-    executor = ThreadPoolExecutor(max_workers=count)
+    executor = ThreadPoolExecutor(max_workers=threads)
     return executor.map, executor
 
 

@@ -21,9 +21,8 @@ import numpy as np
 from .numfield import FieldData, PlaceKind, motive_delta
 from .satake import (SatakeDatum, adjoint_lfactor, make_datum,
                      std_tensor_lfactor, std_tensor_lfactor_det)
-from .weylsum import (case_for, enumerate_weyl, _act_values, _d0_values,
-                      _d1_values, motive_A_value, s_value_inert, s_value_split,
-                      weyl_sum_A)
+from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
+                      s_value_inert, s_value_split, weyl_orbit, weyl_sum_A)
 from .zetarec import (ConventionError, LFactor, zeta_closed, zeta_closed_factors,
                       zeta_recursive_factors, factor_product)
 
@@ -124,15 +123,9 @@ def _generic_position_ok(n: int, small: SatakeDatum, big: SatakeDatum) -> bool:
     # The inert S value runs the Weyl sum at the inverted characters; keep every
     # translate of the consumed data away from the d1/d0 vanishing locus.
     case = case_for(n + 1)
-    X = tuple(c.inv().value for c in big.chars)
-    x = tuple(c.inv().value for c in small.chars)
-    for w in enumerate_weyl(len(X)):
-        if abs(_d1_values(case, _act_values(w, X))) <= GENERIC_EPS:
-            return False
-    for w in enumerate_weyl(len(x)):
-        if abs(_d0_values(case, _act_values(w, x))) <= GENERIC_EPS:
-            return False
-    return True
+    d1 = _d1_values(case, weyl_orbit([c.inv().value for c in big.chars]))
+    d0 = _d0_values(case, weyl_orbit([c.inv().value for c in small.chars]))
+    return not (np.any(np.abs(d1) <= GENERIC_EPS) or np.any(np.abs(d0) <= GENERIC_EPS))
 
 
 def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[SatakeDatum, SatakeDatum]:

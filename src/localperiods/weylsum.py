@@ -1,7 +1,12 @@
 """Hyperoctahedral Weyl machinery and the two spherical-average S(1) formulas.
 
 The double Weyl average A = sum_{w', w} b(w'X, wx) / (d1(w'X) d0(wx)) is
-computed by brute force over (Z/2)^l x S_l.  Its building blocks come in two
+computed by brute force over (Z/2)^l x S_l, on numpy arrays.  Each rank has a
+cached orbit table (the source index and flip of every Weyl element, in
+enumerate_weyl order), which turns a character tuple into its whole orbit as
+l complex columns.  The scalar formulas for b, d1 and d0 are evaluated on those
+columns by broadcasting, and the terms are summed in row blocks of the big
+orbit so memory stays bounded at any rank.  Its building blocks come in two
 index patterns keyed by the parity of the smaller group:
 
 * Case A (small group U(n+1) with n+1 even): both Weyl groups have rank
@@ -26,10 +31,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .numfield import (CharValue, FieldData, POLE_EPS, PoleError,
                        euler_factor, motive_delta_exact)
 
 MAX_WEYL_RANK = 6  # 2^6 * 6! = 46080 elements
+BLOCK_TERMS = 4096  # terms of the double Weyl sum evaluated per array block
 
 
 class SizeError(ValueError):
@@ -141,6 +149,36 @@ def _act_values(w: WeylElement, values: Sequence) -> tuple:
                  for i in range(w.rank))
 
 
+def weyl_order(l: int) -> int:
+    """Number of elements of (Z/2)^l x| S_l."""
+    return 2 ** l * math.factorial(l)
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
+    # (|W|, l) tables in enumerate_weyl order: row k, entry i holds the source
+    # index inverse_perm()[i] of the k-th element and whether its flip is -1
+    elements = enumerate_weyl(l)
+    src = np.array([w.inverse_perm() for w in elements], dtype=np.intp).reshape(len(elements), l)
+    flip = np.array([w.flips for w in elements]).reshape(len(elements), l) == -1
+    src.setflags(write=False)
+    flip.setflags(write=False)
+    return src, flip
+
+
+def weyl_orbit(values: Sequence[complex]) -> np.ndarray:
+    """The Weyl orbit of a character tuple as an (l, |W|) complex array.
+
+    Row i is the i-th orbit column: entry k of it is entry i of
+    _act_values(enumerate_weyl(l)[k], values).  Iterating over the array yields
+    the columns, so the scalar formulas evaluate the whole orbit at once.
+    """
+    src, flip = _orbit_table(len(values))
+    vals = np.array(values, dtype=complex)
+    inv = np.array([1 / v for v in values], dtype=complex)
+    return np.where(flip.T, inv[src.T], vals[src.T])
+
+
 # ---------------------------------------------------------------------------
 # b, d1, d0 and the double Weyl sum
 
@@ -225,26 +263,38 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
                field: FieldData) -> complex:
     """Brute-force double Weyl average of c = b/(d1 d0) over both groups.
 
-    Raises PoleError naming the offending (w', w) pair if a translate drives
-    |d1 d0| below POLE_EPS; samplers keep generic data clear of that locus.
+    The terms are evaluated as arrays in row blocks of the big orbit, about
+    BLOCK_TERMS terms (at least one row) per block, and summed within a block,
+    then block by block in order.
+    Raises PoleError naming the first offending (w', w) pair in row-major order
+    if a translate drives |d1 d0| below POLE_EPS; samplers keep generic data
+    clear of that locus.
     """
     _case_lengths(case, len(big_chars), len(small_chars))
     root = _half_root(field)
-    X = tuple(c.value for c in big_chars)
-    x = tuple(c.value for c in small_chars)
-    big_orbit = [(w, _act_values(w, X)) for w in enumerate_weyl(len(X))]
-    small_orbit = [(w, _act_values(w, x)) for w in enumerate_weyl(len(x))]
-    small_d0 = [(w, xs, _d0_values(case, xs)) for w, xs in small_orbit]
+    big = weyl_orbit([c.value for c in big_chars])
+    small = weyl_orbit([c.value for c in small_chars])
+    size_big, size_small = big.shape[1], small.shape[1]
+    d1 = _d1_values(case, big)
+    # a rank-0 small group leaves d0 as the scalar 1, which den broadcasts
+    d0 = _d0_values(case, small)
+    rows = max(1, BLOCK_TERMS // size_small)
     total = 0.0 + 0.0j
-    for wp, Xs in big_orbit:
-        d1 = _d1_values(case, Xs)
-        for w, xs, d0 in small_d0:
-            den = d1 * d0
-            if abs(den) < POLE_EPS:
-                raise PoleError(
-                    "degenerate character orbit in the double Weyl sum",
-                    factor=f"d1*d0 at (w'={wp.perm}/{wp.flips}, w={w.perm}/{w.flips})")
-            total += _b_values(case, Xs, xs, root) / den
+    for start in range(0, size_big, rows):
+        stop = min(start + rows, size_big)
+        den = d1[start:stop, None] * d0
+        poles = np.abs(den) < POLE_EPS
+        if poles.any():
+            r, k = np.unravel_index(np.argmax(poles), poles.shape)
+            wp = enumerate_weyl(len(big_chars))[start + r]
+            w = enumerate_weyl(len(small_chars))[k]
+            raise PoleError(
+                "degenerate character orbit in the double Weyl sum",
+                factor=f"d1*d0 at (w'={wp.perm}/{wp.flips}, w={w.perm}/{w.flips})")
+        # _b_values multiplies in place, so every column takes the block shape
+        X = big[:, start:stop, None].repeat(size_small, axis=2)
+        x = small[:, None, :].repeat(stop - start, axis=1)
+        total += complex((_b_values(case, X, x, root) / den).sum())
     return total
 
 

@@ -1,6 +1,9 @@
 import json
 
-from localperiods.cli import format_complex, main, render_json
+import pytest
+
+from localperiods.cli import (RunConfig, UsageError, _pool_map, format_complex, main,
+                              render_json)
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +53,33 @@ def test_usage_error_large_n(capsys):
     code, _, err = run_cli(capsys, "identity", "--n", "9", "--q", "2")
     assert code == 2
     assert "guarded range" in err
+
+
+def test_weyl_pair_count_guard(capsys):
+    # n = 10 (ranks 6 and 5, 1.8e8 pairs) is still accepted; n = 11 (2.1e9) is not
+    RunConfig(command="weyl", n=10, place="inert", q=(2,), samples=1, seed=0,
+              tol=1e-6, format="json")
+    code, out, err = run_cli(capsys, "weyl", "--n", "11", "--q", "2", "--samples", "1")
+    assert code == 2 and out == ""
+    assert "2123366400 Weyl pairs" in err
+    with pytest.raises(UsageError, match="Weyl pairs"):
+        RunConfig(command="recursion", n=11, place="split", q=(2,), samples=1, seed=0,
+                  tol=1e-9, format="json")
+
+
+def test_default_runs_in_calling_thread():
+    assert _pool_map(None) == (map, None)
+
+
+def test_split_odd_n_small_determinant_is_not_a_pole(capsys):
+    # the tensor determinant of this data is a product of 144 Euler factors per
+    # GL component, far below POLE_EPS, but no single factor is near a pole
+    code, out, _ = run_cli(capsys, "identity", "--n", "7", "--force-large", "--place", "split",
+                           "--q", "2", "--samples", "10", "--seed", "158315492")
+    assert code == 1
+    report = json.loads(out.strip())
+    labels = {d["factor"].split(" [")[0] for d in report["factor_diffs"]}
+    assert labels == {f"L_F(1/2, nu{i}*th{j})" for i in range(1, 5) for j in range(i + 1, 5)}
 
 
 def test_usage_error_bad_flag(capsys):

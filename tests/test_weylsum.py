@@ -242,5 +242,41 @@ def test_weyl_sum_pole_error():
     field = inert_place(2)
     X = [CharValue(1.0)]  # d1 vanishes identically at the trivial character
     x = [CharValue(cmath.exp(0.4j))]
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError) as err:
         weyl_sum_A(Case.A, X, x, field)
+    assert err.value.factor == "d1*d0 at (w'=(0,)/(1,), w=(0,)/(1,))"
+    # |d1| is about 2e-14 on both big translates; d0 = 1 - x is about -1e7 at
+    # the identity but about 1 at the flip, so the first pair in row-major
+    # order that crosses POLE_EPS is (identity, flip)
+    X = [CharValue(1.0 + 1e-14)]
+    x = [CharValue(1e7)]
+    with pytest.raises(PoleError) as err:
+        weyl_sum_A(Case.A, X, x, field)
+    assert err.value.factor == "d1*d0 at (w'=(0,)/(1,), w=(0,)/(-1,))"
+
+
+def _reference_weyl_sum(case, X, x, field):
+    # the defining double sum, term by term, from the public scalar factors
+    total = 0j
+    for wp in enumerate_weyl(len(X)):
+        Xs = act(wp, X)
+        d1 = d1_factor(case, Xs, field)
+        for w in enumerate_weyl(len(x)):
+            xs = act(w, x)
+            total += b_factor(case, Xs, xs, field) / (d1 * d0_factor(case, xs, field))
+    return total
+
+
+@pytest.mark.parametrize("n_plus_1", [1, 2, 3, 4, 5])
+def test_weyl_sum_matches_scalar_reference(n_plus_1, q):
+    # covers both cases and, at n + 1 = 1, the rank-0 small group
+    import numpy as np
+    from localperiods import sample_pair
+    field = inert_place(q)
+    case = case_for(n_plus_1)
+    for k in range(3):
+        small, big = sample_pair(n_plus_1 - 1, field, np.random.default_rng([n_plus_1, q, k]))
+        X = [c.inv() for c in big.chars]
+        x = [c.inv() for c in small.chars]
+        assert rel_err(weyl_sum_A(case, X, x, field),
+                       _reference_weyl_sum(case, X, x, field)) < 1e-12
