@@ -20,14 +20,14 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .identity import (SamplerExhausted, VerificationReport, lratio, rel_err,
-                       sample_pair, verify_basecase, verify_localcalc,
+from .identity import (SamplerExhausted, VerificationReport, lratio, period_terms,
+                       rel_err, sample_pair, verify_basecase, verify_localcalc,
                        verify_recursion, verify_weyl_constancy, _rng_for)
-from .numfield import FieldData, PlaceKind, inert_place, split_place
+from .numfield import FieldData, PlaceKind, inert_place, motive_delta, split_place
 from .paramcalc import verify_appendix
 from .weylsum import SizeError, case_ranks, weyl_order
-from .zetarec import zeta_closed
 
 USAGE_ERROR = 2
 JSON_DIGITS = 17
@@ -41,20 +41,26 @@ class UsageError(Exception):
     pass
 
 
-COMMANDS = ("identity", "weyl", "recursion", "basecase", "appendix", "table")
+class Check(NamedTuple):
+    # weyl/appendix run at inert places only, basecase at split places only; the
+    # default --place both narrows silently, an explicit wrong place is an error
+    place: PlaceKind | None
+    tol: float                  # default --tol
+    # (config, field, **driver keywords) -> report; table has none (emit_table
+    # runs it).  A call names its driver, so a rebound module name is honoured.
+    call: Callable | None
 
-# weyl/appendix run at inert places only, basecase at split places only; the
-# default --place both narrows silently, an explicit wrong place is an error.
-PLACE_RESTRICTION = {"weyl": PlaceKind.INERT, "appendix": PlaceKind.INERT,
-                     "basecase": PlaceKind.SPLIT}
 
-DEFAULT_TOL = {
-    "identity": 1e-7,
-    "weyl": 1e-6,
-    "recursion": 1e-9,
-    "basecase": 1e-8,
-    "appendix": 1e-9,
-    "table": 1e-7,
+CHECKS = {
+    "identity": Check(None, 1e-7, lambda c, f, **kw: verify_localcalc(
+        c.n, f, allow_large=c.force_large, **kw)),
+    "weyl": Check(PlaceKind.INERT, 1e-6,
+                  lambda c, f, **kw: verify_weyl_constancy(c.n + 1, f, **kw)),
+    "recursion": Check(None, 1e-9, lambda c, f, **kw: verify_recursion(c.n, f, **kw)),
+    "basecase": Check(PlaceKind.SPLIT, 1e-8,
+                      lambda c, f, **kw: verify_basecase(f, terms=c.terms, **kw)),
+    "appendix": Check(PlaceKind.INERT, 1e-9, lambda c, f, **kw: verify_appendix(f, **kw)),
+    "table": Check(None, 1e-7, None),
 }
 
 
@@ -76,7 +82,7 @@ class RunConfig:
     force_large: bool = False
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in CHECKS:
             raise UsageError(f"unknown command {self.command!r}")
         if self.samples < 1:
             raise UsageError("--samples must be >= 1")
@@ -102,7 +108,7 @@ class RunConfig:
     def places(self) -> list[PlaceKind]:
         requested = {"inert": [PlaceKind.INERT], "split": [PlaceKind.SPLIT],
                      "both": [PlaceKind.INERT, PlaceKind.SPLIT]}[self.place]
-        forced = PLACE_RESTRICTION.get(self.command)
+        forced = CHECKS[self.command].place
         if forced is None:
             return requested
         if forced not in requested:
@@ -122,7 +128,7 @@ def config_from_args(args) -> RunConfig:
         q=tuple(args.q) if args.q else (2,),
         samples=args.samples,
         seed=args.seed,
-        tol=args.tol if args.tol is not None else DEFAULT_TOL[args.command],
+        tol=args.tol if args.tol is not None else CHECKS[args.command].tol,
         format=args.format,
         threads=args.threads,
         terms=getattr(args, "terms", 200),
@@ -253,29 +259,11 @@ def run(config: RunConfig) -> int:
     """Execute the matching verification over the (place, q) product, stream
     one report per combination, and return the exit status."""
     pool_map, executor = _pool_map(config.threads)
-    reports: list[VerificationReport] = []
+    call = CHECKS[config.command].call
     try:
-        for field in config.fields():
-            if config.command == "identity":
-                reports.append(verify_localcalc(
-                    config.n, field, samples=config.samples, seed=config.seed,
-                    tol=config.tol, pool_map=pool_map, allow_large=config.force_large))
-            elif config.command == "weyl":
-                reports.append(verify_weyl_constancy(
-                    config.n + 1, field, samples=config.samples, seed=config.seed,
-                    tol=config.tol, pool_map=pool_map))
-            elif config.command == "recursion":
-                reports.append(verify_recursion(
-                    config.n, field, samples=config.samples, seed=config.seed,
-                    tol=config.tol, pool_map=pool_map))
-            elif config.command == "basecase":
-                reports.append(verify_basecase(
-                    field, samples=config.samples, seed=config.seed, tol=config.tol,
-                    terms=config.terms, pool_map=pool_map))
-            elif config.command == "appendix":
-                reports.append(verify_appendix(
-                    field, samples=config.samples, seed=config.seed, tol=config.tol,
-                    pool_map=pool_map))
+        reports = [call(config, field, samples=config.samples, seed=config.seed,
+                        tol=config.tol, pool_map=pool_map)
+                   for field in config.fields()]
     finally:
         if executor is not None:
             executor.shutdown()
@@ -293,9 +281,6 @@ TABLE_COLUMNS = ["sample_index", "zeta", "s_value", "delta", "lratio_half",
 
 def emit_table(config: RunConfig) -> int:
     """Tabulate the per-sample constituents of the identity check as CSV."""
-    from .numfield import motive_delta
-    from .weylsum import s_value_inert, s_value_split
-
     out = sys.stdout
     worst = 0.0
     out.write(",".join(TABLE_COLUMNS) + "\n")
@@ -303,13 +288,7 @@ def emit_table(config: RunConfig) -> int:
         for k in range(config.samples):
             rng = _rng_for(config.seed, k)
             small, big = sample_pair(config.n, field, rng)
-            z = zeta_closed(small, big)
-            if field.is_inert:
-                z_inv = zeta_closed(small.inverted(), big.inverted())
-                s_val = s_value_inert(big.chars, small.chars, config.n, field, z_inv)
-            else:
-                s_val = s_value_split(big.inverted().chars, small.inverted().chars,
-                                      config.n, field)
+            z, s_val = period_terms(small, big)
             delta = motive_delta(big.m, field)
             lr = lratio(0.5, small, big)
             lhs = z * s_val

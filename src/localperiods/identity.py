@@ -10,6 +10,12 @@ factors at s + 1/2.  On a failing sample both sides are re-evaluated via their
 independent routes (closed form vs recursion, transcription vs determinant,
 Weyl sum vs motive value) and the first diverging constituent formula is
 reported factor by factor.
+
+Every check is a set of argument guards plus a per-sample function one(k),
+which draws sample k from (seed, k) and returns its relative error and, when
+the error exceeds tol, the factor diffs that localize it.  One driver,
+_run_check, maps one over the sample indices, keeps the worst error and the
+first diff per factor label in sample order, and builds the report.
 """
 from __future__ import annotations
 
@@ -18,13 +24,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .numfield import FieldData, PlaceKind, motive_delta
+from .numfield import CharValue, FieldData, PlaceKind, motive_delta
 from .satake import (SatakeDatum, adjoint_lfactor, make_datum,
                      std_tensor_lfactor, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
                       s_value_inert, s_value_split, weyl_orbit, weyl_sum_A)
-from .zetarec import (ConventionError, LFactor, zeta_closed, zeta_closed_factors,
-                      zeta_recursive_factors, factor_product)
+from .zetarec import (ConventionError, LFactor, factor_product,
+                      zeta_base_split_closed, zeta_base_split_series, zeta_closed,
+                      zeta_closed_factors, zeta_recursive, zeta_recursive_factors)
 
 GENERIC_EPS = 1e-6
 MAX_RESAMPLE = 100
@@ -43,6 +50,11 @@ class FactorDiff:
     factor: str
     lhs: complex
     rhs: complex
+
+    def __post_init__(self):
+        # complex, so that a nan value renders as a quoted "nan+0i", not bare nan
+        object.__setattr__(self, "lhs", complex(self.lhs))
+        object.__setattr__(self, "rhs", complex(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -81,28 +93,6 @@ class VerificationReport:
                 {"factor": d.factor, "lhs": d.lhs, "rhs": d.rhs} for d in self.factor_diffs
             ],
         }
-
-
-def _report(check: str, n: int, field: FieldData, samples: int, seed: int,
-            tol: float, max_err: float, diffs: list[FactorDiff]) -> VerificationReport:
-    passed = max_err <= tol
-    if not passed and not diffs:
-        diffs = [FactorDiff("unlocalized discrepancy", complex(max_err), 0j)]
-    return VerificationReport(
-        check_name=check, n=n, kind=field.kind, q_F=field.q_F, samples=samples,
-        seed=seed, max_rel_err=max_err, tol=tol, passed=passed,
-        factor_diffs=tuple(diffs) if not passed else ())
-
-
-def _merge_diffs(per_sample: list[list[FactorDiff] | None]) -> list[FactorDiff]:
-    # Sample order, first occurrence per factor label.
-    seen: dict[str, FactorDiff] = {}
-    for diffs in per_sample:
-        if not diffs:
-            continue
-        for d in diffs:
-            seen.setdefault(d.factor, d)
-    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +139,19 @@ def lratio(s: complex, small: SatakeDatum, big: SatakeDatum) -> complex:
         adjoint_lfactor(s + 0.5, big) * adjoint_lfactor(s + 0.5, small))
 
 
-def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
-    """zeta(X, x) times the spherical average S at the inverted characters."""
+def period_terms(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, complex]:
+    """zeta(X, x) and the spherical average S at the inverted characters."""
     n = big.m - 2
     z = zeta_closed(small, big)
     if big.field.is_inert:
         z_inv = zeta_closed(small.inverted(), big.inverted())
-        return z * s_value_inert(big.chars, small.chars, n, big.field, z_inv)
-    s_val = s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
+        return z, s_value_inert(big.chars, small.chars, n, big.field, z_inv)
+    return z, s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
+
+
+def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
+    """zeta(X, x) times the spherical average S at the inverted characters."""
+    z, s_val = period_terms(small, big)
     return z * s_val
 
 
@@ -203,12 +198,8 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
 
 
 def localize_zeta_mismatch(small: SatakeDatum, big: SatakeDatum) -> list[FactorDiff]:
-    closed = zeta_closed_factors(small, big)
-    try:
-        recursive = zeta_recursive_factors(small, big)
-    except ConventionError as err:  # pragma: no cover - needs a pole-tuned sample
-        return [FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)]
-    return match_factor_lists(closed, recursive)
+    return match_factor_lists(zeta_closed_factors(small, big),
+                              zeta_recursive_factors(small, big))
 
 
 def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum,
@@ -234,12 +225,30 @@ def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum,
 # verification drivers
 
 
+def _run_check(check: str, n: int, field: FieldData, samples: int, seed: int,
+               tol: float, one, pool_map) -> VerificationReport:
+    """Map one(k) -> (rel err, diffs or None) over the samples into one report."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    results = list(pool_map(one, range(samples)))
+    max_err = max(err for err, _ in results)
+    passed = max_err <= tol
+    merged: dict[str, FactorDiff] = {}
+    for _, diffs in results:
+        for d in diffs or ():
+            merged.setdefault(d.factor, d)
+    diffs = tuple(merged.values()) or (
+        FactorDiff("unlocalized discrepancy", complex(max_err), 0j),)
+    return VerificationReport(
+        check_name=check, n=n, kind=field.kind, q_F=field.q_F, samples=samples,
+        seed=seed, max_rel_err=max_err, tol=tol, passed=passed,
+        factor_diffs=() if passed else diffs)
+
+
 def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                      tol: float = 1e-7, pool_map=map,
                      allow_large: bool = False) -> VerificationReport:
     """Seeded end-to-end check of the period identity for the pair (n+1, n+2)."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if not allow_large and not 1 <= n <= 3:
         raise ValueError(f"n={n} outside the guarded range 1..3 (pass allow_large to override)")
 
@@ -253,18 +262,13 @@ def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
             return err, None
         return err, _probe_factors(n, small, big, lhs, rhs, tol)
 
-    results = list(pool_map(one, range(samples)))
-    max_err = max(err for err, _ in results)
-    diffs = _merge_diffs([d for _, d in results])
-    return _report("identity", n, field, samples, seed, tol, max_err, diffs)
+    return _run_check("identity", n, field, samples, seed, tol, one, pool_map)
 
 
 def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
                           seed: int = 0, tol: float = 1e-6,
                           pool_map=map) -> VerificationReport:
     """Constancy of the double Weyl average and its motive value (inert places)."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if not field.is_inert:
         raise ValueError("the Weyl-average constancy check runs at inert places")
     n = n_plus_1 - 1
@@ -281,18 +285,13 @@ def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
             return err, None
         return err, [FactorDiff("weyl_sum vs motive value", a_val, expect)]
 
-    results = list(pool_map(one, range(samples)))
-    max_err = max(err for err, _ in results)
-    diffs = _merge_diffs([d for _, d in results])
-    return _report("weyl", n, field, samples, seed, tol, max_err, diffs)
+    return _run_check("weyl", n, field, samples, seed, tol, one, pool_map)
 
 
 def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                      tol: float = 1e-9, pool_map=map) -> VerificationReport:
     """Inductive route against the closed forms, with factor-level localization
     of any display whose transcription disagrees (e.g. an index-pairing typo)."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if n < 0:
         raise ValueError("n must be nonnegative")
 
@@ -301,7 +300,7 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
         small, big = sample_pair(n, field, rng)
         closed = factor_product(zeta_closed_factors(small, big))
         try:
-            recursive = factor_product(zeta_recursive_factors(small, big))
+            recursive = zeta_recursive(small, big)
         except ConventionError as err:
             return float("inf"), [FactorDiff(f"ConventionError: {err.factor}",
                                              cmath.nan, cmath.nan)]
@@ -310,22 +309,15 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
             return err, None
         return err, localize_zeta_mismatch(small, big)
 
-    results = list(pool_map(one, range(samples)))
-    max_err = max(err for err, _ in results)
-    diffs = _merge_diffs([d for _, d in results])
-    return _report("recursion", n, field, samples, seed, tol, max_err, diffs)
+    return _run_check("recursion", n, field, samples, seed, tol, one, pool_map)
 
 
 def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
                     tol: float = 1e-8, terms: int = 200,
                     pool_map=map) -> VerificationReport:
     """Split base case: truncated series oracle against the closed form."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if not field.is_split:
         raise ValueError("the base-case series check runs at split places")
-    from .numfield import CharValue
-    from .zetarec import zeta_base_split_closed, zeta_base_split_series
 
     def one(k: int):
         rng = _rng_for(seed, k)
@@ -337,7 +329,4 @@ def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
             return err, None
         return err, [FactorDiff(f"series({terms} terms) vs closed form", series, closed)]
 
-    results = list(pool_map(one, range(samples)))
-    max_err = max(err for err, _ in results)
-    diffs = _merge_diffs([d for _, d in results])
-    return _report("basecase", 0, field, samples, seed, tol, max_err, diffs)
+    return _run_check("basecase", 0, field, samples, seed, tol, one, pool_map)

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .identity import FactorDiff, VerificationReport, _merge_diffs, _report, _rng_for, rel_err
+from .identity import FactorDiff, VerificationReport, _rng_for, _run_check, rel_err
 from .numfield import CharValue, FieldData, euler_factor, lfactor_chi
 from .satake import SatakeDatum, adjoint_lfactor, bc_params, make_datum
 
@@ -162,8 +162,6 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
     """
     if not field.is_inert:
         raise ValueError("the lift identities live over a genuine quadratic extension")
-    if samples < 1:
-        raise ValueError("need at least one sample")
     gamma = gamma_char()
 
     def one(k: int):
@@ -217,7 +215,4 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
                   tensor_product(bc_param(theta_sigma_bar), m_pi).lfactor(s, field))
         return worst, diffs or None
 
-    results = list(pool_map(one, range(samples)))
-    max_err = max(err for err, _ in results)
-    diffs = _merge_diffs([d for _, d in results])
-    return _report("appendix", 0, field, samples, seed, tol, max_err, diffs)
+    return _run_check("appendix", 0, field, samples, seed, tol, one, pool_map)

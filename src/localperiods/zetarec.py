@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .numfield import (CharValue, FieldData, POLE_EPS, euler_factor,
                        euler_factor_inv)
-from .satake import SatakeDatum, bc_params
+from .satake import SatakeDatum, _check_pair, bc_params
 
 
 class ConventionError(ArithmeticError):
@@ -49,6 +49,8 @@ class LFactor:
     q: int
     alpha: complex
     inverse: bool = False
+    # the quadratic-twist factor, whose value at its pole is a convention choice
+    convention_sensitive: bool = False
 
     def value(self) -> complex:
         if self.inverse:
@@ -61,13 +63,6 @@ def factor_product(factors) -> complex:
     for f in factors:
         out *= f.value()
     return out
-
-
-def _check_pair(small: SatakeDatum, big: SatakeDatum) -> None:
-    if big.m != small.m + 1:
-        raise ValueError(f"need big.m = small.m + 1, got {small.m} and {big.m}")
-    if big.field != small.field:
-        raise ValueError("data live over different places")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +333,8 @@ def zeta_recursive_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor
             for idx, a in enumerate(trunc_bc.values):
                 out.append(LFactor(f"{tag}L_E(1, bc{idx}*Xi{l})^-1", 1.0, qe, a * t, True))
             chi_alpha = ((-1) ** k) * t
-            out.append(LFactor(f"{tag}L_F(1, chi^{k}*Xi{l})^-1", 1.0, field.q_F, chi_alpha, True))
+            out.append(LFactor(f"{tag}L_F(1, chi^{k}*Xi{l})^-1", 1.0, field.q_F, chi_alpha,
+                               True, convention_sensitive=True))
         else:
             q = field.q_F
             mu_l, nu_l = cur_big.e_char(l)
@@ -351,7 +347,8 @@ def zeta_recursive_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor
                 out.append(LFactor(f"{tag}L_F(1, bc{idx}*nu{l})^-1", 1.0, q, a * nu_l, True))
             for idx, a in enumerate(trunc_bc.dual_values):
                 out.append(LFactor(f"{tag}L_F(1, bc{idx}^-1*mu{l})^-1", 1.0, q, a * mu_l, True))
-            out.append(LFactor(f"{tag}L_F(1, chi^{k}*mu{l}*nu{l})^-1", 1.0, q, mu_l * nu_l, True))
+            out.append(LFactor(f"{tag}L_F(1, chi^{k}*mu{l}*nu{l})^-1", 1.0, q, mu_l * nu_l,
+                               True, convention_sensitive=True))
         cur_big, cur_small = cur_small, trunc
     if field.is_split:
         theta = cur_big.theta(1).value
@@ -367,15 +364,11 @@ def zeta_recursive(small: SatakeDatum, big: SatakeDatum) -> complex:
     the convention-sensitive quadratic-twist factor is requested at its pole
     (the point where the evaluation convention would decide between 0 and a
     pole, so the cross-check cannot proceed)."""
-    factors = zeta_recursive_factors(small, big)
     out = 1.0 + 0.0j
-    for fac in factors:
-        if fac.inverse and "chi^" in fac.label:
-            val = fac.value()
-            if abs(val) < POLE_EPS:
-                raise ConventionError(
-                    "quadratic-twist factor requested at its pole", factor=fac.label)
-            out *= val
-        else:
-            out *= fac.value()
+    for fac in zeta_recursive_factors(small, big):
+        val = fac.value()
+        if fac.convention_sensitive and abs(val) < POLE_EPS:
+            raise ConventionError(
+                "quadratic-twist factor requested at its pole", factor=fac.label)
+        out *= val
     return out

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import localperiods.cli as cli
 from localperiods.cli import (RunConfig, UsageError, _pool_map, format_complex, main,
                               render_json)
+from localperiods.numfield import FieldData
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +82,48 @@ def test_split_odd_n_small_determinant_is_not_a_pole(capsys):
     report = json.loads(out.strip())
     labels = {d["factor"].split(" [")[0] for d in report["factor_diffs"]}
     assert labels == {f"L_F(1/2, nu{i}*th{j})" for i in range(1, 5) for j in range(i + 1, 5)}
+
+
+def test_nan_factor_values_render_as_strict_json(capsys):
+    # unmatched factors carry a nan partner; it must render as a quoted complex
+    code, out, _ = run_cli(capsys, "identity", "--n", "2", "--place", "inert", "--q", "2",
+                           "--samples", "3", "--tol", "1e-30")
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    report = json.loads(out, parse_constant=reject)
+    values = [d[side] for d in report["factor_diffs"] for side in ("lhs", "rhs")]
+    assert all(isinstance(v, str) for v in values)
+    assert "nan+0i" in values
+
+
+@pytest.mark.parametrize("command, driver, places", [
+    ("identity", "verify_localcalc", ("inert", "split")),
+    ("weyl", "verify_weyl_constancy", ("inert",)),
+    ("recursion", "verify_recursion", ("inert", "split")),
+    ("basecase", "verify_basecase", ("split",)),
+    ("appendix", "verify_appendix", ("inert",)),
+], ids=["identity", "weyl", "recursion", "basecase", "appendix"])
+def test_cli_calls_driver_by_module_name(monkeypatch, capsys, command, driver, places):
+    # call tracing rebinds the module-level driver names and reads pool_map
+    # from the keywords, so the CLI must resolve the name at call time and
+    # pass pool_map by keyword
+    original = getattr(cli, driver)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, driver, recorder)
+    code, out, _ = run_cli(capsys, command, "--q", "2", "--q", "3", "--samples", "1")
+    assert code == 0
+    fields = [next(a for a in args if isinstance(a, FieldData)) for args, _ in calls]
+    assert [(f.kind.value, f.q_F) for f in fields] == [(p, q) for p in places for q in (2, 3)]
+    assert all("pool_map" in kwargs for _, kwargs in calls)
+    assert len(out.strip().splitlines()) == len(calls)
 
 
 def test_usage_error_bad_flag(capsys):

@@ -3,8 +3,8 @@ import pytest
 from localperiods import (PlaceKind, euler_factor,
                           inert_place, lratio, make_datum,
                           split_datum, split_place, unramified_period,
-                          verify_localcalc, verify_recursion,
-                          verify_weyl_constancy)
+                          verify_appendix, verify_basecase, verify_localcalc,
+                          verify_recursion, verify_weyl_constancy)
 from localperiods.identity import (FactorDiff, VerificationReport,
                                    delta_lratio_half, rel_err, sample_pair,
                                    _rng_for)
@@ -75,9 +75,30 @@ def test_verify_guards():
     with pytest.raises(ValueError):
         verify_localcalc(9, inert_place(2), samples=1)
     with pytest.raises(ValueError):
-        verify_localcalc(1, inert_place(2), samples=0)
-    with pytest.raises(ValueError):
         verify_weyl_constancy(2, split_place(2), samples=1)
+
+
+@pytest.mark.parametrize("driver, args", [
+    (verify_localcalc, (1, inert_place(2))),
+    (verify_weyl_constancy, (2, inert_place(2))),
+    (verify_recursion, (1, split_place(2))),
+    (verify_basecase, (split_place(2),)),
+    (verify_appendix, (inert_place(2),)),
+], ids=["identity", "weyl", "recursion", "basecase", "appendix"])
+def test_verify_guards_zero_samples(driver, args):
+    with pytest.raises(ValueError, match="at least one sample"):
+        driver(*args, samples=0)
+
+
+def test_verify_recursion_reports_convention_error(monkeypatch):
+    # mu_1 * nu_1 = q_F puts the quadratic-twist factor on its pole
+    import localperiods.identity as identity
+    small, big = split_datum(2, [1.0, 1.0]), split_datum(2, [2.0, 1.0, 1.0])
+    monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: (small, big))
+    report = verify_recursion(1, split_place(2), samples=2)
+    assert not report.passed and report.max_rel_err == float("inf")
+    assert [d.factor for d in report.factor_diffs] == [
+        "ConventionError: step1: L_F(1, chi^1*mu1*nu1)^-1"]
 
 
 def test_reports_are_deterministic():

@@ -6,7 +6,7 @@ from localperiods import (CharValue, euler_factor, inert_place, split_place,
                           zeta_closed, zeta_closed_inert, zeta_closed_split,
                           zeta_recursive)
 from localperiods.identity import localize_zeta_mismatch, rel_err, sample_datum, sample_pair
-from localperiods.zetarec import series_truncation_bound
+from localperiods.zetarec import series_truncation_bound, zeta_recursive_factors
 
 
 def test_inert_base_case_is_one(rng):
@@ -129,6 +129,20 @@ def test_recursion_convention_error_at_twist_pole():
     with pytest.raises(ConventionError) as exc:
         zeta_recursive(small, big)
     assert "chi^1*mu1*nu1" in exc.value.factor
+
+
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_recursion_flags_one_twist_factor_per_step(n, place, rng):
+    # steps run k = n, n-1, ..., 1; each flags its quadratic-twist factor chi^k
+    small, big = sample_pair(n, place(2), rng)
+    factors = zeta_recursive_factors(small, big)
+    flagged = [f for f in factors if f.convention_sensitive]
+    assert [f.label.split(" L_F(1, ")[0] for f in flagged] == [
+        f"step{k}:" for k in range(n, 0, -1)]
+    for f, k in zip(flagged, range(n, 0, -1)):
+        assert f.inverse and f.label.startswith(f"step{k}: L_F(1, chi^{k}*")
+    assert [f for f in factors if "chi^" in f.label] == flagged
 
 
 def test_zeta_conjugation_symmetry(rng):
