@@ -12,6 +12,12 @@ with sorted keys, and the optional worker pool (--threads N) only maps pure
 per-sample closures, reduced in index order by the single writer.  Samples run
 in the calling thread by default: the per-sample work holds the GIL, so a
 thread pool makes runs slower, not faster.
+
+The argument parser is built once, when the module is imported, and every
+main() call parses with it: building it costs about 15 parses, so in-process
+callers that run many commands pay for it once.  Nothing may mutate it after
+it is built.  Help and error messages read the terminal width when they are
+printed, not when the parser is built.
 """
 from __future__ import annotations
 
@@ -176,6 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
@@ -203,7 +212,9 @@ def render_json(obj, digits: int = JSON_DIGITS) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj, digits)
+        # non-finite floats are not JSON numbers; quote them like "nan+0i"
+        text = format_float(obj, digits)
+        return text if math.isfinite(obj) else f'"{text}"'
     if isinstance(obj, complex):
         return f'"{format_complex(obj, digits)}"'
     if isinstance(obj, str):
@@ -303,9 +314,8 @@ def emit_table(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

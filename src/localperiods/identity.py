@@ -20,6 +20,7 @@ first diff per factor label in sample order, and builds the report.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -165,13 +166,17 @@ def delta_lratio_half(small: SatakeDatum, big: SatakeDatum) -> complex:
 
 def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
                        rtol: float = 1e-8) -> list[FactorDiff]:
-    """Pair up two factor lists by (s, q, inverse) and character value; report
-    the leftovers as named diffs, labelled by the left (closed-form) side."""
+    """Pair up two factor lists by (q^-s, inverse) and character value; report
+    the leftovers as named diffs, labelled by the left (closed-form) side.
+
+    Factors are grouped by the effective exponent s*log(q), so that the same
+    Euler factor written over q_E = q_F^2 at s and over q_F at 2s (as at inert
+    places) is one group."""
     groups: dict[tuple, tuple[list[LFactor], list[LFactor]]] = {}
-    for f in lhs:
-        groups.setdefault((round(f.s, 9), f.q, f.inverse), ([], []))[0].append(f)
-    for f in rhs:
-        groups.setdefault((round(f.s, 9), f.q, f.inverse), ([], []))[1].append(f)
+    for side, factors in enumerate((lhs, rhs)):
+        for f in factors:
+            key = (round(f.s * math.log(f.q), 9), f.inverse)
+            groups.setdefault(key, ([], []))[side].append(f)
     diffs: list[FactorDiff] = []
     for _, (a_list, b_list) in sorted(groups.items()):
         remaining = list(b_list)

@@ -5,13 +5,18 @@ import pytest
 import localperiods.cli as cli
 from localperiods.cli import (RunConfig, UsageError, _pool_map, format_complex, main,
                               render_json)
-from localperiods.numfield import FieldData
+from localperiods.numfield import FieldData, split_place
+from localperiods.satake import split_datum
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
 
 
 def test_identity_json_pass(capsys):
@@ -89,14 +94,63 @@ def test_nan_factor_values_render_as_strict_json(capsys):
     code, out, _ = run_cli(capsys, "identity", "--n", "2", "--place", "inert", "--q", "2",
                            "--samples", "3", "--tol", "1e-30")
     assert code == 1
-
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    report = json.loads(out, parse_constant=reject)
+    report = json.loads(out, parse_constant=reject_constant)
     values = [d[side] for d in report["factor_diffs"] for side in ("lhs", "rhs")]
     assert all(isinstance(v, str) for v in values)
     assert "nan+0i" in values
+
+
+def test_non_finite_floats_render_as_strict_json(monkeypatch):
+    # the pole-tuned data of test_recursion_convention_error_at_twist_pole makes
+    # verify_recursion report max_rel_err = inf
+    import localperiods.identity as identity
+    small, big = split_datum(2, [1.0, 1.0]), split_datum(2, [2.0, 1.0, 1.0])
+    monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: (small, big))
+    report = identity.verify_recursion(1, split_place(2), samples=2)
+    assert report.max_rel_err == float("inf")
+    parsed = json.loads(render_json(report.to_json_dict()), parse_constant=reject_constant)
+    assert parsed["max_rel_err"] == "inf"
+    assert render_json([float("nan"), -float("inf"), 0.5]) == '["nan","-inf",0.5]'
+
+
+def test_inert_localizer_matches_factors_over_both_residue_fields(capsys):
+    # L_E(1/2, chi*xi1)^-1 over q_E = 4 is the recursion's L_F(1, chi^1*Xi1)^-1
+    # over q_F = 2; the localizer must pair them, not list both as leftovers
+    code, out, _ = run_cli(capsys, "identity", "--n", "2", "--place", "inert", "--q", "2",
+                           "--samples", "3", "--tol", "1e-30")
+    assert code == 1
+    labels = [d["factor"] for d in json.loads(out)["factor_diffs"]]
+    assert not [label for label in labels if "chi*xi1" in label or "chi^1*Xi1" in label]
+
+
+PARSER_REUSE_CASES = [
+    ("identity", "--n", "1", "--q", "2", "--samples", "2"),
+    ("weyl", "--n", "1", "--q", "2", "--samples", "2"),
+    ("recursion", "--n", "1", "--q", "2", "--samples", "2"),
+    ("basecase", "--q", "2", "--samples", "2"),
+    ("appendix", "--q", "2", "--samples", "2"),
+    ("table", "--n", "1", "--place", "inert", "--q", "2", "--samples", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_REUSE_CASES, ids=[a[0] for a in PARSER_REUSE_CASES])
+def test_shared_parser_gives_identical_runs(monkeypatch, capsys, argv):
+    # every main() call parses with the one module-level parser; a usage error
+    # or --help in between must leave nothing behind that a later call sees
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    assert run_cli(capsys, *argv) == first
+    assert run_cli(capsys, "weyl", "--place", "split")[0] == 2
+    assert run_cli(capsys, *argv) == first
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: verify")
+    assert run_cli(capsys, *argv) == first
+
+    def no_build():
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    assert run_cli(capsys, *argv) == first
 
 
 @pytest.mark.parametrize("command, driver, places", [
