@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,14 +34,11 @@ from .identity import (SamplerExhausted, VerificationReport, lratio, period_term
                        verify_recursion, verify_weyl_constancy, _rng_for)
 from .numfield import FieldData, PlaceKind, inert_place, motive_delta, split_place
 from .paramcalc import verify_appendix
-from .weylsum import SizeError, case_ranks, weyl_order
+from .weylsum import MAX_WEYL_RANK, SizeError, case_ranks
 
 USAGE_ERROR = 2
 JSON_DIGITS = 17
 TABLE_DIGITS = 15
-# Largest double Weyl sum a command accepts, in (w', w) pairs per sample: every
-# n <= 10 fits (n = 10 is 1.8e8 pairs), n = 11 is 2.1e9 pairs, hours per sample.
-MAX_WEYL_PAIRS = 200_000_000
 
 
 class UsageError(Exception):
@@ -105,11 +103,12 @@ class RunConfig:
             if not 1 <= self.n <= 3:
                 raise UsageError(f"--n {self.n} outside the guarded range 1..3 "
                                  "(use --force-large to override)")
-        if self.command in ("identity", "weyl", "recursion", "table"):
-            pairs = math.prod(weyl_order(l) for l in case_ranks(self.n + 1))
-            if pairs > MAX_WEYL_PAIRS:
-                raise UsageError(f"--n {self.n} needs {pairs} Weyl pairs per sample, "
-                                 f"over the limit of {MAX_WEYL_PAIRS}")
+        if self.command in ("identity", "weyl", "table"):
+            # the Weyl sum enumerates the small group only; its rank bounds the cost
+            rank = case_ranks(self.n + 1)[1]
+            if rank > MAX_WEYL_RANK:
+                raise UsageError(f"--n {self.n} needs a Weyl group of rank {rank}, "
+                                 f"over the limit of {MAX_WEYL_RANK}")
 
     def places(self) -> list[PlaceKind]:
         requested = {"inert": [PlaceKind.INERT], "split": [PlaceKind.SPLIT],
@@ -320,9 +319,13 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         config = config_from_args(args)
-        if config.command == "table":
-            return emit_table(config)
-        return run(config)
+        code = emit_table(config) if config.command == "table" else run(config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, SizeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -29,7 +29,7 @@ from .numfield import CharValue, FieldData, PlaceKind, motive_delta
 from .satake import (SatakeDatum, adjoint_lfactor, make_datum,
                      std_tensor_lfactor, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
-                      s_value_inert, s_value_split, weyl_orbit, weyl_sum_A)
+                      s_value_inert, s_value_split, weyl_sum_A)
 from .zetarec import (ConventionError, LFactor, factor_product,
                       zeta_base_split_closed, zeta_base_split_series, zeta_closed,
                       zeta_closed_factors, zeta_recursive, zeta_recursive_factors)
@@ -112,11 +112,12 @@ def sample_datum(m: int, field: FieldData, rng: np.random.Generator) -> SatakeDa
 
 def _generic_position_ok(n: int, small: SatakeDatum, big: SatakeDatum) -> bool:
     # The inert S value runs the Weyl sum at the inverted characters; keep every
-    # translate of the consumed data away from the d1/d0 vanishing locus.
+    # translate of the consumed data away from the d1/d0 vanishing locus; at
+    # unitary points |d(wX)| = |d(X)|, so the datum stands for its orbit.
     case = case_for(n + 1)
-    d1 = _d1_values(case, weyl_orbit([c.inv().value for c in big.chars]))
-    d0 = _d0_values(case, weyl_orbit([c.inv().value for c in small.chars]))
-    return not (np.any(np.abs(d1) <= GENERIC_EPS) or np.any(np.abs(d0) <= GENERIC_EPS))
+    d1 = _d1_values(case, [c.inv().value for c in big.chars])
+    d0 = _d0_values(case, [c.inv().value for c in small.chars])
+    return abs(d1) > GENERIC_EPS and abs(d0) > GENERIC_EPS
 
 
 def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[SatakeDatum, SatakeDatum]:
@@ -164,6 +165,22 @@ def delta_lratio_half(small: SatakeDatum, big: SatakeDatum) -> complex:
 # factor-level localization
 
 
+def _pair_off(a_list: list[LFactor], b_list: list[LFactor],
+              rtol: float) -> tuple[list[LFactor], list[LFactor]]:
+    # pair each a with the first unpaired b of the same character value;
+    # return the unpaired of both lists, each in its order
+    remaining = list(b_list)
+    unmatched_a: list[LFactor] = []
+    for a in a_list:
+        hit = next((k for k, b in enumerate(remaining)
+                    if abs(a.alpha - b.alpha) <= rtol * max(1.0, abs(a.alpha))), None)
+        if hit is None:
+            unmatched_a.append(a)
+        else:
+            remaining.pop(hit)
+    return unmatched_a, remaining
+
+
 def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
                        rtol: float = 1e-8) -> list[FactorDiff]:
     """Pair up two factor lists by (q^-s, inverse) and character value; report
@@ -171,26 +188,21 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
 
     Factors are grouped by the effective exponent s*log(q), so that the same
     Euler factor written over q_E = q_F^2 at s and over q_F at 2s (as at inert
-    places) is one group."""
+    places) is one group.  A factor and an inverse factor of one side with the
+    same exponent and character value cancel, so they are dropped first."""
     groups: dict[tuple, tuple[list[LFactor], list[LFactor]]] = {}
     for side, factors in enumerate((lhs, rhs)):
         for f in factors:
             key = (round(f.s * math.log(f.q), 9), f.inverse)
             groups.setdefault(key, ([], []))[side].append(f)
+    for (exponent, inverse), direct in groups.items():
+        inverted = groups.get((exponent, True))
+        if not inverse and inverted is not None:
+            for side in (0, 1):
+                direct[side][:], inverted[side][:] = _pair_off(direct[side], inverted[side], rtol)
     diffs: list[FactorDiff] = []
     for _, (a_list, b_list) in sorted(groups.items()):
-        remaining = list(b_list)
-        unmatched_a: list[LFactor] = []
-        for a in a_list:
-            hit = None
-            for idx, b in enumerate(remaining):
-                if abs(a.alpha - b.alpha) <= rtol * max(1.0, abs(a.alpha)):
-                    hit = idx
-                    break
-            if hit is None:
-                unmatched_a.append(a)
-            else:
-                remaining.pop(hit)
+        unmatched_a, remaining = _pair_off(a_list, b_list, rtol)
         for i, a in enumerate(unmatched_a):
             if i < len(remaining):
                 b = remaining[i]

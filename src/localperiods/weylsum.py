@@ -1,13 +1,13 @@
 """Hyperoctahedral Weyl machinery and the two spherical-average S(1) formulas.
 
-The double Weyl average A = sum_{w', w} b(w'X, wx) / (d1(w'X) d0(wx)) is
-computed by brute force over (Z/2)^l x S_l, on numpy arrays.  Each rank has a
-cached orbit table (the source index and flip of every Weyl element, in
-enumerate_weyl order), which turns a character tuple into its whole orbit as
-l complex columns.  The scalar formulas for b, d1 and d0 are evaluated on those
-columns by broadcasting, and the terms are summed in row blocks of the big
-orbit so memory stays bounded at any rank.  Its building blocks come in two
-index patterns keyed by the parity of the smaller group:
+The double Weyl average A = sum_{w', w} b(w'X, wx) / (d1(w'X) d0(wx)) over
+(Z/2)^l x S_l enumerates the small group only: a cached per-rank orbit table
+turns the small characters into their orbit as numpy columns.  Every factor of
+b involves at most one big character and X^{-rho} d1(X) is anti-invariant, so
+the big-group sum for each small translate is one determinant (weyl_sum_A).
+b, d1 and d0 have one transcription each, for scalars, Fractions and arrays.
+The building blocks come in two index patterns keyed by the parity of the
+smaller group:
 
 * Case A (small group U(n+1) with n+1 even): both Weyl groups have rank
   l = (n+1)/2 and the singleton block of b runs over the small-group characters;
@@ -37,11 +37,10 @@ from .numfield import (CharValue, FieldData, POLE_EPS, PoleError,
                        euler_factor, motive_delta_exact)
 
 MAX_WEYL_RANK = 6  # 2^6 * 6! = 46080 elements
-BLOCK_TERMS = 4096  # terms of the double Weyl sum evaluated per array block
 
 
 class SizeError(ValueError):
-    """Requested Weyl group is larger than the brute-force guard allows."""
+    """Requested Weyl group is larger than the enumeration guard allows."""
 
 
 class Case(Enum):
@@ -149,11 +148,6 @@ def _act_values(w: WeylElement, values: Sequence) -> tuple:
                  for i in range(w.rank))
 
 
-def weyl_order(l: int) -> int:
-    """Number of elements of (Z/2)^l x| S_l."""
-    return 2 ** l * math.factorial(l)
-
-
 @lru_cache(maxsize=None)
 def _orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
     # (|W|, l) tables in enumerate_weyl order: row k, entry i holds the source
@@ -190,29 +184,23 @@ def _case_lengths(case: Case, n_big: int, n_small: int) -> None:
         raise ValueError(f"case B needs big length = small length + 1, got {n_big} and {n_small}")
 
 
+def _h_values(case: Case, i: int, Z, x, root):
+    # the factors of b that involve the i-th big character, evaluated at Z
+    v = 1 - root * Z if case is Case.B else 1
+    for j, t in enumerate(x):
+        v = v * (1 - root * Z * t) * (1 - root * Z / t if j >= i else 1 - root * t / Z)
+    return v
+
+
 def _b_values(case: Case, X, x, root):
-    # root = q_E^{-1/2}; every factor of b sits at s = 1/2.  Scalars are
-    # complex in the generic paths and Fraction on exact rational data.
+    # b = c(x) prod_i h_i(X_i; x), c the small singles of case A (so an empty X
+    # gives c).  root = q_E^{-1/2}; every factor of b sits at s = 1/2.  Scalars
+    # are complex, Fraction on exact rational data, or numpy arrays.
     v = 1
-    if case is Case.A:
-        l = len(x)
-        for j in range(l):
-            v *= 1 - root * x[j]
-        for i in range(l):
-            for j in range(i, l):
-                v *= (1 - root * X[i] * x[j]) * (1 - root * X[i] / x[j])
-            for j in range(i):
-                v *= (1 - root * X[i] * x[j]) * (1 - root * x[j] / X[i])
-    else:
-        l2, l1 = len(X), len(x)
-        for i in range(l2):
-            v *= 1 - root * X[i]
-        for i in range(l1):
-            for j in range(i, l1):
-                v *= (1 - root * X[i] * x[j]) * (1 - root * X[i] / x[j])
-        for i in range(l2):
-            for j in range(min(i, l1)):
-                v *= (1 - root * X[i] * x[j]) * (1 - root * x[j] / X[i])
+    for t in x if case is Case.A else ():
+        v = v * (1 - root * t)
+    for i, Z in enumerate(X):
+        v = v * _h_values(case, i, Z, x, root)
     return v
 
 
@@ -261,41 +249,36 @@ def d0_factor(case: Case, small_chars: Sequence[CharValue], field: FieldData) ->
 
 def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
                field: FieldData) -> complex:
-    """Brute-force double Weyl average of c = b/(d1 d0) over both groups.
+    """Double Weyl average A of b/(d1 d0), the big-group sum as an alternant.
 
-    The terms are evaluated as arrays in row blocks of the big orbit, about
-    BLOCK_TERMS terms (at least one row) per block, and summed within a block,
-    then block by block in order.
-    Raises PoleError naming the first offending (w', w) pair in row-major order
-    if a translate drives |d1 d0| below POLE_EPS; samplers keep generic data
-    clear of that locus.
+    For a small translate y = wx, b(., y) = c(y) prod_i h_i(X_i; y) and
+    X^{-rho} d1(X) is anti-invariant (rho = rho_big), so the sum over w' is
+    c(y) det[H_i(X_k) - H_i(1/X_k)] / (X^{-rho} d1(X)), H_i(Z) = Z^{-rho_i}
+    h_i(Z; y), with half powers from one fixed root per character as in
+    rho_monomial.  Raises PoleError naming d1 or d0, the only divisors, if
+    |d1(X)| or some |d0(wx)| is below POLE_EPS.
     """
     _case_lengths(case, len(big_chars), len(small_chars))
     root = _half_root(field)
-    big = weyl_orbit([c.value for c in big_chars])
+    values = [c.value for c in big_chars]
+    d1 = _d1_values(case, values)
+    if abs(d1) < POLE_EPS:
+        raise PoleError("degenerate big characters in the double Weyl sum", factor="d1(X)")
     small = weyl_orbit([c.value for c in small_chars])
-    size_big, size_small = big.shape[1], small.shape[1]
-    d1 = _d1_values(case, big)
-    # a rank-0 small group leaves d0 as the scalar 1, which den broadcasts
+    # a rank-0 small group leaves c and d0 as the scalar 1
     d0 = _d0_values(case, small)
-    rows = max(1, BLOCK_TERMS // size_small)
-    total = 0.0 + 0.0j
-    for start in range(0, size_big, rows):
-        stop = min(start + rows, size_big)
-        den = d1[start:stop, None] * d0
-        poles = np.abs(den) < POLE_EPS
-        if poles.any():
-            r, k = np.unravel_index(np.argmax(poles), poles.shape)
-            wp = enumerate_weyl(len(big_chars))[start + r]
-            w = enumerate_weyl(len(small_chars))[k]
-            raise PoleError(
-                "degenerate character orbit in the double Weyl sum",
-                factor=f"d1*d0 at (w'={wp.perm}/{wp.flips}, w={w.perm}/{w.flips})")
-        # _b_values multiplies in place, so every column takes the block shape
-        X = big[:, start:stop, None].repeat(size_small, axis=2)
-        x = small[:, None, :].repeat(stop - start, axis=1)
-        total += complex((_b_values(case, X, x, root) / den).sum())
-    return total
+    if np.any(np.abs(d0) < POLE_EPS):
+        raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
+    l = len(values)
+    X = np.array(values, dtype=complex)
+    Z = np.concatenate([X, 1 / X])  # H_i is evaluated at X_k, then at 1/X_k
+    roots = np.sqrt(X)
+    two_rho = np.array(rho_big(case, l).doubled)[:, None]
+    Z_rho = np.concatenate([roots ** -two_rho, roots ** two_rho], axis=1)
+    H = (Z_rho[i] * _h_values(case, i, Z, small[:, :, None], root) for i in range(l))
+    alternants = np.linalg.det(np.stack([h[..., :l] - h[..., l:] for h in H], axis=-2))
+    total = (_b_values(case, (), small, root) * alternants / d0).sum()
+    return complex(total / (np.prod(Z_rho.diagonal()) * d1))  # X^{-rho} d1(X)
 
 
 def special_vectors_exact(case: Case, l_big: int, q_F: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -365,6 +348,7 @@ class RhoVector:
         return tuple(int(2 * e) for e in self.entries)
 
 
+@lru_cache(maxsize=None)
 def rho_big(case: Case, rank: int) -> RhoVector:
     """Exponent vector paired with d1: (l, ..., 1) in case A, (l-1/2, ..., 1/2) in case B."""
     if case is Case.A:
@@ -450,7 +434,7 @@ def s_value_inert(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
 
     The product zeta(X^{-1}, x^{-1}) * q-power * Vol(B_{n+1}) Vol(B_{n+2}) *
     A(X^{-1}, x^{-1}), with the zeta value supplied by the caller and A computed
-    by the brute-force double Weyl sum at the inverted characters.
+    by the double Weyl sum at the inverted characters.
     """
     if not field.is_inert:
         raise ValueError("inert formula requested at a split place")

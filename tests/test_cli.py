@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,16 +65,52 @@ def test_usage_error_large_n(capsys):
     assert "guarded range" in err
 
 
-def test_weyl_pair_count_guard(capsys):
-    # n = 10 (ranks 6 and 5, 1.8e8 pairs) is still accepted; n = 11 (2.1e9) is not
-    RunConfig(command="weyl", n=10, place="inert", q=(2,), samples=1, seed=0,
-              tol=1e-6, format="json")
-    code, out, err = run_cli(capsys, "weyl", "--n", "11", "--q", "2", "--samples", "1")
-    assert code == 2 and out == ""
-    assert "2123366400 Weyl pairs" in err
-    with pytest.raises(UsageError, match="Weyl pairs"):
-        RunConfig(command="recursion", n=11, place="split", q=(2,), samples=1, seed=0,
-                  tol=1e-9, format="json")
+def test_weyl_rank_guard(capsys):
+    # the Weyl sum enumerates only the small group: n = 12 (rank 6) runs,
+    # n = 13 (rank 7) is a usage error before any output
+    code, out, _ = run_cli(capsys, "weyl", "--n", "12", "--q", "2", "--samples", "1")
+    assert code == 0 and json.loads(out)["pass"] is True
+    RunConfig(command="identity", n=12, place="inert", q=(2,), samples=1, seed=0,
+              tol=1e-7, format="json", force_large=True)
+    for argv in (("weyl", "--n", "13"), ("identity", "--n", "13", "--force-large"),
+                 ("table", "--n", "13")):
+        code, out, err = run_cli(capsys, *argv, "--q", "2", "--samples", "1")
+        assert code == 2 and out == "" and err.startswith("error: --n 13")
+    with pytest.raises(UsageError, match="rank 7"):
+        RunConfig(command="table", n=13, place="inert", q=(2,), samples=1, seed=0,
+                  tol=1e-7, format="json", force_large=True)
+    # the recursion enumerates no Weyl group, so the guard does not apply
+    RunConfig(command="recursion", n=13, place="split", q=(2,), samples=1, seed=0,
+              tol=1e-9, format="json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "--n", "7", "--q", "2", "--samples", "5", "--seed", "1"),
+    ("weyl", "--n", "5", "--q", "2", "--samples", "2", "--seed", "742"),
+    ("identity", "--n", "7", "--force-large", "--place", "inert", "--q", "2",
+     "--samples", "5", "--seed", "1"),
+    ("identity", "--n", "3", "--place", "inert", "--q", "2", "--samples", "10",
+     "--seed", "220560802"),
+], ids=["weyl-n7", "weyl-n5-cancellation", "identity-n7", "identity-n3-near-equal"])
+def test_former_rounding_misses_pass(capsys, argv):
+    # near-degenerate samples on which the brute-force double sum missed the
+    # default tolerance by rounding alone (errors 4e-7 to 1.6e-6)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe while rows are still written
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-m", "localperiods.cli", "table", "--n", "1", "--place", "inert",
+             "--q", "2", "--samples", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"sample_index,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_default_runs_in_calling_thread():
@@ -89,8 +128,13 @@ def test_split_odd_n_small_determinant_is_not_a_pole(capsys):
     assert labels == {f"L_F(1/2, nu{i}*th{j})" for i in range(1, 5) for j in range(i + 1, 5)}
 
 
-def test_nan_factor_values_render_as_strict_json(capsys):
-    # unmatched factors carry a nan partner; it must render as a quoted complex
+def test_nan_factor_values_render_as_strict_json(monkeypatch, capsys):
+    # unmatched factors carry a nan partner; it must render as a quoted complex.
+    # Sampled data leaves no factor unpaired, so the recursion drops its last one.
+    import localperiods.identity as identity
+    recursive = identity.zeta_recursive_factors
+    monkeypatch.setattr(identity, "zeta_recursive_factors",
+                        lambda small, big: recursive(small, big)[:-1])
     code, out, _ = run_cli(capsys, "identity", "--n", "2", "--place", "inert", "--q", "2",
                            "--samples", "3", "--tol", "1e-30")
     assert code == 1
@@ -121,6 +165,16 @@ def test_inert_localizer_matches_factors_over_both_residue_fields(capsys):
     assert code == 1
     labels = [d["factor"] for d in json.loads(out)["factor_diffs"]]
     assert not [label for label in labels if "chi*xi1" in label or "chi^1*Xi1" in label]
+
+
+def test_localizer_cancels_inverse_pairs_within_one_route(capsys):
+    # the recursion's step2: L_E(1/2, bc2*Xi2) and step2: L_F(1, chi^2*Xi2)^-1
+    # are one Euler factor and its inverse, so they cancel in its product
+    code, out, _ = run_cli(capsys, "identity", "--n", "2", "--place", "inert", "--q", "2",
+                           "--samples", "3", "--tol", "1e-30", "--format", "text")
+    assert code == 1
+    assert "bc2*Xi2" not in out and "chi^2*Xi2" not in out
+    assert "[missing]" not in out and "[unmatched]" not in out
 
 
 PARSER_REUSE_CASES = [

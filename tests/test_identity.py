@@ -123,6 +123,45 @@ def test_sampler_exhausted_on_degenerate_stream():
         sample_pair(1, inert_place(2), ZeroRng())
 
 
+def _orbit_walk_ok(n, small, big):
+    # the former sampler check: every Weyl translate of the inverted data
+    from localperiods import act, case_for, d0_factor, d1_factor, enumerate_weyl
+    from localperiods.identity import GENERIC_EPS
+    case = case_for(n + 1)
+    X = [c.inv() for c in big.chars]
+    x = [c.inv() for c in small.chars]
+    return (all(abs(d1_factor(case, act(w, X), big.field)) > GENERIC_EPS
+                for w in enumerate_weyl(len(X)))
+            and all(abs(d0_factor(case, act(w, x), small.field)) > GENERIC_EPS
+                    for w in enumerate_weyl(len(x))))
+
+
+def test_generic_position_datum_check_matches_orbit_walk():
+    import numpy as np
+    from localperiods.identity import _generic_position_ok, sample_datum
+    field = inert_place(2)
+    rng = np.random.default_rng(2024)
+    draws, near_draws = [], []
+    for n in (2, 3, 4, 5):
+        draws += [(n, sample_datum(n + 1, field, rng), sample_datum(n + 2, field, rng))
+                  for _ in range(50)]
+        # two characters of one datum 1e-10 to 1e-3 turns apart put |d1| or
+        # |d0| on either side of GENERIC_EPS
+        for gap in np.logspace(-10, -3, 22):
+            for m in (n + 1, n + 2):
+                if m // 2 < 2:
+                    continue
+                t = rng.uniform(0.0, 1.0, size=m // 2)
+                t[1] = t[0] + gap
+                near = make_datum(m, field, [np.exp(2j * np.pi * a) for a in t])
+                other = sample_datum(2 * n + 3 - m, field, rng)
+                near_draws.append((n, near, other) if m == n + 1 else (n, other, near))
+    for batch in (draws, near_draws):
+        verdicts = [_generic_position_ok(n, small, big) for n, small, big in batch]
+        assert verdicts == [_orbit_walk_ok(n, small, big) for n, small, big in batch]
+    assert True in verdicts and False in verdicts
+
+
 def test_sample_reproducible_in_isolation():
     field = inert_place(2)
     small_a, big_a = sample_pair(2, field, _rng_for(9, 4))
