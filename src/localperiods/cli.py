@@ -2,16 +2,17 @@
 
 Subcommands run the verification suites over the cartesian product of the
 requested places and residue cardinalities and stream one report per
-combination to stdout (JSON lines by default); `table` tabulates the per-sample
-quantities of the identity check as CSV.  Exit status: 0 all checks passed,
-1 verification failure (reports still emitted), 2 usage error.
+combination to stdout (JSON lines by default); `table` writes the per-sample
+rows of the identity check as CSV, one block of rows per combination.  Exit
+status: 0 all checks passed, 1 verification failure (reports still emitted),
+2 usage error.
 
 Output is deterministic for a fixed command line: per-sample randomness is
 derived from (seed, sample index), floats are rendered at a fixed precision
-with sorted keys, and the optional worker pool (--threads N) only maps pure
-per-sample closures, reduced in index order by the single writer.  Samples run
-in the calling thread by default: the per-sample work holds the GIL, so a
-thread pool makes runs slower, not faster.
+with sorted keys, and the optional worker pool (--threads N, `table` included)
+only maps pure per-sample closures, reduced in index order by the single
+writer.  Samples run in the calling thread by default: the per-sample work
+holds the GIL, so a thread pool makes runs slower, not faster.
 
 The argument parser is built once, when the module is imported, and every
 main() call parses with it: building it costs about 15 parses, so in-process
@@ -29,10 +30,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .identity import (SamplerExhausted, VerificationReport, lratio, period_terms,
-                       rel_err, sample_pair, verify_basecase, verify_localcalc,
-                       verify_recursion, verify_weyl_constancy, _rng_for)
-from .numfield import FieldData, PlaceKind, inert_place, motive_delta, split_place
+# sample_pair is unused here, but bench/test_bench.py traces cli.sample_pair
+from .identity import (SamplerExhausted, VerificationReport, identity_table,
+                       sample_pair, verify_basecase, verify_localcalc,
+                       verify_recursion, verify_weyl_constancy)
+from .numfield import FieldData, PlaceKind, inert_place, split_place
 from .paramcalc import verify_appendix
 from .weylsum import MAX_WEYL_RANK, SizeError, case_ranks
 
@@ -50,9 +52,9 @@ class Check(NamedTuple):
     # default --place both narrows silently, an explicit wrong place is an error
     place: PlaceKind | None
     tol: float                  # default --tol
-    # (config, field, **driver keywords) -> report; table has none (emit_table
-    # runs it).  A call names its driver, so a rebound module name is honoured.
-    call: Callable | None
+    # (config, field, **driver keywords) -> report, or for table the identity's
+    # rows.  A call names its driver, so a rebound module name is honoured.
+    call: Callable
 
 
 CHECKS = {
@@ -64,7 +66,7 @@ CHECKS = {
     "basecase": Check(PlaceKind.SPLIT, 1e-8,
                       lambda c, f, **kw: verify_basecase(f, terms=c.terms, **kw)),
     "appendix": Check(PlaceKind.INERT, 1e-9, lambda c, f, **kw: verify_appendix(f, **kw)),
-    "table": Check(None, 1e-7, None),
+    "table": Check(None, 1e-7, lambda c, f, tol, **kw: identity_table(c.n, f, **kw)),
 }
 
 
@@ -267,13 +269,16 @@ def _pool_map(threads: int | None):
 
 def run(config: RunConfig) -> int:
     """Execute the matching verification over the (place, q) product, stream
-    one report per combination, and return the exit status."""
+    its output, and return the exit status."""
     pool_map, executor = _pool_map(config.threads)
     call = CHECKS[config.command].call
     try:
-        reports = [call(config, field, samples=config.samples, seed=config.seed,
+        results = (call(config, field, samples=config.samples, seed=config.seed,
                         tol=config.tol, pool_map=pool_map)
-                   for field in config.fields()]
+                   for field in config.fields())
+        if config.command == "table":
+            return emit_table(results, config.tol, sys.stdout)
+        reports = list(results)
     finally:
         if executor is not None:
             executor.shutdown()
@@ -289,27 +294,17 @@ TABLE_COLUMNS = ["sample_index", "zeta", "s_value", "delta", "lratio_half",
                  "lhs", "rhs", "rel_err"]
 
 
-def emit_table(config: RunConfig) -> int:
-    """Tabulate the per-sample constituents of the identity check as CSV."""
-    out = sys.stdout
+def emit_table(tables, tol: float, out) -> int:
+    """Write each field's identity rows as CSV once they are computed."""
     worst = 0.0
     out.write(",".join(TABLE_COLUMNS) + "\n")
-    for field in config.fields():
-        for k in range(config.samples):
-            rng = _rng_for(config.seed, k)
-            small, big = sample_pair(config.n, field, rng)
-            z, s_val = period_terms(small, big)
-            delta = motive_delta(big.m, field)
-            lr = lratio(0.5, small, big)
-            lhs = z * s_val
-            rhs = delta * lr
-            err = rel_err(lhs, rhs)
-            worst = max(worst, err)
-            cells = [str(k)] + [format_complex(v, TABLE_DIGITS)
-                                for v in (z, s_val, delta, lr, lhs, rhs)]
-            cells.append(format_float(err, TABLE_DIGITS))
+    for rows in tables:
+        for k, row in enumerate(rows):
+            worst = max(worst, row[-1])
+            cells = [str(k)] + [format_complex(v, TABLE_DIGITS) for v in row[:-1]]
+            cells.append(format_float(row[-1], TABLE_DIGITS))
             out.write(",".join(cells) + "\n")
-    return 0 if worst <= config.tol else 1
+    return 0 if worst <= tol else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         config = config_from_args(args)
-        code = emit_table(config) if config.command == "table" else run(config)
+        code = run(config)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

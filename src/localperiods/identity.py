@@ -11,11 +11,13 @@ independent routes (closed form vs recursion, transcription vs determinant,
 Weyl sum vs motive value) and the first diverging constituent formula is
 reported factor by factor.
 
-Every check is a set of argument guards plus a per-sample function one(k),
-which draws sample k from (seed, k) and returns its relative error and, when
-the error exceeds tol, the factor diffs that localize it.  One driver,
-_run_check, maps one over the sample indices, keeps the worst error and the
-first diff per factor label in sample order, and builds the report.
+Every check is a set of argument guards plus a per-sample function one(rng)
+that returns the sample's relative error and a thunk localize() -> factor
+diffs.  map_samples alone turns sample index k into rng, seeded from (seed, k).
+One driver, _run_check, keeps the worst error, calls localize() on each sample
+whose error is not within tol (nan included), keeps the first diff per factor
+label in sample order, and builds the report.  `table` renders the same
+per-sample values, identity_row, that verify_localcalc compares.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .zetarec import (ConventionError, LFactor, factor_product,
 
 GENERIC_EPS = 1e-6
 MAX_RESAMPLE = 100
+MATCH_RTOL = 1e-8  # two factors pair when their character values agree to this
 
 
 class SamplerExhausted(RuntimeError):
@@ -104,6 +107,14 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def map_samples(one, samples: int, seed: int, pool_map=map) -> list:
+    """[one(rng_k) for k in range(samples)], rng_k seeded from (seed, k) alone,
+    so a sample does not depend on the others or on how pool_map runs them."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    return list(pool_map(lambda k: one(_rng_for(seed, k)), range(samples)))
+
+
 def sample_datum(m: int, field: FieldData, rng: np.random.Generator) -> SatakeDatum:
     count = m if field.is_split else m // 2
     values = [cmath.exp(2j * cmath.pi * t) for t in rng.uniform(0.0, 1.0, size=count)]
@@ -157,23 +168,28 @@ def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
     return z * s_val
 
 
-def delta_lratio_half(small: SatakeDatum, big: SatakeDatum) -> complex:
-    return motive_delta(big.m, big.field) * lratio(0.5, small, big)
+def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
+    """zeta, S, Delta and L(1/2)/(Ad*Ad) of one sample, then lhs = zeta * S,
+    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error."""
+    z, s_val = period_terms(small, big)
+    delta, lr = motive_delta(big.m, big.field), lratio(0.5, small, big)
+    lhs, rhs = z * s_val, delta * lr
+    return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # factor-level localization
 
 
-def _pair_off(a_list: list[LFactor], b_list: list[LFactor],
-              rtol: float) -> tuple[list[LFactor], list[LFactor]]:
+def _pair_off(a_list: list[LFactor],
+              b_list: list[LFactor]) -> tuple[list[LFactor], list[LFactor]]:
     # pair each a with the first unpaired b of the same character value;
     # return the unpaired of both lists, each in its order
     remaining = list(b_list)
     unmatched_a: list[LFactor] = []
     for a in a_list:
         hit = next((k for k, b in enumerate(remaining)
-                    if abs(a.alpha - b.alpha) <= rtol * max(1.0, abs(a.alpha))), None)
+                    if abs(a.alpha - b.alpha) <= MATCH_RTOL * max(1.0, abs(a.alpha))), None)
         if hit is None:
             unmatched_a.append(a)
         else:
@@ -181,8 +197,7 @@ def _pair_off(a_list: list[LFactor], b_list: list[LFactor],
     return unmatched_a, remaining
 
 
-def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
-                       rtol: float = 1e-8) -> list[FactorDiff]:
+def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDiff]:
     """Pair up two factor lists by (q^-s, inverse) and character value; report
     the leftovers as named diffs, labelled by the left (closed-form) side.
 
@@ -199,10 +214,10 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
         inverted = groups.get((exponent, True))
         if not inverse and inverted is not None:
             for side in (0, 1):
-                direct[side][:], inverted[side][:] = _pair_off(direct[side], inverted[side], rtol)
+                direct[side][:], inverted[side][:] = _pair_off(direct[side], inverted[side])
     diffs: list[FactorDiff] = []
     for _, (a_list, b_list) in sorted(groups.items()):
-        unmatched_a, remaining = _pair_off(a_list, b_list, rtol)
+        unmatched_a, remaining = _pair_off(a_list, b_list)
         for i, a in enumerate(unmatched_a):
             if i < len(remaining):
                 b = remaining[i]
@@ -244,16 +259,16 @@ def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum,
 
 def _run_check(check: str, n: int, field: FieldData, samples: int, seed: int,
                tol: float, one, pool_map) -> VerificationReport:
-    """Map one(k) -> (rel err, diffs or None) over the samples into one report."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    results = list(pool_map(one, range(samples)))
+    """Map one(rng) -> (rel err, localize) over the samples into one report;
+    localize() -> factor diffs runs only on the samples that miss tol."""
+    results = map_samples(one, samples, seed, pool_map=pool_map)
     max_err = max(err for err, _ in results)
     passed = max_err <= tol
     merged: dict[str, FactorDiff] = {}
-    for _, diffs in results:
-        for d in diffs or ():
-            merged.setdefault(d.factor, d)
+    for err, localize in results:
+        if not err <= tol:
+            for d in localize():
+                merged.setdefault(d.factor, d)
     diffs = tuple(merged.values()) or (
         FactorDiff("unlocalized discrepancy", complex(max_err), 0j),)
     return VerificationReport(
@@ -269,17 +284,19 @@ def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
     if not allow_large and not 1 <= n <= 3:
         raise ValueError(f"n={n} outside the guarded range 1..3 (pass allow_large to override)")
 
-    def one(k: int):
-        rng = _rng_for(seed, k)
+    def one(rng):
         small, big = sample_pair(n, field, rng)
-        lhs = unramified_period(small, big)
-        rhs = delta_lratio_half(small, big)
-        err = rel_err(lhs, rhs)
-        if err <= tol:
-            return err, None
-        return err, _probe_factors(n, small, big, lhs, rhs, tol)
+        *_, lhs, rhs, err = identity_row(small, big)
+        return err, lambda: _probe_factors(n, small, big, lhs, rhs, tol)
 
     return _run_check("identity", n, field, samples, seed, tol, one, pool_map)
+
+
+def identity_table(n: int, field: FieldData, samples: int = 50, seed: int = 0,
+                   pool_map=map) -> list[tuple[complex, ...]]:
+    """verify_localcalc's samples as rows of the identity's constituents."""
+    return map_samples(lambda rng: identity_row(*sample_pair(n, field, rng)),
+                       samples, seed, pool_map=pool_map)
 
 
 def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
@@ -292,15 +309,12 @@ def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
     expect = motive_A_value(n_plus_1, field)
     case = case_for(n_plus_1)
 
-    def one(k: int):
-        rng = _rng_for(seed, k)
+    def one(rng):
         small, big = sample_pair(n, field, rng)
         a_val = weyl_sum_A(case, [c.inv() for c in big.chars],
                            [c.inv() for c in small.chars], field)
-        err = rel_err(a_val, expect)
-        if err <= tol:
-            return err, None
-        return err, [FactorDiff("weyl_sum vs motive value", a_val, expect)]
+        return rel_err(a_val, expect), lambda: [
+            FactorDiff("weyl_sum vs motive value", a_val, expect)]
 
     return _run_check("weyl", n, field, samples, seed, tol, one, pool_map)
 
@@ -312,19 +326,15 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
     if n < 0:
         raise ValueError("n must be nonnegative")
 
-    def one(k: int):
-        rng = _rng_for(seed, k)
+    def one(rng):
         small, big = sample_pair(n, field, rng)
         closed = factor_product(zeta_closed_factors(small, big))
         try:
             recursive = zeta_recursive(small, big)
         except ConventionError as err:
-            return float("inf"), [FactorDiff(f"ConventionError: {err.factor}",
-                                             cmath.nan, cmath.nan)]
-        err = rel_err(closed, recursive)
-        if err <= tol:
-            return err, None
-        return err, localize_zeta_mismatch(small, big)
+            diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
+            return float("inf"), lambda: [diff]
+        return rel_err(closed, recursive), lambda: localize_zeta_mismatch(small, big)
 
     return _run_check("recursion", n, field, samples, seed, tol, one, pool_map)
 
@@ -336,14 +346,11 @@ def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
     if not field.is_split:
         raise ValueError("the base-case series check runs at split places")
 
-    def one(k: int):
-        rng = _rng_for(seed, k)
+    def one(rng):
         theta, phi, xi0 = (CharValue.from_angle(t) for t in rng.uniform(0.0, 1.0, size=3))
         closed = zeta_base_split_closed(theta, phi, xi0, field)
         series = zeta_base_split_series(theta, phi, xi0, field, terms)
-        err = rel_err(closed, series)
-        if err <= tol:
-            return err, None
-        return err, [FactorDiff(f"series({terms} terms) vs closed form", series, closed)]
+        return rel_err(closed, series), lambda: [
+            FactorDiff(f"series({terms} terms) vs closed form", series, closed)]
 
     return _run_check("basecase", 0, field, samples, seed, tol, one, pool_map)

@@ -120,16 +120,16 @@ def q_power(q: float, s: complex) -> complex:
 
 
 def euler_factor(s: complex, q: int, alpha: complex, *,
-                 pole_eps: float = POLE_EPS, factor: str | None = None) -> complex:
+                 factor: str | None = None) -> complex:
     """1/(1 - q^{-s} alpha).
 
-    Raises PoleError when the denominator is within pole_eps of zero; samplers
+    Raises PoleError when the denominator is within POLE_EPS of zero; samplers
     upstream are responsible for keeping generic data away from poles.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     den = 1.0 - q_power(q, s) * alpha
-    if abs(den) < pole_eps:
+    if abs(den) < POLE_EPS:
         raise PoleError(f"local factor pole at s={s!r}, q={q}, alpha={alpha!r}", factor=factor)
     return 1.0 / den
 

@@ -61,11 +61,6 @@ class SatakeDatum:
         self._require_split_index(i)
         return self.chars[self.m - i].inv()
 
-    def e_char(self, i: int) -> tuple[complex, complex]:
-        """The i-th character of E^x = F^x x F^x as a component pair (split)."""
-        self._require_split_index(i)
-        return (self.chars[i - 1].value, self.chars[self.m - i].inv().value)
-
     def _require_split_index(self, i: int) -> None:
         if not self.field.is_split:
             raise ValueError("tuple-layout accessors only apply at split places")

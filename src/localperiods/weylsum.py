@@ -120,13 +120,17 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-@lru_cache(maxsize=None)
-def enumerate_weyl(l: int) -> tuple[WeylElement, ...]:
-    """All 2^l l! elements, identity first, in deterministic order."""
+def _check_rank(l: int) -> None:
     if l < 0:
         raise ValueError("rank must be nonnegative")
     if l > MAX_WEYL_RANK:
         raise SizeError(f"rank {l} exceeds the enumeration guard {MAX_WEYL_RANK}")
+
+
+@lru_cache(maxsize=None)
+def enumerate_weyl(l: int) -> tuple[WeylElement, ...]:
+    """All 2^l l! elements, identity first, in deterministic order."""
+    _check_rank(l)
     out = []
     for perm in itertools.permutations(range(l)):
         for flips in itertools.product((1, -1), repeat=l):
@@ -151,10 +155,13 @@ def _act_values(w: WeylElement, values: Sequence) -> tuple:
 @lru_cache(maxsize=None)
 def _orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
     # (|W|, l) tables in enumerate_weyl order: row k, entry i holds the source
-    # index inverse_perm()[i] of the k-th element and whether its flip is -1
-    elements = enumerate_weyl(l)
-    src = np.array([w.inverse_perm() for w in elements], dtype=np.intp).reshape(len(elements), l)
-    flip = np.array([w.flips for w in elements]).reshape(len(elements), l) == -1
+    # index inverse_perm()[i] of the k-th element and whether its flip is -1.
+    # Permutations vary slowest, and flip i is -1 on bit l-1-i of the mask index.
+    _check_rank(l)
+    perms = np.array(list(itertools.permutations(range(l))), dtype=np.intp)
+    masks = ((np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1).astype(bool)
+    src = np.repeat(np.argsort(perms, axis=1), 2 ** l, axis=0)
+    flip = np.tile(masks, (len(perms), 1))
     src.setflags(write=False)
     flip.setflags(write=False)
     return src, flip

@@ -337,7 +337,7 @@ def zeta_recursive_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor
                                True, convention_sensitive=True))
         else:
             q = field.q_F
-            mu_l, nu_l = cur_big.e_char(l)
+            mu_l, nu_l = cur_big.theta(l).value, cur_big.phi(l).value
             for idx, a in enumerate(small_bc.values):
                 out.append(LFactor(f"{tag}L_F(1/2, bc{idx}*mu{l})", 0.5, q, a * mu_l))
             for idx, a in enumerate(small_bc.dual_values):

@@ -57,6 +57,46 @@ def test_threads_do_not_change_output(capsys):
     code1, out1, _ = run_cli(capsys, *base, "--threads", "1")
     code4, out4, _ = run_cli(capsys, *base, "--threads", "4")
     assert (code1, out1) == (code4, out4) == (1, out1)
+    # the table maps its samples with the same pool
+    base = ("table", "--n", "2", "--place", "both", "--q", "2", "--q", "3",
+            "--samples", "6", "--seed", "5")
+    code1, out1, _ = run_cli(capsys, *base, "--threads", "1")
+    code4, out4, _ = run_cli(capsys, *base, "--threads", "4")
+    assert (code1, out1) == (code4, out4) == (0, out1)
+    assert len(out1.splitlines()) == 1 + 4 * 6
+
+
+def test_table_maps_samples_with_the_run_pool(monkeypatch, capsys):
+    original = cli.identity_table
+    pools = []
+
+    def recorder(*args, pool_map, **kwargs):
+        pools.append(pool_map)
+        return original(*args, pool_map=pool_map, **kwargs)
+
+    monkeypatch.setattr(cli, "identity_table", recorder)
+    code, out, _ = run_cli(capsys, "table", "--q", "2", "--q", "3", "--samples", "2",
+                           "--threads", "2")
+    assert code == 0 and len(out.splitlines()) == 1 + 4 * 2
+    assert len(pools) == 4 and all(pool is not map for pool in pools)
+
+
+def test_probe_runs_only_on_missed_samples(monkeypatch, capsys):
+    import localperiods.identity as identity
+    probed = []
+    original = identity._probe_factors
+
+    def recorder(*args):
+        probed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(identity, "_probe_factors", recorder)
+    base = ("identity", "--n", "2", "--place", "inert", "--q", "2", "--samples", "5")
+    code, _, _ = run_cli(capsys, *base)
+    assert code == 0 and probed == []
+    code, out, _ = run_cli(capsys, *base, "--tol", "1e-30")
+    assert code == 1 and json.loads(out)["factor_diffs"]
+    assert len(probed) == 5
 
 
 def test_usage_error_large_n(capsys):

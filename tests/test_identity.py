@@ -5,9 +5,10 @@ from localperiods import (PlaceKind, euler_factor,
                           split_datum, split_place, unramified_period,
                           verify_appendix, verify_basecase, verify_localcalc,
                           verify_recursion, verify_weyl_constancy)
-from localperiods.identity import (FactorDiff, VerificationReport,
-                                   delta_lratio_half, rel_err, sample_pair,
-                                   _rng_for)
+from localperiods.identity import (FactorDiff, VerificationReport, identity_row,
+                                   identity_table, rel_err, sample_pair, _rng_for)
+
+RHS = 5  # identity_row index of Delta * L(1/2)/(Ad*Ad)
 from localperiods.weylsum import s_value_inert
 
 
@@ -54,7 +55,7 @@ def test_unramified_period_rank_one_split_regression():
     assert abs(value.imag) < 1e-12
     assert value.real > 0
     # frozen after first computation; the identity check pins it independently
-    assert value == pytest.approx(delta_lratio_half(small, big))
+    assert value == pytest.approx(identity_row(small, big)[RHS])
 
 
 @pytest.mark.parametrize("kind", ["inert", "split"])
@@ -63,6 +64,29 @@ def test_verify_localcalc_small_run_passes(kind, q):
     report = verify_localcalc(1, field, samples=8, seed=11)
     assert report.passed and report.max_rel_err < 1e-10
     assert report.factor_diffs == ()
+
+
+@pytest.mark.parametrize("field", [inert_place(2), split_place(3)], ids=["inert", "split"])
+def test_identity_table_reproduces_report(field):
+    # the table's rows are the values the identity check compares
+    rows = identity_table(2, field, samples=6, seed=13)
+    report = verify_localcalc(2, field, samples=6, seed=13)
+    assert len(rows) == 6
+    assert max(row[-1] for row in rows) == report.max_rel_err
+    for zeta, s_value, delta, lratio_half, lhs, rhs, err in rows:
+        assert (lhs, rhs) == (zeta * s_value, delta * lratio_half)
+        assert err == rel_err(lhs, rhs)
+
+
+def test_nan_error_is_localized(monkeypatch):
+    # a nan error is not within tol, so the sample is probed like any miss
+    import localperiods.identity as identity
+    nan = complex("nan")
+    monkeypatch.setattr(identity, "identity_row",
+                        lambda small, big: (nan,) * 6 + (float("nan"),))
+    report = verify_localcalc(1, split_place(2), samples=2)
+    assert not report.passed
+    assert [d.factor for d in report.factor_diffs] == ["zeta*S vs Delta*L(1/2)/(Ad*Ad)"]
 
 
 def test_verify_localcalc_failure_has_diffs():
@@ -188,12 +212,12 @@ def test_both_sides_weyl_invariant(n, kind, rng):
     field = inert_place(2) if kind == "inert" else split_place(2)
     small, big = sample_pair(n, field, _rng_for(17, n))
     lhs = unramified_period(small, big)
-    rhs = delta_lratio_half(small, big)
+    rhs = identity_row(small, big)[RHS]
     for _ in range(4):
         small_w = weyl_action_on_datum(small, rng)
         big_w = weyl_action_on_datum(big, rng)
         assert rel_err(unramified_period(small_w, big_w), lhs) < 1e-10
-        assert rel_err(delta_lratio_half(small_w, big_w), rhs) < 1e-10
+        assert rel_err(identity_row(small_w, big_w)[RHS], rhs) < 1e-10
 
 
 def test_period_conjugation_symmetry():

@@ -28,6 +28,22 @@ def test_enumerate_weyl_guard():
         enumerate_weyl(7)
 
 
+@pytest.mark.parametrize("l", range(7))
+def test_orbit_table_matches_enumerate_weyl(l):
+    # the numpy tables are built without WeylElement objects; they must list
+    # the elements' source indices and flips in enumerate_weyl order
+    import numpy as np
+    from localperiods.weylsum import _orbit_table
+    elements = enumerate_weyl(l)
+    src, flip = _orbit_table(l)
+    assert src.shape == flip.shape == (len(elements), l)
+    assert src.dtype == np.intp and flip.dtype == bool
+    assert src.tolist() == [list(w.inverse_perm()) for w in elements]
+    assert flip.tolist() == [[f == -1 for f in w.flips] for w in elements]
+    with pytest.raises(SizeError):
+        _orbit_table(7)
+
+
 def test_act_identity_and_flip(rng):
     chars = unit_chars(rng, 3)
     w = WeylElement.identity(3)
