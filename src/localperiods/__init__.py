@@ -15,9 +15,9 @@ from .weylsum import (Case, LengthType, RhoVector, SizeError, WeylElement, act,
                       enumerate_weyl, iwahori_volume, iwahori_volume_gl,
                       long_length, motive_A_value, rho_big, rho_monomial,
                       rho_small, s_value_inert, s_value_split, weyl_sum_A)
-from .zetarec import (ConventionError, LFactor, zeta_base_split_closed,
-                      zeta_base_split_series, zeta_closed, zeta_closed_inert,
-                      zeta_closed_split, zeta_recursive)
+from .zetarec import (ConventionError, LFactor, factor_product,
+                      zeta_base_split_closed, zeta_base_split_series,
+                      zeta_closed_factors, zeta_recursive_factors)
 from .identity import (FactorDiff, SamplerExhausted, VerificationReport, lratio,
                        rel_err, sample_datum, sample_pair, unramified_period,
                        verify_basecase, verify_localcalc, verify_recursion,

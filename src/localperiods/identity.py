@@ -9,15 +9,18 @@ where L(s) is the standard-tensor factor over the product of the two adjoint
 factors at s + 1/2.  On a failing sample both sides are re-evaluated via their
 independent routes (closed form vs recursion, transcription vs determinant,
 Weyl sum vs motive value) and the first diverging constituent formula is
-reported factor by factor.
+reported factor by factor.  zeta is evaluated only through its factor lists:
+each route's list is built once per sample and multiplied by factor_product, and
+a miss pairs the same two lists.
 
 Every check is a set of argument guards plus a per-sample function one(rng)
 that returns the sample's relative error and a thunk localize() -> factor
 diffs.  map_samples alone turns sample index k into rng, seeded from (seed, k).
-One driver, _run_check, keeps the worst error, calls localize() on each sample
-whose error is not within tol (nan included), keeps the first diff per factor
-label in sample order, and builds the report.  `table` renders the same
-per-sample values, identity_row, that verify_localcalc compares.
+One driver, _run_check, keeps the worst error (worst_err: nan if any error is
+nan, so a nan sample fails wherever it falls), calls localize() on each sample
+whose error is not within tol, keeps the first diff per factor label in sample
+order, and builds the report.  `table` renders the same per-sample values,
+identity_row, that verify_localcalc compares.
 """
 from __future__ import annotations
 
@@ -33,8 +36,8 @@ from .satake import (SatakeDatum, adjoint_lfactor, make_datum,
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
                       s_value_inert, s_value_split, weyl_sum_A)
 from .zetarec import (ConventionError, LFactor, factor_product,
-                      zeta_base_split_closed, zeta_base_split_series, zeta_closed,
-                      zeta_closed_factors, zeta_recursive, zeta_recursive_factors)
+                      zeta_base_split_closed, zeta_base_split_series,
+                      zeta_closed_factors, zeta_recursive_factors)
 
 GENERIC_EPS = 1e-6
 MAX_RESAMPLE = 100
@@ -47,6 +50,12 @@ class SamplerExhausted(RuntimeError):
 
 def rel_err(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+
+
+def worst_err(errs) -> float:
+    """max(errs), or nan when any error is nan (max() passes over a later nan)."""
+    errs = list(errs)
+    return math.nan if any(math.isnan(e) for e in errs) else max(errs, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -155,9 +164,9 @@ def lratio(s: complex, small: SatakeDatum, big: SatakeDatum) -> complex:
 def period_terms(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, complex]:
     """zeta(X, x) and the spherical average S at the inverted characters."""
     n = big.m - 2
-    z = zeta_closed(small, big)
+    z = factor_product(zeta_closed_factors(small, big))
     if big.field.is_inert:
-        z_inv = zeta_closed(small.inverted(), big.inverted())
+        z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
         return z, s_value_inert(big.chars, small.chars, n, big.field, z_inv)
     return z, s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
 
@@ -229,24 +238,20 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDif
     return diffs
 
 
-def localize_zeta_mismatch(small: SatakeDatum, big: SatakeDatum) -> list[FactorDiff]:
-    return match_factor_lists(zeta_closed_factors(small, big),
-                              zeta_recursive_factors(small, big))
-
-
 def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum,
                    lhs: complex, rhs: complex, tol: float) -> list[FactorDiff]:
-    diffs = localize_zeta_mismatch(small, big)
+    diffs = match_factor_lists(zeta_closed_factors(small, big),
+                               zeta_recursive_factors(small, big))
     v_std = std_tensor_lfactor(0.5, small, big)
     v_det = std_tensor_lfactor_det(0.5, small, big)
-    if rel_err(v_std, v_det) > tol:
+    if not rel_err(v_std, v_det) <= tol:
         diffs.append(FactorDiff("std_tensor(1/2) vs determinant oracle", v_std, v_det))
     if big.field.is_inert:
         case = case_for(n + 1)
         a_val = weyl_sum_A(case, [c.inv() for c in big.chars],
                            [c.inv() for c in small.chars], big.field)
         a_expect = motive_A_value(n + 1, big.field)
-        if rel_err(a_val, a_expect) > tol:
+        if not rel_err(a_val, a_expect) <= tol:
             diffs.append(FactorDiff("weyl_sum vs motive value", a_val, a_expect))
     if not diffs:
         diffs.append(FactorDiff("zeta*S vs Delta*L(1/2)/(Ad*Ad)", lhs, rhs))
@@ -260,13 +265,17 @@ def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum,
 def _run_check(check: str, n: int, field: FieldData, samples: int, seed: int,
                tol: float, one, pool_map) -> VerificationReport:
     """Map one(rng) -> (rel err, localize) over the samples into one report;
-    localize() -> factor diffs runs only on the samples that miss tol."""
-    results = map_samples(one, samples, seed, pool_map=pool_map)
-    max_err = max(err for err, _ in results)
+    only a sample that misses tol keeps localize, run after the map for diffs."""
+    def judged(rng):
+        err, localize = one(rng)
+        return err, None if err <= tol else localize
+
+    results = map_samples(judged, samples, seed, pool_map=pool_map)
+    max_err = worst_err(err for err, _ in results)
     passed = max_err <= tol
     merged: dict[str, FactorDiff] = {}
-    for err, localize in results:
-        if not err <= tol:
+    for _, localize in results:
+        if localize is not None:
             for d in localize():
                 merged.setdefault(d.factor, d)
     diffs = tuple(merged.values()) or (
@@ -328,13 +337,15 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
 
     def one(rng):
         small, big = sample_pair(n, field, rng)
-        closed = factor_product(zeta_closed_factors(small, big))
+        closed = zeta_closed_factors(small, big)
+        recursive = zeta_recursive_factors(small, big)
+        z_closed = factor_product(closed)
         try:
-            recursive = zeta_recursive(small, big)
+            z_recursive = factor_product(recursive)
         except ConventionError as err:
             diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
             return float("inf"), lambda: [diff]
-        return rel_err(closed, recursive), lambda: localize_zeta_mismatch(small, big)
+        return rel_err(z_closed, z_recursive), lambda: match_factor_lists(closed, recursive)
 
     return _run_check("recursion", n, field, samples, seed, tol, one, pool_map)
 

@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .identity import FactorDiff, VerificationReport, _run_check, map_samples, rel_err
+from .identity import (FactorDiff, VerificationReport, _run_check, map_samples, rel_err,
+                       worst_err)
 from .numfield import CharValue, FieldData, euler_factor, lfactor_chi
 from .satake import SatakeDatum, adjoint_lfactor, bc_params, make_datum
 
@@ -140,10 +141,10 @@ def induce_preservation_defect(field: FieldData, samples: int = 20, seed: int = 
     def one(rng):
         param = WDParam(Base.OVER_E, (cmath.exp(2j * cmath.pi * rng.uniform()),))
         ind = induce(param)
-        return max([0.0] + [rel_err(ind.lfactor(s, field), param.lfactor(s, field))
-                            for s in _draw_s(rng, s_points)])
+        return worst_err(rel_err(ind.lfactor(s, field), param.lfactor(s, field))
+                         for s in _draw_s(rng, s_points))
 
-    return max(map_samples(one, samples, seed))
+    return worst_err(map_samples(one, samples, seed))
 
 
 def _draw_s(rng: np.random.Generator, count: int) -> list[complex]:
@@ -197,17 +198,16 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
                  sigma_prime.lfactor(s, field) * twist(m_pi, gamma ** 2).lfactor(s, field),
                  tensor_product(bc_param(theta_sigma_bar), m_pi).lfactor(s, field)),
             ]
-        # the maximum from 0.0 passes over a nan error
-        worst = max([0.0] + [rel_err(lhs, rhs) for _, _, lhs, rhs in sides])
+        worst = worst_err(rel_err(lhs, rhs) for _, _, lhs, rhs in sides)
         return worst, lambda: _first_misses(sides, tol)
 
     return _run_check("appendix", 0, field, samples, seed, tol, one, pool_map)
 
 
 def _first_misses(sides: list[tuple], tol: float) -> list[FactorDiff]:
-    # the first (s, lhs, rhs) of each identity whose error exceeds tol
+    # the first (s, lhs, rhs) of each identity whose error is not within tol
     diffs: dict[str, FactorDiff] = {}
     for name, s, lhs, rhs in sides:
-        if name not in diffs and rel_err(lhs, rhs) > tol:
+        if name not in diffs and not rel_err(lhs, rhs) <= tol:
             diffs[name] = FactorDiff(f"{name} at s={s:.4g}", lhs, rhs)
     return list(diffs.values())

@@ -46,20 +46,22 @@ class SatakeDatum:
         return self.m // 2
 
     @property
-    def odd_char(self) -> CharValue | None:
-        """The E_1-character: the middle tuple entry at a split place with m odd."""
+    def odd_char(self) -> complex | None:
+        """Value of the E_1-character, the middle entry at a split place, m odd."""
         if self.field.is_split and self.m % 2 == 1:
-            return self.chars[self.m // 2]
+            return self.chars[self.m // 2].value
         return None
 
-    # Split accessors, 1-based to match the tuple layout.
-    def theta(self, i: int) -> CharValue:
+    # Split accessors, 1-based to match the tuple layout; they return values.
+    def theta(self, i: int) -> complex:
+        """theta_i, the i-th tuple entry."""
         self._require_split_index(i)
-        return self.chars[i - 1]
+        return self.chars[i - 1].value
 
-    def phi(self, i: int) -> CharValue:
+    def phi(self, i: int) -> complex:
+        """phi_i, the inverse of the i-th tuple entry from the end."""
         self._require_split_index(i)
-        return self.chars[self.m - i].inv()
+        return 1.0 / self.chars[self.m - i].value
 
     def _require_split_index(self, i: int) -> None:
         if not self.field.is_split:
@@ -118,10 +120,6 @@ class BCParams:
                 raise ValueError("split parameters need matching dual components")
         elif self.dual_values is not None:
             raise ValueError("inert parameters carry a single multiset")
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
 
 
 def bc_params(datum: SatakeDatum) -> BCParams:

@@ -10,10 +10,11 @@ Three independent routes are provided:
 * for the split base case only, a truncated geometric series that serves as an
   integration oracle.
 
-Every route produces an explicit list of LFactor records, so two routes can be
-compared factor by factor and a discrepancy localized to a single named factor;
-this is how the one mismatched index pairing in the odd-case split display is
-surfaced (never silently patched).
+Every route is an explicit list of LFactor records (zeta_closed_factors,
+zeta_recursive_factors), and factor_product is the one loop that evaluates a
+list.  So two routes can be compared factor by factor and a discrepancy
+localized to a single named factor; this is how the one mismatched index
+pairing in the odd-case split display is surfaced (never silently patched).
 
 Conventions fixed here and validated by the recursion/closed-form agreement and
 the end-to-end period identity: the inert composite of the quadratic character
@@ -59,9 +60,15 @@ class LFactor:
 
 
 def factor_product(factors) -> complex:
+    """The product of the factor values, in list order.  Raises ConventionError
+    when a convention-sensitive factor (the quadratic twist) is requested at its
+    pole, where the evaluation convention would decide between 0 and a pole."""
     out = 1.0 + 0.0j
     for f in factors:
-        out *= f.value()
+        val = f.value()
+        if f.convention_sensitive and abs(val) < POLE_EPS:
+            raise ConventionError("quadratic-twist factor requested at its pole", factor=f.label)
+        out *= val
     return out
 
 
@@ -141,15 +148,12 @@ def zeta_closed_split_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFac
     def f(label, s, alpha, inverse=False):
         out.append(LFactor(label, s, q, alpha, inverse))
 
-    mu = lambda i: big.theta(i).value          # noqa: E731
-    nu = lambda i: big.phi(i).value            # noqa: E731
-    th = lambda i: small.theta(i).value        # noqa: E731
-    ph = lambda i: small.phi(i).value          # noqa: E731
+    mu, nu, th, ph = big.theta, big.phi, small.theta, small.phi
     l2 = big.rank
     l1 = small.rank
 
     if n % 2 == 0:
-        xi0 = small.odd_char.value
+        xi0 = small.odd_char
         for i in range(1, l2 + 1):
             for j in range(i + 1, l2 + 1):
                 f(f"L_F(1/2, th{i}*mu{j})", 0.5, th(i) * mu(j))
@@ -173,7 +177,7 @@ def zeta_closed_split_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFac
             f(f"L_F(1, xi0*ph{i})^-1", 1.0, xi0 * ph(i), True)
             f(f"L_F(1, th{i}*ph{i})^-1", 1.0, th(i) * ph(i), True)
     else:
-        Xi0 = big.odd_char.value
+        Xi0 = big.odd_char
         for i in range(1, l2 + 1):
             for j in range(i, l2 + 1):
                 f(f"L_F(1/2, th{i}*mu{j})", 0.5, th(i) * mu(j))
@@ -213,20 +217,6 @@ def _split_ratio_blocks(f, mu, nu, th, ph, l2: int, l1: int) -> None:
             f(f"L_F(1, ph{i}*th{j})^-1", 1.0, ph(i) * th(j), True)
             f(f"L_F(1, th{i}*ph{j})^-1", 1.0, th(i) * ph(j), True)
             f(f"L_F(1, ph{i}^-1*ph{j})^-1", 1.0, ph(j) / ph(i), True)
-
-
-def zeta_closed_inert(small: SatakeDatum, big: SatakeDatum) -> complex:
-    return factor_product(zeta_closed_inert_factors(small, big))
-
-
-def zeta_closed_split(small: SatakeDatum, big: SatakeDatum) -> complex:
-    return factor_product(zeta_closed_split_factors(small, big))
-
-
-def zeta_closed(small: SatakeDatum, big: SatakeDatum) -> complex:
-    if big.field.is_split:
-        return zeta_closed_split(small, big)
-    return zeta_closed_inert(small, big)
 
 
 def zeta_closed_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor]:
@@ -337,7 +327,7 @@ def zeta_recursive_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor
                                True, convention_sensitive=True))
         else:
             q = field.q_F
-            mu_l, nu_l = cur_big.theta(l).value, cur_big.phi(l).value
+            mu_l, nu_l = cur_big.theta(l), cur_big.phi(l)
             for idx, a in enumerate(small_bc.values):
                 out.append(LFactor(f"{tag}L_F(1/2, bc{idx}*mu{l})", 0.5, q, a * mu_l))
             for idx, a in enumerate(small_bc.dual_values):
@@ -351,24 +341,8 @@ def zeta_recursive_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor
                                True, convention_sensitive=True))
         cur_big, cur_small = cur_small, trunc
     if field.is_split:
-        theta = cur_big.theta(1).value
-        phi = cur_big.phi(1).value
-        Xi0 = cur_small.chars[0].value
-        out.extend(_base_split_factors(theta, phi, Xi0, field.q_F, prefix="base: "))
+        out.extend(_base_split_factors(cur_big.theta(1), cur_big.phi(1),
+                                       cur_small.chars[0].value, field.q_F, prefix="base: "))
     # inert base case contributes exactly 1
     return out
 
-
-def zeta_recursive(small: SatakeDatum, big: SatakeDatum) -> complex:
-    """Product over the inductive factor list, surfacing a ConventionError when
-    the convention-sensitive quadratic-twist factor is requested at its pole
-    (the point where the evaluation convention would decide between 0 and a
-    pole, so the cross-check cannot proceed)."""
-    out = 1.0 + 0.0j
-    for fac in zeta_recursive_factors(small, big):
-        val = fac.value()
-        if fac.convention_sensitive and abs(val) < POLE_EPS:
-            raise ConventionError(
-                "quadratic-twist factor requested at its pole", factor=fac.label)
-        out *= val
-    return out

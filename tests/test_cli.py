@@ -357,3 +357,33 @@ def test_render_json_deterministic_floats():
 def test_format_complex():
     assert format_complex(1.5 + 0j, 6) == "1.5+0i"
     assert format_complex(-2.25j, 6) == "-0-2.25i"
+
+
+def nan_error_at_sample_1(monkeypatch):
+    # identity_row gives its real values, except a nan error on the second sample
+    import localperiods.identity as identity
+    real, calls = identity.identity_row, []
+
+    def row(small, big):
+        calls.append(None)
+        out = real(small, big)
+        return out[:-1] + (float("nan"),) if len(calls) == 2 else out
+
+    monkeypatch.setattr(identity, "identity_row", row)
+
+
+def test_nan_error_after_the_first_sample_fails_identity(monkeypatch, capsys):
+    nan_error_at_sample_1(monkeypatch)
+    code, out, _ = run_cli(capsys, "identity", "--n", "1", "--place", "inert", "--q", "2",
+                           "--samples", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False and report["max_rel_err"] == "nan"
+
+
+def test_nan_error_after_the_first_sample_fails_table(monkeypatch, capsys):
+    nan_error_at_sample_1(monkeypatch)
+    code, out, _ = run_cli(capsys, "table", "--n", "1", "--place", "inert", "--q", "2",
+                           "--samples", "3")
+    assert code == 1
+    assert out.splitlines()[2].endswith(",nan")

@@ -125,6 +125,21 @@ def test_verify_recursion_reports_convention_error(monkeypatch):
         "ConventionError: step1: L_F(1, chi^1*mu1*nu1)^-1"]
 
 
+def test_recursion_builds_each_factor_list_once_per_sample(monkeypatch):
+    # split n = 3 misses on every sample, and its localizer pairs the lists
+    # the sample already built instead of building them again
+    import localperiods.identity as identity
+    calls = {"zeta_closed_factors": 0, "zeta_recursive_factors": 0}
+    for name in calls:
+        def counted(small, big, real=getattr(identity, name), name=name):
+            calls[name] += 1
+            return real(small, big)
+        monkeypatch.setattr(identity, name, counted)
+    report = verify_recursion(3, split_place(2), samples=2)
+    assert not report.passed
+    assert calls == {"zeta_closed_factors": 2, "zeta_recursive_factors": 2}
+
+
 def test_reports_are_deterministic():
     a = verify_localcalc(1, split_place(2), samples=6, seed=3)
     b = verify_localcalc(1, split_place(2), samples=6, seed=3)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -115,3 +116,20 @@ def test_verify_appendix_passes(q):
 
 def test_induce_preservation_defect_small(q):
     assert induce_preservation_defect(inert_place(q), samples=6, seed=2) < 1e-12
+
+
+def test_verify_appendix_fails_on_a_nan_at_sample_1(monkeypatch):
+    # sample 1 gets one extra s point, nan, after its real ones: every identity's
+    # error there is nan, behind finite errors of the same sample
+    import localperiods.paramcalc as paramcalc
+    real, calls = paramcalc._draw_s, []
+
+    def draw_s(rng, count):
+        calls.append(None)
+        return real(rng, count) + ([complex("nan")] if len(calls) == 2 else [])
+
+    monkeypatch.setattr(paramcalc, "_draw_s", draw_s)
+    report = verify_appendix(inert_place(2), samples=3, seed=1)
+    assert not report.passed and math.isnan(report.max_rel_err)
+    assert [d.factor for d in report.factor_diffs] == [
+        f"{name} at s=nan+0j" for name in ("piad", "sigmaad", "muad", "bigsig", "sigcor")]

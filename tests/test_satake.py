@@ -20,9 +20,9 @@ def test_datum_shape_validation():
     with pytest.raises(ValueError):
         make_datum(3, split_place(2), [1.0, 2.0])  # split needs the full tuple
     d = split_datum(2, [1.0, 2.0, 4.0])
-    assert d.odd_char.value == 2.0
-    assert d.theta(1).value == 1.0
-    assert d.phi(1).value == pytest.approx(0.25)
+    assert d.odd_char == 2.0
+    assert d.theta(1) == 1.0
+    assert d.phi(1) == pytest.approx(0.25)
     assert inert_datum(2, 3, [0.5j]).odd_char is None
 
 

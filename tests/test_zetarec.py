@@ -1,12 +1,22 @@
+import dataclasses
+
 import pytest
 
 from conftest import unit_chars
-from localperiods import (CharValue, euler_factor, inert_place, split_place,
-                          zeta_base_split_closed, zeta_base_split_series,
-                          zeta_closed, zeta_closed_inert, zeta_closed_split,
-                          zeta_recursive)
-from localperiods.identity import localize_zeta_mismatch, rel_err, sample_datum, sample_pair
-from localperiods.zetarec import series_truncation_bound, zeta_recursive_factors
+from localperiods import (CharValue, euler_factor, factor_product, inert_place,
+                          split_place, zeta_base_split_closed,
+                          zeta_base_split_series, zeta_closed_factors,
+                          zeta_recursive_factors)
+from localperiods.identity import match_factor_lists, rel_err, sample_datum, sample_pair
+from localperiods.zetarec import series_truncation_bound
+
+
+def closed(small, big):
+    return factor_product(zeta_closed_factors(small, big))
+
+
+def recursive(small, big):
+    return factor_product(zeta_recursive_factors(small, big))
 
 
 def test_inert_base_case_is_one(rng):
@@ -14,8 +24,8 @@ def test_inert_base_case_is_one(rng):
     for _ in range(20):
         small = sample_datum(1, field, rng)
         big = sample_datum(2, field, rng)
-        assert zeta_closed_inert(small, big) == pytest.approx(1.0)
-        assert zeta_recursive(small, big) == pytest.approx(1.0)
+        assert closed(small, big) == pytest.approx(1.0)
+        assert recursive(small, big) == pytest.approx(1.0)
 
 
 def test_base_split_series_expected_values():
@@ -87,9 +97,10 @@ def test_split_base_cases_of_both_routes(rng):
     field = split_place(2)
     small = sample_datum(1, field, rng)
     big = sample_datum(2, field, rng)
-    expected = zeta_base_split_closed(big.theta(1), big.phi(1), small.chars[0], field)
-    assert zeta_recursive(small, big) == pytest.approx(expected)
-    assert zeta_closed_split(small, big) == pytest.approx(expected)
+    expected = zeta_base_split_closed(CharValue(big.theta(1)), CharValue(big.phi(1)),
+                                      small.chars[0], field)
+    assert recursive(small, big) == pytest.approx(expected)
+    assert closed(small, big) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -97,7 +108,7 @@ def test_recursion_matches_closed_inert(n, q, rng):
     field = inert_place(q)
     for _ in range(50):
         small, big = sample_pair(n, field, rng)
-        assert rel_err(zeta_closed_inert(small, big), zeta_recursive(small, big)) < 1e-9
+        assert rel_err(closed(small, big), recursive(small, big)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -105,7 +116,7 @@ def test_recursion_matches_closed_split(n, q, rng):
     field = split_place(q)
     for _ in range(50):
         small, big = sample_pair(n, field, rng)
-        assert rel_err(zeta_closed_split(small, big), zeta_recursive(small, big)) < 1e-9
+        assert rel_err(closed(small, big), recursive(small, big)) < 1e-9
 
 
 def test_recursion_split_n3_localizes_single_factor(rng):
@@ -114,8 +125,9 @@ def test_recursion_split_n3_localizes_single_factor(rng):
     field = split_place(2)
     for _ in range(10):
         small, big = sample_pair(3, field, rng)
-        assert rel_err(zeta_closed_split(small, big), zeta_recursive(small, big)) > 1e-6
-        diffs = localize_zeta_mismatch(small, big)
+        assert rel_err(closed(small, big), recursive(small, big)) > 1e-6
+        diffs = match_factor_lists(zeta_closed_factors(small, big),
+                                   zeta_recursive_factors(small, big))
         assert len(diffs) == 1
         assert diffs[0].factor.startswith("L_F(1/2, nu1*th2)")
 
@@ -127,8 +139,21 @@ def test_recursion_convention_error_at_twist_pole():
     big = split_datum(2, [2.0, 1.0, 1.0])
     small = split_datum(2, [1.0, 1.0])
     with pytest.raises(ConventionError) as exc:
-        zeta_recursive(small, big)
+        recursive(small, big)
     assert "chi^1*mu1*nu1" in exc.value.factor
+
+
+def test_factor_product_raises_only_on_a_flagged_pole():
+    # the pole-tuned data above: the flagged factor's value is 0, so the product
+    # stops there; the same list with the flag cleared multiplies through to 0
+    from localperiods import ConventionError, split_datum
+    big = split_datum(2, [2.0, 1.0, 1.0])
+    small = split_datum(2, [1.0, 1.0])
+    factors = zeta_recursive_factors(small, big)
+    with pytest.raises(ConventionError):
+        factor_product(factors)
+    cleared = [dataclasses.replace(f, convention_sensitive=False) for f in factors]
+    assert factor_product(cleared) == 0
 
 
 @pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
@@ -149,11 +174,11 @@ def test_zeta_conjugation_symmetry(rng):
     for field in (inert_place(2), split_place(3)):
         for n in (1, 2):
             small, big = sample_pair(n, field, rng)
-            lhs = zeta_closed(small.conjugated(), big.conjugated())
-            rhs = zeta_closed(small, big).conjugate()
+            lhs = closed(small.conjugated(), big.conjugated())
+            rhs = closed(small, big).conjugate()
             assert rel_err(lhs, rhs) < 1e-12
-            lhs = zeta_recursive(small.conjugated(), big.conjugated())
-            rhs = zeta_recursive(small, big).conjugate()
+            lhs = recursive(small.conjugated(), big.conjugated())
+            rhs = recursive(small, big).conjugate()
             assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -170,4 +195,4 @@ def test_closed_inert_n1_explicit_display(rng):
                 * euler_factor(0.5, qe, X.value / x.value)
                 * (1 - qe ** -0.5 * -X.value)
                 * (1 - qe ** -1.0 * X.value))
-    assert zeta_closed_inert(small, big) == pytest.approx(expected)
+    assert closed(small, big) == pytest.approx(expected)
