@@ -17,16 +17,20 @@ Every check is a set of argument guards plus a per-sample function one(rng)
 that returns the sample's relative error and a thunk localize() -> factor
 diffs.  map_samples alone turns sample index k into rng, seeded from (seed, k).
 One driver, _run_check, keeps the worst error (worst_err: nan if any error is
-nan, so a nan sample fails wherever it falls), calls localize() on each sample
-whose error is not within tol, keeps the first diff per factor label in sample
-order, and builds the report.  `table` renders the same per-sample values,
-identity_row, that verify_localcalc compares.
+nan, so a nan sample fails wherever it falls), calls localize() within the step
+of each sample whose error is not within tol, keeps the first diff per factor
+label in sample order, and builds the report.  `table` renders the same
+per-sample values, identity_row, that verify_localcalc compares.
+match_factor_lists pairs two factor lists through a window on the sorted real
+parts of their character values, so a miss costs about N log N, not N^2.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,10 +165,14 @@ def lratio(s: complex, small: SatakeDatum, big: SatakeDatum) -> complex:
         adjoint_lfactor(s + 0.5, big) * adjoint_lfactor(s + 0.5, small))
 
 
-def period_terms(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, complex]:
-    """zeta(X, x) and the spherical average S at the inverted characters."""
+def period_terms(small: SatakeDatum, big: SatakeDatum,
+                 closed: list[LFactor] | None = None) -> tuple[complex, complex]:
+    """zeta(X, x) and the spherical average S at the inverted characters; zeta is
+    the product of the closed factor list, built here unless it is given."""
     n = big.m - 2
-    z = factor_product(zeta_closed_factors(small, big))
+    if closed is None:
+        closed = zeta_closed_factors(small, big)
+    z = factor_product(closed)
     if big.field.is_inert:
         z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
         return z, s_value_inert(big.chars, small.chars, n, big.field, z_inv)
@@ -177,10 +185,12 @@ def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
     return z * s_val
 
 
-def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
+def identity_row(small: SatakeDatum, big: SatakeDatum,
+                 closed: list[LFactor] | None = None) -> tuple[complex, ...]:
     """zeta, S, Delta and L(1/2)/(Ad*Ad) of one sample, then lhs = zeta * S,
-    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error."""
-    z, s_val = period_terms(small, big)
+    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error.  closed is passed on
+    to period_terms."""
+    z, s_val = period_terms(small, big, closed)
     delta, lr = motive_delta(big.m, big.field), lratio(0.5, small, big)
     lhs, rhs = z * s_val, delta * lr
     return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
@@ -192,18 +202,42 @@ def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
 
 def _pair_off(a_list: list[LFactor],
               b_list: list[LFactor]) -> tuple[list[LFactor], list[LFactor]]:
-    # pair each a with the first unpaired b of the same character value;
-    # return the unpaired of both lists, each in its order
-    remaining = list(b_list)
+    # Pair each a with the first unpaired b, in list order, whose character
+    # value is within MATCH_RTOL * max(1, |a|) of a's (a nan value never pairs);
+    # return the unpaired of both lists, each in its order.  That distance
+    # bounds the gap of the real parts, so the candidates are the bs in a window
+    # of the sorted real parts, twice as wide so that rounding cannot drop one.
+    # A b with a non-finite real part is always a candidate, and a non-finite a
+    # is compared with every unpaired b.
+    alphas = [b.alpha for b in b_list]
+    by_real = sorted((x.real, k) for k, x in enumerate(alphas) if math.isfinite(x.real))
+    keys = [r for r, _ in by_real]
+    order = [k for _, k in by_real]
+    loose = [k for k, x in enumerate(alphas) if not math.isfinite(x.real)]
     unmatched_a: list[LFactor] = []
     for a in a_list:
-        hit = next((k for k, b in enumerate(remaining)
-                    if abs(a.alpha - b.alpha) <= MATCH_RTOL * max(1.0, abs(a.alpha))), None)
-        if hit is None:
+        x = a.alpha
+        tol = MATCH_RTOL * max(1.0, abs(x))
+        lo, hi = 0, len(order)
+        if cmath.isfinite(x):
+            lo = bisect_left(keys, x.real - 2 * tol)
+            hi = bisect_right(keys, x.real + 2 * tol, lo)
+        hits = [k for k in order[lo:hi] + loose if abs(x - alphas[k]) <= tol]
+        if not hits:
             unmatched_a.append(a)
+        elif (hit := min(hits)) in loose:
+            loose.remove(hit)
         else:
-            remaining.pop(hit)
-    return unmatched_a, remaining
+            pos = order.index(hit, lo, hi)
+            del keys[pos], order[pos]
+    return unmatched_a, [b_list[k] for k in sorted(order + loose)]
+
+
+@lru_cache(maxsize=256)
+def _exponent(s: float, q: int) -> float:
+    # the effective exponent s*log(q) of q^-s, rounded so that an Euler factor
+    # over q_E = q_F^2 at s and over q_F at 2s get one key
+    return round(s * math.log(q), 9)
 
 
 def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDiff]:
@@ -217,7 +251,7 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDif
     groups: dict[tuple, tuple[list[LFactor], list[LFactor]]] = {}
     for side, factors in enumerate((lhs, rhs)):
         for f in factors:
-            key = (round(f.s * math.log(f.q), 9), f.inverse)
+            key = (_exponent(f.s, f.q), f.inverse)
             groups.setdefault(key, ([], []))[side].append(f)
     for (exponent, inverse), direct in groups.items():
         inverted = groups.get((exponent, True))
@@ -238,10 +272,10 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDif
     return diffs
 
 
-def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum,
+def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum, closed: list[LFactor],
                    lhs: complex, rhs: complex, tol: float) -> list[FactorDiff]:
-    diffs = match_factor_lists(zeta_closed_factors(small, big),
-                               zeta_recursive_factors(small, big))
+    # closed is the sample's closed zeta factor list, as period_terms multiplied it
+    diffs = match_factor_lists(closed, zeta_recursive_factors(small, big))
     v_std = std_tensor_lfactor(0.5, small, big)
     v_det = std_tensor_lfactor_det(0.5, small, big)
     if not rel_err(v_std, v_det) <= tol:
@@ -264,20 +298,20 @@ def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum,
 
 def _run_check(check: str, n: int, field: FieldData, samples: int, seed: int,
                tol: float, one, pool_map) -> VerificationReport:
-    """Map one(rng) -> (rel err, localize) over the samples into one report;
-    only a sample that misses tol keeps localize, run after the map for diffs."""
+    """Map one(rng) -> (rel err, localize) over the samples into one report.  A
+    sample that misses tol runs localize within its own step and keeps only the
+    diffs, so it holds no factor list once its step ends."""
     def judged(rng):
         err, localize = one(rng)
-        return err, None if err <= tol else localize
+        return err, () if err <= tol else localize()
 
     results = map_samples(judged, samples, seed, pool_map=pool_map)
     max_err = worst_err(err for err, _ in results)
     passed = max_err <= tol
     merged: dict[str, FactorDiff] = {}
-    for _, localize in results:
-        if localize is not None:
-            for d in localize():
-                merged.setdefault(d.factor, d)
+    for _, diffs in results:
+        for d in diffs:
+            merged.setdefault(d.factor, d)
     diffs = tuple(merged.values()) or (
         FactorDiff("unlocalized discrepancy", complex(max_err), 0j),)
     return VerificationReport(
@@ -295,8 +329,9 @@ def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
 
     def one(rng):
         small, big = sample_pair(n, field, rng)
-        *_, lhs, rhs, err = identity_row(small, big)
-        return err, lambda: _probe_factors(n, small, big, lhs, rhs, tol)
+        closed = zeta_closed_factors(small, big)
+        *_, lhs, rhs, err = identity_row(small, big, closed)
+        return err, lambda: _probe_factors(n, small, big, closed, lhs, rhs, tol)
 
     return _run_check("identity", n, field, samples, seed, tol, one, pool_map)
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 POLE_EPS = 1e-12
 
@@ -114,8 +115,10 @@ class CharValue:
         return CharValue(self.value ** k, unitary=self.unitary)
 
 
+@lru_cache(maxsize=256)
 def q_power(q: float, s: complex) -> complex:
-    """q^{-s} for real q > 1 and complex s."""
+    """q^{-s} for real q > 1 and complex s.  Memoized per (q, s): a run meets a
+    handful of pairs, and the cached value is the same float."""
     return cmath.exp(-complex(s) * math.log(q))
 
 
@@ -148,8 +151,9 @@ def lfactor_chi(s: complex, field: FieldData, parity: int) -> complex:
     return euler_factor(s, field.q_F, complex(field.chi_at_uniformizer ** (parity % 2)))
 
 
+@lru_cache(maxsize=None)
 def motive_delta_exact(m: int, field: FieldData) -> Fraction:
-    """prod_{r=1}^{m} L(r, chi^r) as an exact rational."""
+    """prod_{r=1}^{m} L(r, chi^r) as an exact rational, memoized per (m, place)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     out = Fraction(1)

@@ -17,6 +17,7 @@ transcription.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,14 @@ class SatakeDatum:
         """phi_i, the inverse of the i-th tuple entry from the end."""
         self._require_split_index(i)
         return 1.0 / self.chars[self.m - i].value
+
+    @cached_property
+    def split_values(self) -> tuple[tuple, tuple]:
+        """(theta, phi): every theta_i and phi_i, read once through the accessors
+        and indexed 1..rank like them (entry 0 is None), for the factor-list
+        builders that look values up many times."""
+        idx = range(1, self.rank + 1)
+        return (None, *map(self.theta, idx)), (None, *map(self.phi, idx))
 
     def _require_split_index(self, i: int) -> None:
         if not self.field.is_split:

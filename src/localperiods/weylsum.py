@@ -435,6 +435,16 @@ def _bruhat_q_exponent(n: int) -> int:
             + long_length(n + 2, LengthType.SYMMETRIC_SIZE))
 
 
+@lru_cache(maxsize=None)
+def _s_scale(n: int, field: FieldData) -> Fraction:
+    # The exact constant of S for the pair U(n+1), U(n+2): the q_F-power of the
+    # big Bruhat cell times the Iwahori volumes of both groups (unitary at inert
+    # places, GL at split places), memoized per (n, place).
+    volume = iwahori_volume if field.is_inert else iwahori_volume_gl
+    return (Fraction(field.q_F) ** _bruhat_q_exponent(n)
+            * volume(n + 1, field.q_F) * volume(n + 2, field.q_F))
+
+
 def s_value_inert(big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
                   n: int, field: FieldData, zeta_at_inverse: complex) -> complex:
     """Spherical double average S at the identity, inert place.
@@ -449,9 +459,7 @@ def s_value_inert(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
     inv_big = [c.inv() for c in big_chars]
     inv_small = [c.inv() for c in small_chars]
     a_val = weyl_sum_A(case, inv_big, inv_small, field)
-    scale = (Fraction(field.q_F) ** _bruhat_q_exponent(n)
-             * iwahori_volume(n + 1, field.q_F) * iwahori_volume(n + 2, field.q_F))
-    return zeta_at_inverse * float(scale) * a_val
+    return zeta_at_inverse * float(_s_scale(n, field)) * a_val
 
 
 def _half_reversed(values: Sequence[complex]) -> list[complex]:
@@ -508,6 +516,4 @@ def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
     for i in range(1, n + 3):
         for j in range(i + 1, n + 3):
             den *= euler_factor(1.0, q, _entry(X, i, "big") / _entry(X, j, "big"))
-    scale = (Fraction(q) ** _bruhat_q_exponent(n)
-             * iwahori_volume_gl(n + 1, q) * iwahori_volume_gl(n + 2, q))
-    return float(scale) * num / den
+    return float(_s_scale(n, field)) * num / den

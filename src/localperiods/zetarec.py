@@ -12,7 +12,9 @@ Three independent routes are provided:
 
 Every route is an explicit list of LFactor records (zeta_closed_factors,
 zeta_recursive_factors), and factor_product is the one loop that evaluates a
-list.  So two routes can be compared factor by factor and a discrepancy
+list.  An LFactor is a named tuple (label, s, q, alpha, inverse,
+convention_sensitive); its value goes through numfield.euler_factor, the one
+definition of a factor's value.  So two routes can be compared factor by factor and a discrepancy
 localized to a single named factor; this is how the one mismatched index
 pairing in the odd-case split display is surfaced (never silently patched).
 
@@ -25,7 +27,7 @@ times nu, second times mu); at inert places the two pairings coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numfield import (CharValue, FieldData, POLE_EPS, euler_factor,
                        euler_factor_inv)
@@ -40,10 +42,11 @@ class ConventionError(ArithmeticError):
         self.factor = factor
 
 
-@dataclass(frozen=True)
-class LFactor:
+class LFactor(NamedTuple):
     """One Euler factor of a product: 1/(1 - q^{-s} alpha), or its reciprocal
-    when inverse is set (so poles of inverted factors become zeros)."""
+    when inverse is set (so poles of inverted factors become zeros).  A named
+    tuple: immutable, and cheap to build for the thousands of factors a run
+    lists."""
 
     label: str
     s: float
@@ -148,7 +151,9 @@ def zeta_closed_split_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFac
     def f(label, s, alpha, inverse=False):
         out.append(LFactor(label, s, q, alpha, inverse))
 
-    mu, nu, th, ph = big.theta, big.phi, small.theta, small.phi
+    # unchecked 1-based lookups into the values each datum computes once
+    mu, nu = (t.__getitem__ for t in big.split_values)
+    th, ph = (t.__getitem__ for t in small.split_values)
     l2 = big.rank
     l1 = small.rank
 

@@ -364,9 +364,9 @@ def nan_error_at_sample_1(monkeypatch):
     import localperiods.identity as identity
     real, calls = identity.identity_row, []
 
-    def row(small, big):
+    def row(small, big, closed=None):
         calls.append(None)
-        out = real(small, big)
+        out = real(small, big, closed)
         return out[:-1] + (float("nan"),) if len(calls) == 2 else out
 
     monkeypatch.setattr(identity, "identity_row", row)

@@ -83,7 +83,7 @@ def test_nan_error_is_localized(monkeypatch):
     import localperiods.identity as identity
     nan = complex("nan")
     monkeypatch.setattr(identity, "identity_row",
-                        lambda small, big: (nan,) * 6 + (float("nan"),))
+                        lambda small, big, closed=None: (nan,) * 6 + (float("nan"),))
     report = verify_localcalc(1, split_place(2), samples=2)
     assert not report.passed
     assert [d.factor for d in report.factor_diffs] == ["zeta*S vs Delta*L(1/2)/(Ad*Ad)"]
@@ -138,6 +138,28 @@ def test_recursion_builds_each_factor_list_once_per_sample(monkeypatch):
     report = verify_recursion(3, split_place(2), samples=2)
     assert not report.passed
     assert calls == {"zeta_closed_factors": 2, "zeta_recursive_factors": 2}
+
+
+def test_a_missed_sample_is_localized_within_its_own_step():
+    # sample k's localize runs before sample k + 1 starts, so no missed sample
+    # holds its factor lists past its step; the report still keeps the first
+    # diff per label in sample order
+    import localperiods.identity as identity
+    events = []
+
+    def one(rng):
+        k = sum(event == "start" for event, _ in events)
+        events.append(("start", k))
+
+        def localize():
+            events.append(("localize", k))
+            return [FactorDiff("shared", k, 0), FactorDiff(f"sample{k}", k, 0)]
+        return 1.0, localize
+
+    report = identity._run_check("recursion", 1, split_place(2), 3, 0, 1e-9, one, map)
+    assert events == [(event, k) for k in range(3) for event in ("start", "localize")]
+    assert [(d.factor, d.lhs) for d in report.factor_diffs] == [
+        ("shared", 0), ("sample0", 0), ("sample1", 1), ("sample2", 2)]
 
 
 def test_reports_are_deterministic():

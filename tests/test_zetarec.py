@@ -1,9 +1,8 @@
-import dataclasses
-
 import pytest
 
 from conftest import unit_chars
-from localperiods import (CharValue, euler_factor, factor_product, inert_place,
+from localperiods import (CharValue, ConventionError, LFactor, PoleError,
+                          euler_factor, factor_product, inert_place,
                           split_place, zeta_base_split_closed,
                           zeta_base_split_series, zeta_closed_factors,
                           zeta_recursive_factors)
@@ -119,17 +118,32 @@ def test_recursion_matches_closed_split(n, q, rng):
         assert rel_err(closed(small, big), recursive(small, big)) < 1e-9
 
 
-def test_recursion_split_n3_localizes_single_factor(rng):
-    # the odd-case split display carries one mismatched index pairing; the
-    # factor-level comparison must name exactly that factor and nothing else
-    field = split_place(2)
+# The odd-case split display pairs nu_i with th_j where the recursion gives
+# nu_i*ph_j: the localizer names exactly those factors, each against the leftover
+# recursion factor it is listed with, in this order.
+ODD_SPLIT_DIFFS = {
+    3: ["L_F(1/2, nu1*th2) [vs step2: L_F(1/2, bc2^-1*nu2)]"],
+    5: ["L_F(1/2, nu1*th2) [vs step4: L_F(1/2, bc3^-1*nu3)]",
+        "L_F(1/2, nu1*th3) [vs step4: L_F(1/2, bc4^-1*nu3)]",
+        "L_F(1/2, nu2*th3) [vs step2: L_F(1/2, bc2^-1*nu2)]"],
+    7: ["L_F(1/2, nu1*th2) [vs step6: L_F(1/2, bc4^-1*nu4)]",
+        "L_F(1/2, nu1*th3) [vs step6: L_F(1/2, bc5^-1*nu4)]",
+        "L_F(1/2, nu1*th4) [vs step6: L_F(1/2, bc6^-1*nu4)]",
+        "L_F(1/2, nu2*th3) [vs step4: L_F(1/2, bc3^-1*nu3)]",
+        "L_F(1/2, nu2*th4) [vs step4: L_F(1/2, bc4^-1*nu3)]",
+        "L_F(1/2, nu3*th4) [vs step2: L_F(1/2, bc2^-1*nu2)]"],
+}
+
+
+@pytest.mark.parametrize("n", sorted(ODD_SPLIT_DIFFS))
+def test_recursion_split_odd_n_localizes_nu_th_factors(n, q, rng):
+    field = split_place(q)
     for _ in range(10):
-        small, big = sample_pair(3, field, rng)
+        small, big = sample_pair(n, field, rng)
         assert rel_err(closed(small, big), recursive(small, big)) > 1e-6
         diffs = match_factor_lists(zeta_closed_factors(small, big),
                                    zeta_recursive_factors(small, big))
-        assert len(diffs) == 1
-        assert diffs[0].factor.startswith("L_F(1/2, nu1*th2)")
+        assert [d.factor for d in diffs] == ODD_SPLIT_DIFFS[n]
 
 
 def test_recursion_convention_error_at_twist_pole():
@@ -152,8 +166,22 @@ def test_factor_product_raises_only_on_a_flagged_pole():
     factors = zeta_recursive_factors(small, big)
     with pytest.raises(ConventionError):
         factor_product(factors)
-    cleared = [dataclasses.replace(f, convention_sensitive=False) for f in factors]
+    cleared = [f._replace(convention_sensitive=False) for f in factors]
     assert factor_product(cleared) == 0
+
+
+def test_factor_product_pole_contract():
+    # q^{-1} alpha = 1 puts the factor on its pole: direct, the product stops
+    # with a PoleError that names it; inverse, it is a zero of the product; an
+    # inverse convention-sensitive factor there is refused with its name
+    pole = LFactor("L_F(1, pole)", 1.0, 2, 2.0 + 0j)
+    with pytest.raises(PoleError) as exc:
+        factor_product([LFactor("L_F(1/2, generic)", 0.5, 2, 0.3j), pole])
+    assert exc.value.factor == "L_F(1, pole)"
+    assert factor_product([pole._replace(inverse=True)]) == 0
+    with pytest.raises(ConventionError) as exc:
+        factor_product([pole._replace(inverse=True, convention_sensitive=True)])
+    assert exc.value.factor == "L_F(1, pole)"
 
 
 @pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
