@@ -20,7 +20,10 @@ One driver, _run_check, keeps the worst error (worst_err: nan if any error is
 nan, so a nan sample fails wherever it falls), calls localize() within the step
 of each sample whose error is not within tol, keeps the first diff per factor
 label in sample order, and builds the report.  `table` renders the same
-per-sample values, identity_row, that verify_localcalc compares.
+per-sample values, identity_row, that verify_localcalc compares.  identity_row
+combines the sample's terms (sample_terms: the closed zeta list, L(1/2) of the
+standard tensor and, at inert places, the Weyl sum), and a miss's probes
+compare those same values with their other routes instead of recomputing them.
 match_factor_lists pairs two factor lists through a window on the sorted real
 parts of their character values, so a miss costs about N log N, not N^2.
 """
@@ -31,6 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,23 +163,45 @@ def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[Sat
 # the two sides of the identity
 
 
-def lratio(s: complex, small: SatakeDatum, big: SatakeDatum) -> complex:
-    """Standard-tensor factor at s over the two adjoint factors at s + 1/2."""
-    return std_tensor_lfactor(s, small, big) / (
-        adjoint_lfactor(s + 0.5, big) * adjoint_lfactor(s + 0.5, small))
+def lratio(s: complex, small: SatakeDatum, big: SatakeDatum,
+           std: complex | None = None) -> complex:
+    """Standard-tensor factor at s over the two adjoint factors at s + 1/2; the
+    standard-tensor value std is computed here unless it is given."""
+    if std is None:
+        std = std_tensor_lfactor(s, small, big)
+    return std / (adjoint_lfactor(s + 0.5, big) * adjoint_lfactor(s + 0.5, small))
 
 
-def period_terms(small: SatakeDatum, big: SatakeDatum,
-                 closed: list[LFactor] | None = None) -> tuple[complex, complex]:
+class SampleTerms(NamedTuple):
+    """The values of one sample that identity_row combines and that a miss's
+    probes read again, each computed once."""
+
+    closed: list[LFactor]  # the closed zeta factor list
+    std: complex  # L(1/2) of the standard tensor
+    weyl: complex | None  # the Weyl sum A at the inverted characters; None if split
+
+
+def sample_terms(small: SatakeDatum, big: SatakeDatum) -> SampleTerms:
+    weyl = None
+    if big.field.is_inert:
+        weyl = weyl_sum_A(case_for(big.m - 1), [c.inv() for c in big.chars],
+                          [c.inv() for c in small.chars], big.field)
+    return SampleTerms(zeta_closed_factors(small, big), std_tensor_lfactor(0.5, small, big),
+                       weyl)
+
+
+def period_terms(small: SatakeDatum, big: SatakeDatum, closed: list[LFactor] | None = None,
+                 weyl: complex | None = None) -> tuple[complex, complex]:
     """zeta(X, x) and the spherical average S at the inverted characters; zeta is
-    the product of the closed factor list, built here unless it is given."""
+    the product of the closed factor list, built here unless it is given, and
+    the inert S uses the Weyl sum weyl if it is given."""
     n = big.m - 2
     if closed is None:
         closed = zeta_closed_factors(small, big)
     z = factor_product(closed)
     if big.field.is_inert:
         z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
-        return z, s_value_inert(big.chars, small.chars, n, big.field, z_inv)
+        return z, s_value_inert(big.chars, small.chars, n, big.field, z_inv, weyl)
     return z, s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
 
 
@@ -186,12 +212,13 @@ def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
 
 
 def identity_row(small: SatakeDatum, big: SatakeDatum,
-                 closed: list[LFactor] | None = None) -> tuple[complex, ...]:
+                 terms: SampleTerms | None = None) -> tuple[complex, ...]:
     """zeta, S, Delta and L(1/2)/(Ad*Ad) of one sample, then lhs = zeta * S,
-    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error.  closed is passed on
-    to period_terms."""
-    z, s_val = period_terms(small, big, closed)
-    delta, lr = motive_delta(big.m, big.field), lratio(0.5, small, big)
+    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error, from the sample's
+    terms, computed here unless they are given."""
+    closed, std, weyl = sample_terms(small, big) if terms is None else terms
+    z, s_val = period_terms(small, big, closed, weyl)
+    delta, lr = motive_delta(big.m, big.field), lratio(0.5, small, big, std)
     lhs, rhs = z * s_val, delta * lr
     return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
 
@@ -272,21 +299,17 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDif
     return diffs
 
 
-def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum, closed: list[LFactor],
+def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum, terms: SampleTerms,
                    lhs: complex, rhs: complex, tol: float) -> list[FactorDiff]:
-    # closed is the sample's closed zeta factor list, as period_terms multiplied it
-    diffs = match_factor_lists(closed, zeta_recursive_factors(small, big))
-    v_std = std_tensor_lfactor(0.5, small, big)
+    # terms are the sample's values, as identity_row combined them
+    diffs = match_factor_lists(terms.closed, zeta_recursive_factors(small, big))
     v_det = std_tensor_lfactor_det(0.5, small, big)
-    if not rel_err(v_std, v_det) <= tol:
-        diffs.append(FactorDiff("std_tensor(1/2) vs determinant oracle", v_std, v_det))
-    if big.field.is_inert:
-        case = case_for(n + 1)
-        a_val = weyl_sum_A(case, [c.inv() for c in big.chars],
-                           [c.inv() for c in small.chars], big.field)
+    if not rel_err(terms.std, v_det) <= tol:
+        diffs.append(FactorDiff("std_tensor(1/2) vs determinant oracle", terms.std, v_det))
+    if terms.weyl is not None:
         a_expect = motive_A_value(n + 1, big.field)
-        if not rel_err(a_val, a_expect) <= tol:
-            diffs.append(FactorDiff("weyl_sum vs motive value", a_val, a_expect))
+        if not rel_err(terms.weyl, a_expect) <= tol:
+            diffs.append(FactorDiff("weyl_sum vs motive value", terms.weyl, a_expect))
     if not diffs:
         diffs.append(FactorDiff("zeta*S vs Delta*L(1/2)/(Ad*Ad)", lhs, rhs))
     return diffs
@@ -329,9 +352,9 @@ def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
 
     def one(rng):
         small, big = sample_pair(n, field, rng)
-        closed = zeta_closed_factors(small, big)
-        *_, lhs, rhs, err = identity_row(small, big, closed)
-        return err, lambda: _probe_factors(n, small, big, closed, lhs, rhs, tol)
+        terms = sample_terms(small, big)
+        *_, lhs, rhs, err = identity_row(small, big, terms)
+        return err, lambda: _probe_factors(n, small, big, terms, lhs, rhs, tol)
 
     return _run_check("identity", n, field, samples, seed, tol, one, pool_map)
 

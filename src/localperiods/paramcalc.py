@@ -182,21 +182,27 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         theta_mu_bar = _datum_from_bc(2, theta_param_1to2(m_mu, gamma), field)
         sigma_prime = induce(tensor_product(tensor_product(m_pi_bar, m_sigma), gamma_param))
 
+        # the parameters that do not depend on s, built once per sample
+        sigma_twist = twist(m_sigma, gamma ** 3)
+        mu_twist = twist(m_mu, gamma ** 2)
+        bigsig_rhs = tensor_product(tensor_product(m_pi, m_sigma_bar),
+                                    WDParam(Base.OVER_E, (1.0 / gamma.value,)))
+        pi_twist = twist(m_pi, gamma ** 2)
+        sigcor_rhs = tensor_product(bc_param(theta_sigma_bar), m_pi)
+
         sides = []  # (identity, s, lhs, rhs) in evaluation order
         for s in _draw_s(rng, s_points):
+            chi = lfactor_chi(s, field, 1)
+            sigma_prime_l = sigma_prime.lfactor(s, field)
             sides += [
                 ("piad", s, adjoint_lfactor(s, theta_pi_bar), adjoint_lfactor(s, pi)),
                 ("sigmaad", s, adjoint_lfactor(s, theta_sigma_bar),
-                 lfactor_chi(s, field, 1) * adjoint_lfactor(s, sigma)
-                 * twist(m_sigma, gamma ** 3).lfactor(s, field)),
+                 chi * adjoint_lfactor(s, sigma) * sigma_twist.lfactor(s, field)),
                 ("muad", s, adjoint_lfactor(s, theta_mu_bar),
-                 lfactor_chi(s, field, 1) ** 2 * twist(m_mu, gamma ** 2).lfactor(s, field)),
-                ("bigsig", s, sigma_prime.lfactor(s, field),
-                 tensor_product(tensor_product(m_pi, m_sigma_bar),
-                                WDParam(Base.OVER_E, (1.0 / gamma.value,))).lfactor(s, field)),
-                ("sigcor", s,
-                 sigma_prime.lfactor(s, field) * twist(m_pi, gamma ** 2).lfactor(s, field),
-                 tensor_product(bc_param(theta_sigma_bar), m_pi).lfactor(s, field)),
+                 chi ** 2 * mu_twist.lfactor(s, field)),
+                ("bigsig", s, sigma_prime_l, bigsig_rhs.lfactor(s, field)),
+                ("sigcor", s, sigma_prime_l * pi_twist.lfactor(s, field),
+                 sigcor_rhs.lfactor(s, field)),
             ]
         worst = worst_err(rel_err(lhs, rhs) for _, _, lhs, rhs in sides)
         return worst, lambda: _first_misses(sides, tol)

@@ -5,7 +5,11 @@ The double Weyl average A = sum_{w', w} b(w'X, wx) / (d1(w'X) d0(wx)) over
 turns the small characters into their orbit as numpy columns.  Every factor of
 b involves at most one big character and X^{-rho} d1(X) is anti-invariant, so
 the big-group sum for each small translate is one determinant (weyl_sum_A).
-b, d1 and d0 have one transcription each, for scalars, Fractions and arrays.
+The orbit is evaluated and summed in blocks of WEYL_BLOCK translates, so the
+working arrays are sized by the block, not by |W_small|, and the block sums are
+added up.  Within a block, _h_values builds each factor of b that pairs a small
+character with the big ones once and shares it among every h_i.  b, d1 and d0
+have one transcription each, for scalars, Fractions and arrays.
 The building blocks come in two index patterns keyed by the parity of the
 smaller group:
 
@@ -37,6 +41,7 @@ from .numfield import (CharValue, FieldData, POLE_EPS, PoleError,
                        euler_factor, motive_delta_exact)
 
 MAX_WEYL_RANK = 6  # 2^6 * 6! = 46080 elements
+WEYL_BLOCK = 4096  # small translates per block of the alternant sum (rank 5 has 3840)
 
 
 class SizeError(ValueError):
@@ -167,17 +172,19 @@ def _orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
     return src, flip
 
 
-def weyl_orbit(values: Sequence[complex]) -> np.ndarray:
+def weyl_orbit(values: Sequence[complex], rows: slice = slice(None)) -> np.ndarray:
     """The Weyl orbit of a character tuple as an (l, |W|) complex array.
 
     Row i is the i-th orbit column: entry k of it is entry i of
     _act_values(enumerate_weyl(l)[k], values).  Iterating over the array yields
-    the columns, so the scalar formulas evaluate the whole orbit at once.
+    the columns, so the scalar formulas evaluate the whole orbit at once.  rows,
+    a slice of enumerate_weyl(l), keeps only the entries of those elements.
     """
     src, flip = _orbit_table(len(values))
+    src, flip = src[rows].T, flip[rows].T
     vals = np.array(values, dtype=complex)
     inv = np.array([1 / v for v in values], dtype=complex)
-    return np.where(flip.T, inv[src.T], vals[src.T])
+    return np.where(flip, inv[src], vals[src])
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +198,18 @@ def _case_lengths(case: Case, n_big: int, n_small: int) -> None:
         raise ValueError(f"case B needs big length = small length + 1, got {n_big} and {n_small}")
 
 
-def _h_values(case: Case, i: int, Z, x, root):
-    # the factors of b that involve the i-th big character, evaluated at Z
-    v = 1 - root * Z if case is Case.B else 1
+def _h_values(case: Case, l: int, Z, x, root) -> list:
+    # [h_0(Z; x), ..., h_{l-1}(Z; x)]: h_i is the product of the factors of b
+    # that involve the i-th big character, evaluated at Z.  The three factors of
+    # each small character t_j are built once and shared by every h_i, which
+    # takes the far one for j >= i and the low one for j < i.
+    rZ = root * Z
+    h = [1 - rZ if case is Case.B else 1] * l
     for j, t in enumerate(x):
-        v = v * (1 - root * Z * t) * (1 - root * Z / t if j >= i else 1 - root * t / Z)
-    return v
+        near, far, low = 1 - rZ * t, 1 - rZ / t, 1 - root * t / Z
+        for i in range(l):
+            h[i] = h[i] * near * (far if j >= i else low)
+    return h
 
 
 def _b_values(case: Case, X, x, root):
@@ -207,7 +220,7 @@ def _b_values(case: Case, X, x, root):
     for t in x if case is Case.A else ():
         v = v * (1 - root * t)
     for i, Z in enumerate(X):
-        v = v * _h_values(case, i, Z, x, root)
+        v = v * _h_values(case, len(X), Z, x, root)[i]
     return v
 
 
@@ -262,8 +275,11 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
     X^{-rho} d1(X) is anti-invariant (rho = rho_big), so the sum over w' is
     c(y) det[H_i(X_k) - H_i(1/X_k)] / (X^{-rho} d1(X)), H_i(Z) = Z^{-rho_i}
     h_i(Z; y), with half powers from one fixed root per character as in
-    rho_monomial.  Raises PoleError naming d1 or d0, the only divisors, if
-    |d1(X)| or some |d0(wx)| is below POLE_EPS.
+    rho_monomial.  The small orbit is summed in blocks of WEYL_BLOCK translates
+    (one block up to n + 1 = 10), so the working arrays are sized by the block,
+    not by |W_small|; within a block every factor of h is built once per small
+    character and shared by all h_i (_h_values).  Raises PoleError naming d1 or
+    d0, the only divisors, if |d1(X)| or some |d0(wx)| is below POLE_EPS.
     """
     _case_lengths(case, len(big_chars), len(small_chars))
     root = _half_root(field)
@@ -271,20 +287,24 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
     d1 = _d1_values(case, values)
     if abs(d1) < POLE_EPS:
         raise PoleError("degenerate big characters in the double Weyl sum", factor="d1(X)")
-    small = weyl_orbit([c.value for c in small_chars])
-    # a rank-0 small group leaves c and d0 as the scalar 1
-    d0 = _d0_values(case, small)
-    if np.any(np.abs(d0) < POLE_EPS):
-        raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
     l = len(values)
     X = np.array(values, dtype=complex)
     Z = np.concatenate([X, 1 / X])  # H_i is evaluated at X_k, then at 1/X_k
     roots = np.sqrt(X)
-    two_rho = np.array(rho_big(case, l).doubled)[:, None]
+    two_rho = _two_rho_big(case, l)
     Z_rho = np.concatenate([roots ** -two_rho, roots ** two_rho], axis=1)
-    H = (Z_rho[i] * _h_values(case, i, Z, small[:, :, None], root) for i in range(l))
-    alternants = np.linalg.det(np.stack([h[..., :l] - h[..., l:] for h in H], axis=-2))
-    total = (_b_values(case, (), small, root) * alternants / d0).sum()
+    small_values = [c.value for c in small_chars]
+    orbit_size = len(_orbit_table(len(small_values))[0])
+    total = 0
+    for start in range(0, orbit_size, WEYL_BLOCK):
+        small = weyl_orbit(small_values, slice(start, start + WEYL_BLOCK))
+        # a rank-0 small group leaves c and d0 as the scalar 1
+        d0 = _d0_values(case, small)
+        if np.any(np.abs(d0) < POLE_EPS):
+            raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
+        H = (z * h for z, h in zip(Z_rho, _h_values(case, l, Z, small[:, :, None], root)))
+        alternants = np.linalg.det(np.stack([h[..., :l] - h[..., l:] for h in H], axis=-2))
+        total += (_b_values(case, (), small, root) * alternants / d0).sum()
     return complex(total / (np.prod(Z_rho.diagonal()) * d1))  # X^{-rho} d1(X)
 
 
@@ -361,6 +381,14 @@ def rho_big(case: Case, rank: int) -> RhoVector:
     if case is Case.A:
         return RhoVector(tuple(Fraction(rank - i) for i in range(rank)))
     return RhoVector(tuple(Fraction(2 * (rank - i) - 1, 2) for i in range(rank)))
+
+
+@lru_cache(maxsize=None)
+def _two_rho_big(case: Case, rank: int) -> np.ndarray:
+    # rho_big(case, rank).doubled as a read-only integer column
+    column = np.array(rho_big(case, rank).doubled)[:, None]
+    column.setflags(write=False)
+    return column
 
 
 def rho_small(case: Case, rank: int) -> RhoVector:
@@ -446,38 +474,34 @@ def _s_scale(n: int, field: FieldData) -> Fraction:
 
 
 def s_value_inert(big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
-                  n: int, field: FieldData, zeta_at_inverse: complex) -> complex:
+                  n: int, field: FieldData, zeta_at_inverse: complex,
+                  a_val: complex | None = None) -> complex:
     """Spherical double average S at the identity, inert place.
 
     The product zeta(X^{-1}, x^{-1}) * q-power * Vol(B_{n+1}) Vol(B_{n+2}) *
-    A(X^{-1}, x^{-1}), with the zeta value supplied by the caller and A computed
-    by the double Weyl sum at the inverted characters.
+    A(X^{-1}, x^{-1}), with the zeta value supplied by the caller and A, unless
+    the caller gives it as a_val, computed by the double Weyl sum at the
+    inverted characters.
     """
     if not field.is_inert:
         raise ValueError("inert formula requested at a split place")
-    case = case_for(n + 1)
-    inv_big = [c.inv() for c in big_chars]
-    inv_small = [c.inv() for c in small_chars]
-    a_val = weyl_sum_A(case, inv_big, inv_small, field)
+    if a_val is None:
+        a_val = weyl_sum_A(case_for(n + 1), [c.inv() for c in big_chars],
+                           [c.inv() for c in small_chars], field)
     return zeta_at_inverse * float(_s_scale(n, field)) * a_val
 
 
-def _half_reversed(values: Sequence[complex]) -> list[complex]:
+def _half_reversed(values: Sequence[complex]) -> tuple:
     # Coordinate order of the imported GL x GL average: each half block reversed
-    # (innermost character first), middle entry fixed.
+    # (innermost character first), middle entry fixed.  Indexed 1..m like the
+    # closed form (entry 0 is None, so an index-0 slip fails on arithmetic).
     m = len(values)
     l = m // 2
-    out = list(values[:l])[::-1]
+    out = [None, *values[:l][::-1]]
     if m % 2:
         out.append(values[l])
-    out.extend(list(values[m - l:])[::-1])
-    return out
-
-
-def _entry(values: Sequence[complex], idx: int, label: str) -> complex:
-    if not 1 <= idx <= len(values):
-        raise IndexError(f"{label} index {idx} outside 1..{len(values)}")
-    return values[idx - 1]
+    out.extend(values[m - l:][::-1])
+    return tuple(out)
 
 
 def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
@@ -503,17 +527,17 @@ def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
     num = 1.0 + 0.0j
     for i in range(1, n + 3):
         for j in range(i + 1, n + 3):
-            num *= euler_factor(0.5, q, _entry(x, i, "small") * _entry(X, n - j + 3, "big"))
+            num *= euler_factor(0.5, q, x[i] * X[n - j + 3])
     for i in range(1, n + 2):
         for j in range(1, i + 1):
-            num *= euler_factor(0.5, q, 1.0 / (_entry(x, i, "small") * _entry(X, n - j + 3, "big")))
+            num *= euler_factor(0.5, q, 1.0 / (x[i] * X[n - j + 3]))
     den = 1.0 + 0.0j
     for i in range(1, n + 2):
         den *= euler_factor(i, q, 1.0 + 0.0j)
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
-            den *= euler_factor(1.0, q, _entry(x, i, "small") / _entry(x, j, "small"))
+            den *= euler_factor(1.0, q, x[i] / x[j])
     for i in range(1, n + 3):
         for j in range(i + 1, n + 3):
-            den *= euler_factor(1.0, q, _entry(X, i, "big") / _entry(X, j, "big"))
+            den *= euler_factor(1.0, q, X[i] / X[j])
     return float(_s_scale(n, field)) * num / den

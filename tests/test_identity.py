@@ -140,6 +140,28 @@ def test_recursion_builds_each_factor_list_once_per_sample(monkeypatch):
     assert calls == {"zeta_closed_factors": 2, "zeta_recursive_factors": 2}
 
 
+def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
+    # every inert n = 1 sample misses tol 1e-30, and its probes compare the
+    # Weyl sum and the standard-tensor value identity_row already computed
+    import localperiods.identity as identity
+    import localperiods.weylsum as weylsum
+    from localperiods.cli import main
+    calls = {"weyl_sum_A": 0, "std_tensor_lfactor": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+    for module, name in ((identity, "weyl_sum_A"), (weylsum, "weyl_sum_A"),
+                         (identity, "std_tensor_lfactor")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code = main(["identity", "--n", "1", "--place", "inert", "--tol", "1e-30",
+                 "--samples", "3"])
+    assert code == 1 and "weyl_sum vs motive value" in capsys.readouterr().out
+    assert calls == {"weyl_sum_A": 3, "std_tensor_lfactor": 3}
+
+
 def test_a_missed_sample_is_localized_within_its_own_step():
     # sample k's localize runs before sample k + 1 starts, so no missed sample
     # holds its factor lists past its step; the report still keeps the first

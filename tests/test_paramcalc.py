@@ -133,3 +133,21 @@ def test_verify_appendix_fails_on_a_nan_at_sample_1(monkeypatch):
     assert not report.passed and math.isnan(report.max_rel_err)
     assert [d.factor for d in report.factor_diffs] == [
         f"{name} at s=nan+0j" for name in ("piad", "sigmaad", "muad", "bigsig", "sigcor")]
+
+
+def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
+    # the lift parameters do not depend on s, so the number of twist and
+    # tensor_product calls per sample does not grow with s_points
+    import localperiods.paramcalc as paramcalc
+    calls = Counter()
+    for name in ("twist", "tensor_product"):
+        def counted(*args, real=getattr(paramcalc, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(paramcalc, name, counted)
+    per_run = []
+    for s_points in (1, 5):
+        calls.clear()
+        assert verify_appendix(inert_place(2), samples=2, seed=1, s_points=s_points).passed
+        per_run.append(dict(calls))
+    assert per_run[0] == per_run[1] and set(per_run[0]) == {"twist", "tensor_product"}

@@ -253,6 +253,22 @@ def test_s_value_split_unit_characters():
     assert got == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_split_coordinates_are_indexed_from_one(m):
+    # s_value_split reads the half-reversed coordinates as 1..m, as the closed
+    # form does: an index-0 slip meets None and fails, and an index past the
+    # end raises IndexError
+    from localperiods.weylsum import _half_reversed
+    x = _half_reversed([complex(k) for k in range(1, m + 1)])
+    assert x == ((None, 2, 1, 4, 3) if m == 4 else (None, 2, 1, 3, 5, 4))
+    with pytest.raises(TypeError):
+        x[0] * x[1]
+    with pytest.raises(TypeError):
+        1.0 / (x[0] * x[m])
+    with pytest.raises(IndexError):
+        x[m + 1]
+
+
 def test_weyl_sum_pole_error():
     # the alternant divides by d1 at the big datum and by d0 on the small orbit
     from localperiods import PoleError
