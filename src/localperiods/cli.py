@@ -11,8 +11,10 @@ Output is deterministic for a fixed command line: per-sample randomness is
 derived from (seed, sample index), floats are rendered at a fixed precision
 with sorted keys, and the optional worker pool (--threads N, `table` included)
 only maps pure per-sample closures, reduced in index order by the single
-writer.  Samples run in the calling thread by default: the per-sample work
-holds the GIL, so a thread pool makes runs slower, not faster.
+writer.  For `recursion` the pool maps only the draws: the report then builds
+and evaluates its factor lists once, for all samples stacked.  Samples run in
+the calling thread by default: the per-sample work holds the GIL, so a thread
+pool makes runs slower, not faster.
 
 The argument parser is built once, when the module is imported, and every
 main() call parses with it: building it costs about 15 parses, so in-process

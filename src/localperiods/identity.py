@@ -9,41 +9,45 @@ where L(s) is the standard-tensor factor over the product of the two adjoint
 factors at s + 1/2.  On a failing sample both sides are re-evaluated via their
 independent routes (closed form vs recursion, transcription vs determinant,
 Weyl sum vs motive value) and the first diverging constituent formula is
-reported factor by factor.  zeta is evaluated only through its factor lists:
-each route's list is built once per sample and multiplied by factor_product, and
-a miss pairs the same two lists.
+reported factor by factor.  zeta is evaluated only through its factor lists
+and factor_product.  The identity check builds each route's list once per
+sample, and a miss pairs the same two lists.  The recursion check stacks its
+samples (stack_data) and builds each route's list once per report; a miss
+pairs the two lists' columns for that sample.
 
-Every check is a set of argument guards plus a per-sample function one(rng)
+Every check is a set of argument guards plus a per-sample function one(x)
 that returns the sample's relative error and a thunk localize() -> factor
-diffs.  map_samples alone turns sample index k into rng, seeded from (seed, k).
-One driver, _run_check, keeps the worst error (worst_err: nan if any error is
-nan, so a nan sample fails wherever it falls), calls localize() within the step
-of each sample whose error is not within tol, keeps the first diff per factor
-label in sample order, and builds the report.  `table` renders the same
-per-sample values, identity_row, that verify_localcalc compares.  identity_row
-combines the sample's terms (sample_terms: the closed zeta list, L(1/2) of the
-standard tensor and, at inert places, the Weyl sum), and a miss's probes
-compare those same values with their other routes instead of recomputing them.
-match_factor_lists pairs two factor lists through a window on the sorted real
-parts of their character values, so a miss costs about N log N, not N^2.
+diffs.  map_samples alone turns sample index k into rng, seeded from (seed, k);
+the recursion check draws through it and then judges sample k of its stacked
+products.  _judged calls localize() within the step of each sample whose error
+is not within tol, and _report keeps the worst error (worst_err: nan if any
+error is nan, so a nan sample fails wherever it falls), keeps the first diff
+per factor label in sample order, and builds the report.  `table` renders the
+same per-sample values, identity_row, that verify_localcalc compares.
+identity_row combines the sample's terms (sample_terms: the closed zeta list,
+L(1/2) of the standard tensor and, at inert places, the Weyl sum), and a miss's
+probes compare those same values with their other routes instead of
+recomputing them.  match_factor_lists pairs two factor lists through one
+matrix of candidate pairs per group, compared in a few array operations.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .numfield import CharValue, FieldData, PlaceKind, motive_delta
-from .satake import (SatakeDatum, adjoint_lfactor, make_datum,
+from .satake import (SatakeDatum, adjoint_lfactor, make_datum, stack_data,
                      std_tensor_lfactor, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
                       s_value_inert, s_value_split, weyl_sum_A)
-from .zetarec import (ConventionError, LFactor, factor_product,
+from .zetarec import (ConventionError, LFactor, column, factor_product,
                       zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
 
@@ -231,33 +235,20 @@ def _pair_off(a_list: list[LFactor],
               b_list: list[LFactor]) -> tuple[list[LFactor], list[LFactor]]:
     # Pair each a with the first unpaired b, in list order, whose character
     # value is within MATCH_RTOL * max(1, |a|) of a's (a nan value never pairs);
-    # return the unpaired of both lists, each in its order.  That distance
-    # bounds the gap of the real parts, so the candidates are the bs in a window
-    # of the sorted real parts, twice as wide so that rounding cannot drop one.
-    # A b with a non-finite real part is always a candidate, and a non-finite a
-    # is compared with every unpaired b.
-    alphas = [b.alpha for b in b_list]
-    by_real = sorted((x.real, k) for k, x in enumerate(alphas) if math.isfinite(x.real))
-    keys = [r for r, _ in by_real]
-    order = [k for _, k in by_real]
-    loose = [k for k, x in enumerate(alphas) if not math.isfinite(x.real)]
-    unmatched_a: list[LFactor] = []
-    for a in a_list:
-        x = a.alpha
-        tol = MATCH_RTOL * max(1.0, abs(x))
-        lo, hi = 0, len(order)
-        if cmath.isfinite(x):
-            lo = bisect_left(keys, x.real - 2 * tol)
-            hi = bisect_right(keys, x.real + 2 * tol, lo)
-        hits = [k for k in order[lo:hi] + loose if abs(x - alphas[k]) <= tol]
-        if not hits:
-            unmatched_a.append(a)
-        elif (hit := min(hits)) in loose:
-            loose.remove(hit)
-        else:
-            pos = order.index(hit, lo, hi)
-            del keys[pos], order[pos]
-    return unmatched_a, [b_list[k] for k in sorted(order + loose)]
+    # return the unpaired of both lists, each in its order.  The candidates
+    # are one matrix of every a against every b; the candidate pairs come
+    # row by row, each row's in list order, so a row takes its first b that
+    # no earlier row took.
+    a = np.array([f.alpha for f in a_list], dtype=complex)
+    b = np.array([f.alpha for f in b_list], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        near = np.abs(a[:, None] - b) <= MATCH_RTOL * np.maximum(1.0, np.abs(a))[:, None]
+    paired_a, paired_b = [False] * len(a_list), [False] * len(b_list)
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
+        if not (paired_a[i] or paired_b[j]):
+            paired_a[i] = paired_b[j] = True
+    return ([f for f, paired in zip(a_list, paired_a) if not paired],
+            [f for f, paired in zip(b_list, paired_b) if not paired])
 
 
 @lru_cache(maxsize=256)
@@ -277,9 +268,9 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDif
     same exponent and character value cancel, so they are dropped first."""
     groups: dict[tuple, tuple[list[LFactor], list[LFactor]]] = {}
     for side, factors in enumerate((lhs, rhs)):
-        for f in factors:
-            key = (_exponent(f.s, f.q), f.inverse)
-            groups.setdefault(key, ([], []))[side].append(f)
+        # a list comes in runs of one (s, q, inverse): key each run once
+        for (s, q, inverse), run in groupby(factors, attrgetter("s", "q", "inverse")):
+            groups.setdefault((_exponent(s, q), inverse), ([], []))[side].extend(run)
     for (exponent, inverse), direct in groups.items():
         inverted = groups.get((exponent, True))
         if not inverse and inverted is not None:
@@ -321,14 +312,23 @@ def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum, terms: SampleTe
 
 def _run_check(check: str, n: int, field: FieldData, samples: int, seed: int,
                tol: float, one, pool_map) -> VerificationReport:
-    """Map one(rng) -> (rel err, localize) over the samples into one report.  A
-    sample that misses tol runs localize within its own step and keeps only the
-    diffs, so it holds no factor list once its step ends."""
-    def judged(rng):
-        err, localize = one(rng)
-        return err, () if err <= tol else localize()
+    """Map one(rng) -> (rel err, localize) over the samples into one report."""
+    results = map_samples(_judged(one, tol), samples, seed, pool_map=pool_map)
+    return _report(check, n, field, seed, tol, results)
 
-    results = map_samples(judged, samples, seed, pool_map=pool_map)
+
+def _judged(one, tol: float):
+    """one(x) -> (rel err, localize) as x -> (rel err, diffs).  A sample that
+    misses tol runs localize within its own step and keeps only the diffs, so
+    it holds no factor list once its step ends."""
+    def judged(x):
+        err, localize = one(x)
+        return err, () if err <= tol else localize()
+    return judged
+
+
+def _report(check: str, n: int, field: FieldData, seed: int, tol: float,
+            results: list) -> VerificationReport:
     max_err = worst_err(err for err, _ in results)
     passed = max_err <= tol
     merged: dict[str, FactorDiff] = {}
@@ -338,7 +338,7 @@ def _run_check(check: str, n: int, field: FieldData, samples: int, seed: int,
     diffs = tuple(merged.values()) or (
         FactorDiff("unlocalized discrepancy", complex(max_err), 0j),)
     return VerificationReport(
-        check_name=check, n=n, kind=field.kind, q_F=field.q_F, samples=samples,
+        check_name=check, n=n, kind=field.kind, q_F=field.q_F, samples=len(results),
         seed=seed, max_rel_err=max_err, tol=tol, passed=passed,
         factor_diffs=() if passed else diffs)
 
@@ -389,23 +389,38 @@ def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
 def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                      tol: float = 1e-9, pool_map=map) -> VerificationReport:
     """Inductive route against the closed forms, with factor-level localization
-    of any display whose transcription disagrees (e.g. an index-pairing typo)."""
+    of any display whose transcription disagrees (e.g. an index-pairing typo).
+
+    The samples are drawn one by one (pool_map maps the draws) and stacked, so
+    each route's factor list is built once for the whole report and
+    factor_product evaluates every sample at once.  A sample whose product
+    stops (nan) is evaluated again on its own column, which raises what it
+    would have raised alone, and a miss is localized on its columns."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    pairs = map_samples(lambda rng: sample_pair(n, field, rng), samples, seed,
+                        pool_map=pool_map)
+    small, big = (stack_data(data) for data in zip(*pairs))
+    closed = zeta_closed_factors(small, big)
+    recursive = zeta_recursive_factors(small, big)
+    z_closed = factor_product(closed, samples).tolist()
+    z_recursive = factor_product(recursive, samples).tolist()
 
-    def one(rng):
-        small, big = sample_pair(n, field, rng)
-        closed = zeta_closed_factors(small, big)
-        recursive = zeta_recursive_factors(small, big)
-        z_closed = factor_product(closed)
-        try:
-            z_recursive = factor_product(recursive)
-        except ConventionError as err:
-            diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
-            return float("inf"), lambda: [diff]
-        return rel_err(z_closed, z_recursive), lambda: match_factor_lists(closed, recursive)
+    def one(k):
+        lhs, rhs = z_closed[k], z_recursive[k]
+        if cmath.isnan(lhs):
+            lhs = factor_product(column(closed, k))
+        if cmath.isnan(rhs):
+            try:
+                rhs = factor_product(column(recursive, k))
+            except ConventionError as err:
+                diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
+                return float("inf"), lambda: [diff]
+        return rel_err(lhs, rhs), lambda: match_factor_lists(column(closed, k),
+                                                             column(recursive, k))
 
-    return _run_check("recursion", n, field, samples, seed, tol, one, pool_map)
+    return _report("recursion", n, field, seed, tol,
+                   list(map(_judged(one, tol), range(samples))))
 
 
 def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,

@@ -19,6 +19,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 POLE_EPS = 1e-12
 
 
@@ -80,18 +82,30 @@ def split_place(q_F: int) -> FieldData:
 
 @dataclass(frozen=True)
 class CharValue:
-    """An unramified character, recorded by its value at a uniformizer."""
+    """An unramified character, recorded by its value at a uniformizer.
+
+    The value may also be a 1-D array, one value per sample of a stacked
+    report.  Each entry is coerced with complex() as a scalar value is, and
+    kept as a Python complex in an object array: arithmetic on the array then
+    rounds each entry exactly as on that sample alone (numpy's complex
+    multiply may fuse, and its division scales differently), so every
+    sample's column of a stacked computation is bit-identical to its own."""
 
     value: complex
     unitary: bool = False
 
     def __post_init__(self):
-        v = complex(self.value)
+        stacked = isinstance(self.value, np.ndarray)
+        if stacked:
+            v = np.array([complex(x) for x in self.value], dtype=object)
+        else:
+            v = complex(self.value)
         object.__setattr__(self, "value", v)
-        if v == 0:
-            raise ValueError("character value at the uniformizer must be nonzero")
-        if self.unitary and abs(abs(v) - 1.0) > 1e-12:
-            raise ValueError(f"unitary character must have |value| = 1, got {abs(v)!r}")
+        for x in v if stacked else (v,):
+            if x == 0:
+                raise ValueError("character value at the uniformizer must be nonzero")
+            if self.unitary and abs(abs(x) - 1.0) > 1e-12:
+                raise ValueError(f"unitary character must have |value| = 1, got {abs(x)!r}")
 
     @classmethod
     def one(cls) -> "CharValue":

@@ -110,6 +110,19 @@ def make_datum(m: int, field: FieldData, values) -> SatakeDatum:
     return SatakeDatum(m=m, field=field, chars=_as_chars(values))
 
 
+def stack_data(data) -> SatakeDatum:
+    """The data of one group and place as one stacked datum: each character
+    holds one value per datum, in order (see CharValue), so the factor-list
+    builders run on it unedited and build every datum's list at once."""
+    first = data[0]
+    if any((d.m, d.field) != (first.m, first.field) for d in data):
+        raise ValueError("stacked data must share one group size and place")
+    chars = tuple(CharValue(np.array([c.value for c in column], dtype=object),
+                            unitary=all(c.unitary for c in column))
+                  for column in zip(*(d.chars for d in data)))
+    return SatakeDatum(first.m, first.field, chars)
+
+
 @dataclass(frozen=True)
 class BCParams:
     """Frobenius parameters of the quadratic base change to GL_m(E).

@@ -11,10 +11,13 @@ Three independent routes are provided:
   integration oracle.
 
 Every route is an explicit list of LFactor records (zeta_closed_factors,
-zeta_recursive_factors), and factor_product is the one loop that evaluates a
-list.  An LFactor is a named tuple (label, s, q, alpha, inverse,
-convention_sensitive); its value goes through numfield.euler_factor, the one
-definition of a factor's value.  So two routes can be compared factor by factor and a discrepancy
+zeta_recursive_factors), and factor_product is the one array kernel that
+multiplies a list: a list of scalars, or a stacked list whose alphas hold one
+value per sample, so that a report builds each route once for all its
+samples.  An LFactor is a named tuple (label, s, q, alpha, inverse,
+convention_sensitive); f.value() evaluates one factor through
+numfield.euler_factor, and factor_product rounds every factor as it does.  So
+two routes can be compared factor by factor and a discrepancy
 localized to a single named factor; this is how the one mismatched index
 pairing in the odd-case split display is surfaced (never silently patched).
 
@@ -29,8 +32,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .numfield import (CharValue, FieldData, POLE_EPS, euler_factor,
-                       euler_factor_inv)
+import numpy as np
+
+from .numfield import (CharValue, FieldData, POLE_EPS, PoleError, euler_factor,
+                       euler_factor_inv, q_power)
 from .satake import SatakeDatum, _check_pair, bc_params
 
 
@@ -51,7 +56,7 @@ class LFactor(NamedTuple):
     label: str
     s: float
     q: int
-    alpha: complex
+    alpha: complex  # in a stacked list, an array of one value per sample
     inverse: bool = False
     # the quadratic-twist factor, whose value at its pole is a convention choice
     convention_sensitive: bool = False
@@ -62,17 +67,62 @@ class LFactor(NamedTuple):
         return euler_factor(self.s, self.q, self.alpha, factor=self.label)
 
 
-def factor_product(factors) -> complex:
-    """The product of the factor values, in list order.  Raises ConventionError
-    when a convention-sensitive factor (the quadratic twist) is requested at its
-    pole, where the evaluation convention would decide between 0 and a pole."""
-    out = 1.0 + 0.0j
-    for f in factors:
-        val = f.value()
-        if f.convention_sensitive and abs(val) < POLE_EPS:
-            raise ConventionError("quadratic-twist factor requested at its pole", factor=f.label)
-        out *= val
-    return out
+def factor_product(factors: list[LFactor], samples: int | None = None) -> complex | np.ndarray:
+    """The product of the factor values, in list order, as one array kernel.
+
+    A list of scalar factors gives a complex.  A stacked list, each alpha an
+    array of one value per sample (see stack_data), gives an array of the
+    `samples` products, ones for an empty list.  Each product multiplies the
+    values of f.value() from 1 in list order, and numpy's complex reciprocal
+    and sequential reduction round as Python's complex arithmetic does, so it
+    is the left-to-right product to the last bit (only the sign of an exactly
+    zero part may differ).
+
+    A list stops at the first factor, in list order, that is a direct factor
+    on its pole (PoleError, naming it) or a convention-sensitive factor (the
+    quadratic twist) requested at its pole, where the evaluation convention
+    would decide between 0 and a pole (ConventionError, naming it).  A scalar
+    list raises that error; a stacked sample that stops gets a nan product,
+    and its column (see column) raises the error when evaluated alone.
+    """
+    shape = () if samples is None else (samples,)
+    per_factor = (len(factors),) + (1,) * len(shape)  # broadcasts against alpha
+    _, s, q, alpha, inverse, sensitive = zip(*factors) if factors else ((),) * 6
+    if min(q, default=2) < 2:
+        raise ValueError(f"q must be >= 2, got {min(q)}")
+    alpha = np.array(alpha, dtype=complex).reshape(per_factor[:1] + shape)
+    inverse = np.array(inverse, dtype=bool).reshape(per_factor)
+    den = 1.0 - np.array(list(map(q_power, q, s)), dtype=complex).reshape(per_factor) * alpha
+    # numpy's complex reciprocal is Python's 1.0/den (Smith's method); its
+    # complex division multiplies by a rounded reciprocal instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(inverse, den, np.reciprocal(den))
+    pole = (np.abs(den) < POLE_EPS) & ~inverse
+    stop = pole.copy()
+    if any(sensitive):
+        rows = np.flatnonzero(sensitive)
+        stop[rows] |= np.abs(values[rows]) < POLE_EPS
+    # the factor axis last and contiguous, so that numpy multiplies each
+    # product in list order, one factor at a time, from 1
+    product = np.multiply.reduce(np.ascontiguousarray(values.T), axis=-1,
+                                 initial=1.0 + 0.0j)
+    if shape:
+        product[stop.any(axis=0)] = np.nan
+        return product
+    if stop.any():
+        f = factors[k := int(stop.argmax())]
+        if pole[k]:
+            raise PoleError(f"local factor pole at s={f.s!r}, q={f.q}, alpha={f.alpha!r}",
+                            factor=f.label)
+        raise ConventionError("quadratic-twist factor requested at its pole", factor=f.label)
+    return complex(product)
+
+
+def column(factors: list[LFactor], k: int) -> list[LFactor]:
+    """Sample k of a stacked factor list: the same factors, with sample k's
+    Python-complex alpha each, so a miss is localized on plain factors."""
+    return [LFactor(f.label, f.s, f.q, f.alpha[k], f.inverse, f.convention_sensitive)
+            for f in factors]
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +363,14 @@ def zeta_recursive_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor
     field = big.field
     out: list[LFactor] = []
     cur_big, cur_small = big, small
+    # a step's truncated datum is the next step's small one, so its
+    # parameters carry over instead of being computed again
+    small_bc = bc_params(small) if big.m > 2 else None
     while cur_big.m > 2:
         k = cur_big.m - 2
         l = cur_big.rank
         tag = f"step{k}: "
         trunc = truncate_big(cur_big)
-        small_bc = bc_params(cur_small)
         trunc_bc = bc_params(trunc)
         if field.is_inert:
             qe = field.q_E
@@ -344,7 +396,7 @@ def zeta_recursive_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor
                 out.append(LFactor(f"{tag}L_F(1, bc{idx}^-1*mu{l})^-1", 1.0, q, a * mu_l, True))
             out.append(LFactor(f"{tag}L_F(1, chi^{k}*mu{l}*nu{l})^-1", 1.0, q, mu_l * nu_l,
                                True, convention_sensitive=True))
-        cur_big, cur_small = cur_small, trunc
+        cur_big, cur_small, small_bc = cur_small, trunc, trunc_bc
     if field.is_split:
         out.extend(_base_split_factors(cur_big.theta(1), cur_big.phi(1),
                                        cur_small.chars[0].value, field.q_F, prefix="base: "))

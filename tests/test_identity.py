@@ -1,10 +1,11 @@
 import pytest
 
-from localperiods import (PlaceKind, euler_factor,
+from localperiods import (LFactor, PlaceKind, euler_factor,
                           inert_place, lratio, make_datum,
                           split_datum, split_place, unramified_period,
                           verify_appendix, verify_basecase, verify_localcalc,
-                          verify_recursion, verify_weyl_constancy)
+                          verify_recursion, verify_weyl_constancy,
+                          zeta_closed_factors, zeta_recursive_factors)
 from localperiods.identity import (FactorDiff, VerificationReport, identity_row,
                                    identity_table, rel_err, sample_pair, _rng_for)
 
@@ -125,9 +126,10 @@ def test_verify_recursion_reports_convention_error(monkeypatch):
         "ConventionError: step1: L_F(1, chi^1*mu1*nu1)^-1"]
 
 
-def test_recursion_builds_each_factor_list_once_per_sample(monkeypatch):
-    # split n = 3 misses on every sample, and its localizer pairs the lists
-    # the sample already built instead of building them again
+def test_recursion_builds_each_factor_list_once_per_report(monkeypatch):
+    # split n = 3 misses on every sample; the report builds each route once,
+    # stacked over its samples, and its localizer pairs columns of those lists
+    # instead of building them again
     import localperiods.identity as identity
     calls = {"zeta_closed_factors": 0, "zeta_recursive_factors": 0}
     for name in calls:
@@ -137,7 +139,7 @@ def test_recursion_builds_each_factor_list_once_per_sample(monkeypatch):
         monkeypatch.setattr(identity, name, counted)
     report = verify_recursion(3, split_place(2), samples=2)
     assert not report.passed
-    assert calls == {"zeta_closed_factors": 2, "zeta_recursive_factors": 2}
+    assert calls == {"zeta_closed_factors": 1, "zeta_recursive_factors": 1}
 
 
 def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
@@ -284,3 +286,135 @@ def test_period_conjugation_symmetry():
     small, big = sample_pair(1, field, _rng_for(23, 0))
     lhs = unramified_period(small.conjugated(), big.conjugated())
     assert rel_err(lhs, unramified_period(small, big).conjugate()) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked recursion check against the per-sample loop it replaces
+
+
+def recursion_reference(pairs, tol):
+    """Each sample's (error, diff labels), judged one sample at a time as the
+    check did before it stacked its samples; a PoleError propagates from the
+    first sample, and the first route, that raises it."""
+    import localperiods.identity as identity
+    from localperiods import ConventionError, factor_product
+    from localperiods.identity import match_factor_lists
+    results = []
+    for small, big in pairs:
+        closed = identity.zeta_closed_factors(small, big)
+        recursive = identity.zeta_recursive_factors(small, big)
+        z_closed = factor_product(closed)
+        try:
+            z_recursive = factor_product(recursive)
+        except ConventionError as err:
+            results.append((float("inf"), [f"ConventionError: {err.factor}"]))
+            continue
+        err = rel_err(z_closed, z_recursive)
+        results.append((err, [] if err <= tol else
+                        [d.factor for d in match_factor_lists(closed, recursive)]))
+    return results
+
+
+def with_chars(datum, values):
+    # the datum with the characters at the given positions replaced
+    return make_datum(datum.m, datum.field, [values.get(i, c.value)
+                                             for i, c in enumerate(datum.chars)])
+
+
+def run_both(monkeypatch, n, pairs, tol):
+    """(stacked report, reference results) on the given samples, or the
+    PoleError factor each raised."""
+    import localperiods.identity as identity
+    from localperiods import PoleError
+    draws = iter(pairs)
+    monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: next(draws))
+    outcomes = []
+    for run in (lambda: verify_recursion(n, pairs[0][1].field, samples=len(pairs), tol=tol),
+                lambda: recursion_reference(pairs, tol)):
+        try:
+            outcomes.append(run())
+        except PoleError as err:
+            outcomes.append(("PoleError", err.factor))
+    return outcomes
+
+
+def add_marked_poles(monkeypatch):
+    # Each route gets extra direct factors at s = 1 over q = 2 whose alpha is
+    # a small character: a sample whose character 0 (closed) or 1
+    # (recursive) is 2 has them on their poles.  Characters of modulus 1 or 2
+    # put no other factor of split n = 3 on a pole (that needs modulus 2^(1/2)).
+    import localperiods.identity as identity
+    closed, recursive = identity.zeta_closed_factors, identity.zeta_recursive_factors
+    monkeypatch.setattr(identity, "zeta_closed_factors", lambda small, big: closed(small, big) + [
+        LFactor("extra closed", 1.0, 2, small.chars[0].value)])
+    monkeypatch.setattr(identity, "zeta_recursive_factors", lambda small, big: recursive(
+        small, big) + [LFactor(f"extra recursive {tag}", 1.0, 2, small.chars[1].value)
+                       for tag in "AB"])
+
+
+@pytest.mark.parametrize("closed_at, recursive_at, raised", [
+    ((2,), (1,), "extra recursive A"),     # the lowest sample first
+    ((1,), (1,), "extra closed"),          # then the closed route
+    ((), (0, 2), "extra recursive A"),     # then list order
+    ((), (), None),
+])
+def test_stacked_recursion_raises_the_first_pole_of_the_sample_loop(
+        monkeypatch, closed_at, recursive_at, raised):
+    add_marked_poles(monkeypatch)
+    pairs = []
+    for k in range(3):
+        small, big = sample_pair(3, split_place(2), _rng_for(41, k))
+        marks = {**({0: 2.0} if k in closed_at else {}),
+                 **({1: 2.0} if k in recursive_at else {})}
+        pairs.append((with_chars(small, marks), big))
+    stacked, reference = run_both(monkeypatch, 3, pairs, 1e-9)
+    if raised is not None:
+        assert stacked == reference == ("PoleError", raised)
+        return
+    assert stacked.max_rel_err == max(err for err, _ in reference)
+    assert [d.factor for d in stacked.factor_diffs] == list(dict.fromkeys(
+        label for _, labels in reference for label in labels))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_twist_pole_in_one_sample_leaves_the_others_judged(monkeypatch, n):
+    # mu_l * nu_l = q_F puts sample 1's quadratic-twist factor on its pole:
+    # that sample is inf with its ConventionError, and samples 0 and 2 are
+    # judged as they are alone (at n = 3 they fail on the split finding)
+    pairs = [sample_pair(n, split_place(2), _rng_for(43, k)) for k in range(3)]
+    small, big = pairs[1]
+    l = big.rank
+    pairs[1] = (small, with_chars(big, {l - 1: 2.0, big.m - l: 1.0}))
+    stacked, reference = run_both(monkeypatch, n, pairs, 1e-9)
+    assert [err for err, _ in reference][1] == float("inf")
+    assert stacked.max_rel_err == float("inf") and not stacked.passed
+    labels = [d.factor for d in stacked.factor_diffs]
+    assert labels == list(dict.fromkeys(label for _, ls in reference for label in ls))
+    assert f"ConventionError: step{n}: L_F(1, chi^{n}*mu{l}*nu{l})^-1" in labels
+    if n == 3:
+        assert labels[0].startswith("L_F(1/2, nu1*th2)")
+
+
+@pytest.mark.parametrize("place", ["inert", "split"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_recursion_cli_at_the_smallest_n(capsys, n, place):
+    # inert n = 0 has two empty lists: each product is exactly 1, so the error
+    # is exactly 0; split n = 0 and n = 1 report the largest per-sample error
+    import json
+    from localperiods import factor_product
+    from localperiods.cli import main
+    assert main(["recursion", "--n", str(n), "--place", place, "--q", "2", "--q", "3",
+                 "--samples", "7", "--seed", "5"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["place"], r["q"], r["pass"], r["factor_diffs"]) for r in reports] == [
+        (place, 2, True, []), (place, 3, True, [])]
+    for report in reports:
+        field = (inert_place if place == "inert" else split_place)(report["q"])
+        errs = []
+        for k in range(7):
+            small, big = sample_pair(n, field, _rng_for(5, k))
+            errs.append(rel_err(factor_product(zeta_closed_factors(small, big)),
+                                factor_product(zeta_recursive_factors(small, big))))
+        assert report["max_rel_err"] == max(errs)
+        if (n, place) == (0, "inert"):
+            assert report["max_rel_err"] == 0.0

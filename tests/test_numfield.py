@@ -95,3 +95,19 @@ def test_char_value_validation():
     assert abs(abs(c.value) - 1) < 1e-12
     assert abs((c * c.inv()).value - 1) < 1e-12
     assert (c ** -1).value == pytest.approx(c.inv().value)
+
+
+def test_char_value_stacked_checks_every_entry():
+    # a 1-D array is one value per sample: each entry is coerced with
+    # complex() as a scalar is, kept as a Python complex, and checked
+    import numpy as np
+    c = CharValue(np.array([1, 0.6 + 0.8j, -1j]), unitary=True)
+    assert c.value.dtype == object and c.value.tolist() == [1 + 0j, 0.6 + 0.8j, -1j]
+    assert all(type(v) is complex for v in c.value)
+    assert c.inv().value.tolist() == [1.0 / v for v in c.value]
+    with pytest.raises(ValueError, match="nonzero"):
+        CharValue(np.array([1.0, 0.0, 1j]))
+    with pytest.raises(ValueError, match="got 2.0"):
+        CharValue(np.array([1.0, 1j, 2.0]), unitary=True)
+    # a scalar is still coerced with complex() alone
+    assert CharValue(2).value == 2 + 0j and type(CharValue(2).value) is complex

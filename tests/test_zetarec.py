@@ -1,3 +1,6 @@
+import cmath
+
+import numpy as np
 import pytest
 
 from conftest import unit_chars
@@ -6,8 +9,10 @@ from localperiods import (CharValue, ConventionError, LFactor, PoleError,
                           split_place, zeta_base_split_closed,
                           zeta_base_split_series, zeta_closed_factors,
                           zeta_recursive_factors)
-from localperiods.identity import match_factor_lists, rel_err, sample_datum, sample_pair
-from localperiods.zetarec import series_truncation_bound
+from localperiods.identity import (_rng_for, match_factor_lists, rel_err, sample_datum,
+                                   sample_pair)
+from localperiods.satake import stack_data
+from localperiods.zetarec import column, series_truncation_bound
 
 
 def closed(small, big):
@@ -224,3 +229,172 @@ def test_closed_inert_n1_explicit_display(rng):
                 * (1 - qe ** -0.5 * -X.value)
                 * (1 - qe ** -1.0 * X.value))
     assert closed(small, big) == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# the array product kernel and stacked lists
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def left_to_right(factors):
+    out = 1.0 + 0.0j
+    for f in factors:
+        out *= f.value()
+    return out
+
+
+def product_bound(factors):
+    # each side rounds every factor value (a product and a difference, then
+    # Smith's division) and every running product within 4u, so two
+    # evaluations of the same list differ by at most 8u per factor
+    return 8 * (len(factors) + 1) * UNIT_ROUNDOFF * abs(left_to_right(factors))
+
+
+def random_list(rng, count):
+    # |q^-s alpha| <= 1.2 / sqrt(2) keeps every factor well away from its pole
+    return [LFactor(f"f{k}", float(rng.choice([0.5, 1.0, 2.0])), int(rng.choice([2, 3, 4, 9])),
+                    complex(cmath.rect(rng.uniform(0.2, 1.2), rng.uniform(0, 2 * cmath.pi))),
+                    bool(rng.integers(2)))
+            for k in range(count)]
+
+
+def stack_lists(lists):
+    # one factor list whose alphas hold one Python complex per sample
+    return [f._replace(alpha=np.array([l[i].alpha for l in lists], dtype=object))
+            for i, f in enumerate(lists[0])]
+
+
+def test_factor_product_is_the_left_to_right_product(rng):
+    for count in (0, 1, 2, 5, 40, 200):
+        for _ in range(10):
+            factors = random_list(rng, count)
+            got = factor_product(factors)
+            assert type(got) is complex
+            assert abs(got - left_to_right(factors)) <= product_bound(factors)
+            # the same labels, s, q and inverse flags with other alphas per sample
+            lists = [factors] + [[f._replace(alpha=g.alpha) for f, g in
+                                  zip(factors, random_list(rng, count))] for _ in range(3)]
+            stacked = factor_product(stack_lists(lists), samples=4)
+            for k, sample in enumerate(lists):
+                assert abs(stacked[k] - left_to_right(sample)) <= product_bound(sample)
+
+
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+def test_factor_product_of_sampled_lists_is_bit_identical(place):
+    # numpy's complex reciprocal and its reduction along a contiguous axis
+    # round as Python's complex arithmetic does, so on sampled data the
+    # kernel is the left-to-right product to the last bit
+    for n in range(0, 9):
+        for k in range(5):
+            small, big = sample_pair(n, place(2 + k % 2), _rng_for(11, k))
+            for factors in (zeta_closed_factors(small, big), zeta_recursive_factors(small, big)):
+                assert factor_product(factors) == left_to_right(factors)
+
+
+def test_factor_product_of_an_empty_list():
+    assert factor_product([]) == 1 and type(factor_product([])) is complex
+    empty = factor_product([], samples=3)
+    assert empty.shape == (3,) and empty.tolist() == [1, 1, 1]
+
+
+def test_stacked_factor_product_stops_per_sample():
+    # q^{-1} alpha = 1 puts a factor on its pole in sample 1 of 3 only: an
+    # inverse factor there is a zero; a direct one stops that sample (nan),
+    # and so does a convention-sensitive one; its column, alone, raises the
+    # error that names the factor, and the other samples are the scalar ones
+    alphas = np.array([0.5 + 0j, 2.0 + 0j, 1j], dtype=object)
+    generic = LFactor("L_F(1/2, generic)", 0.5, 2, np.array([0.3j, 0.2, -0.4], dtype=object))
+    cases = [(LFactor("L_F(1, z)", 1.0, 2, alphas, True), None),
+             (LFactor("L_F(1, pole)", 1.0, 2, alphas), PoleError),
+             (LFactor("L_F(1, twist)^-1", 1.0, 2, alphas, True, True), ConventionError)]
+    for factor, error in cases:
+        factors = [generic, factor]
+        got = factor_product(factors, samples=3)
+        for k in (0, 2):
+            assert got[k] == factor_product(column(factors, k))
+        if error is None:
+            assert got[1] == 0
+            continue
+        assert np.isnan(got[1])
+        with pytest.raises(error) as exc:
+            factor_product(column(factors, 1))
+        assert exc.value.factor == factor.label
+
+
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+def test_stacked_builders_give_each_sample_its_own_list(place):
+    # the stacked characters hold Python complex values, so each column of a
+    # stacked list is the per-sample list exactly: labels, s, q, flags and
+    # alphas alike; the stacked product is each sample's product
+    for n in range(0, 9):
+        pairs = [sample_pair(n, place(3), _rng_for(n, k)) for k in range(3)]
+        small, big = (stack_data(data) for data in zip(*pairs))
+        for build in (zeta_closed_factors, zeta_recursive_factors):
+            stacked = build(small, big)
+            products = factor_product(stacked, samples=3)
+            for k, (s_k, b_k) in enumerate(pairs):
+                alone = build(s_k, b_k)
+                assert column(stacked, k) == alone
+                assert products[k] == factor_product(alone)
+
+
+def test_stack_data_keeps_one_group_and_place(rng):
+    a = sample_datum(3, split_place(2), rng)
+    with pytest.raises(ValueError, match="share"):
+        stack_data([a, sample_datum(3, split_place(3), rng)])
+    with pytest.raises(ValueError, match="share"):
+        stack_data([a, sample_datum(2, split_place(2), rng)])
+    stacked = stack_data([a, a.inverted()])
+    assert [c.value.tolist() for c in stacked.chars] == [
+        [c.value, 1.0 / c.value] for c in a.chars]
+
+
+def test_split_base_case_product_is_unchanged(rng):
+    # basecase multiplies a three-factor scalar list; the kernel gives the
+    # left-to-right product of its values, to the last bit
+    from localperiods.zetarec import _base_split_factors
+    field = split_place(2)
+    for _ in range(20):
+        theta, phi, xi0 = unit_chars(rng, 3)
+        factors = _base_split_factors(theta.value, phi.value, xi0.value, 2, prefix="")
+        assert zeta_base_split_closed(theta, phi, xi0, field) == left_to_right(factors)
+
+
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+def test_recursion_carries_bc_params_across_steps(monkeypatch, place):
+    # a step's truncated datum is the next step's small one: bc_params runs
+    # once per datum, n + 1 times, and each step pairs the parameters of its
+    # own small and truncated data
+    import localperiods.zetarec as zetarec
+    from localperiods.satake import bc_params
+    from localperiods.zetarec import truncate_big
+    seen = []
+
+    def counted(datum):
+        seen.append(datum)
+        return bc_params(datum)
+
+    monkeypatch.setattr(zetarec, "bc_params", counted)
+    for n in range(0, 7):
+        seen.clear()
+        small, big = sample_pair(n, place(2), _rng_for(3, n))
+        factors = zeta_recursive_factors(small, big)
+        assert len(seen) == (n + 1 if n else 0)
+        cur_big, cur_small = big, small
+        for k in range(n, 0, -1):
+            trunc = truncate_big(cur_big)
+            small_bc, trunc_bc = bc_params(cur_small), bc_params(trunc)
+            l = cur_big.rank
+            if cur_big.field.is_inert:
+                t = cur_big.chars[l - 1].value
+                expected = [a * t for a in small_bc.values + trunc_bc.values]
+            else:
+                mu, nu = cur_big.theta(l), cur_big.phi(l)
+                expected = ([a * mu for a in small_bc.values]
+                            + [a * nu for a in small_bc.dual_values]
+                            + [a * nu for a in trunc_bc.values]
+                            + [a * mu for a in trunc_bc.dual_values])
+            assert [f.alpha for f in factors
+                    if f.label.startswith(f"step{k}: ") and "bc" in f.label] == expected
+            cur_big, cur_small = cur_small, trunc
