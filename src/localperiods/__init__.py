@@ -4,17 +4,17 @@ pairing values, spherical averages S(1), and the end-to-end identity
 zeta * S(1) = Delta * L(1/2) / (Ad * Ad), plus the theta-lift parameter
 identities."""
 
+from types import ModuleType as _ModuleType
+
 from .numfield import (CharValue, FieldData, PlaceKind, PoleError, euler_factor,
                        euler_factor_inv, inert_place, lfactor_chi, motive_delta,
                        motive_delta_exact, split_place)
 from .satake import (BCParams, SatakeDatum, adjoint_lfactor, bc_params,
                      inert_datum, make_datum, split_datum, std_tensor_lfactor,
                      std_tensor_lfactor_det)
-from .weylsum import (Case, LengthType, RhoVector, SizeError, WeylElement, act,
-                      b_factor, case_for, case_ranks, d0_factor, d1_factor,
-                      enumerate_weyl, iwahori_volume, iwahori_volume_gl,
-                      long_length, motive_A_value, rho_big, rho_monomial,
-                      rho_small, s_value_inert, s_value_split, weyl_sum_A)
+from .weylsum import (Case, SizeError, case_for, case_ranks, iwahori_volume,
+                      iwahori_volume_gl, motive_A_value, rho_big, s_value_inert,
+                      s_value_split, weyl_sum_A)
 from .zetarec import (ConventionError, LFactor, factor_product,
                       zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
@@ -23,10 +23,11 @@ from .identity import (FactorDiff, SamplerExhausted, VerificationReport, lratio,
                        verify_basecase, verify_localcalc, verify_recursion,
                        verify_weyl_constancy)
 from .paramcalc import (Base, WDParam, adjoint_gl, bc_param, direct_sum,
-                        gamma_char, induce, induce_preservation_defect,
-                        tensor_product, theta_param_1to2, theta_param_2to3,
-                        twist, verify_appendix)
+                        gamma_char, induce, tensor_product, theta_param_1to2,
+                        theta_param_2to3, twist, verify_appendix)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

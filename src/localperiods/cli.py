@@ -94,8 +94,10 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.samples < 1:
             raise UsageError("--samples must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # nan included
             raise UsageError("--tol must be positive")
+        if self.seed < 0:
+            raise UsageError("--seed must be nonnegative")
         if not self.q:
             raise UsageError("need at least one --q")
         for q in self.q:
@@ -138,7 +140,7 @@ def config_from_args(args) -> RunConfig:
         samples=args.samples,
         seed=args.seed,
         tol=args.tol if args.tol is not None else CHECKS[args.command].tol,
-        format=args.format,
+        format=getattr(args, "format", "csv"),
         threads=args.threads,
         terms=getattr(args, "terms", 200),
         force_large=getattr(args, "force_large", False),
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "for U(n+1) x U(n+2) pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_n: bool = True):
+    def common(p: argparse.ArgumentParser, with_n: bool = True, with_format: bool = True):
         if with_n:
             p.add_argument("--n", type=int, default=1,
                            help="pair index: the groups are U(n+1) and U(n+2)")
@@ -162,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=50)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        if with_format:
+            p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for per-sample evaluation "
                             "(default: 1, samples run in the calling thread)")
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("appendix", help="theta-lift L-factor identities (inert)")
     common(p, with_n=False)
     p = sub.add_parser("table", help="per-sample value table for the identity check (CSV)")
-    common(p)
+    common(p, with_format=False)
     return parser
 
 

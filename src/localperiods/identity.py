@@ -96,7 +96,7 @@ class VerificationReport:
     factor_diffs: tuple[FactorDiff, ...] = dc_field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # nan included
             raise ValueError("tolerance must be positive")
         if self.passed != (self.max_rel_err <= self.tol):
             raise ValueError("pass flag inconsistent with max_rel_err vs tol")

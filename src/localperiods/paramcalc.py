@@ -22,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .identity import (FactorDiff, VerificationReport, _run_check, map_samples, rel_err,
-                       worst_err)
+from .identity import FactorDiff, VerificationReport, _run_check, rel_err, worst_err
 from .numfield import CharValue, FieldData, euler_factor, lfactor_chi
 from .satake import SatakeDatum, adjoint_lfactor, bc_params, make_datum
 
@@ -133,18 +132,6 @@ def _datum_from_bc(m: int, param: WDParam, field: FieldData) -> SatakeDatum:
 
 # ---------------------------------------------------------------------------
 # the appendix suite
-
-
-def induce_preservation_defect(field: FieldData, samples: int = 20, seed: int = 0,
-                               s_points: int = 20) -> float:
-    """max relative gap between L_F(s, Ind z) and L_E(s, z) on random data."""
-    def one(rng):
-        param = WDParam(Base.OVER_E, (cmath.exp(2j * cmath.pi * rng.uniform()),))
-        ind = induce(param)
-        return worst_err(rel_err(ind.lfactor(s, field), param.lfactor(s, field))
-                         for s in _draw_s(rng, s_points))
-
-    return worst_err(map_samples(one, samples, seed))
 
 
 def _draw_s(rng: np.random.Generator, count: int) -> list[complex]:

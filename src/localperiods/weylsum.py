@@ -2,7 +2,10 @@
 
 The double Weyl average A = sum_{w', w} b(w'X, wx) / (d1(w'X) d0(wx)) over
 (Z/2)^l x S_l enumerates the small group only: a cached per-rank orbit table
-turns the small characters into their orbit as numpy columns.  Every factor of
+turns the small characters into their orbit as numpy columns.  The orbit lists
+the group elements with the permutations varying slowest (itertools order) and,
+within one permutation, the 2^l flip patterns in binary order, flip i inverting
+on bit l-1-i of the pattern index; so the identity comes first.  Every factor of
 b involves at most one big character and X^{-rho} d1(X) is anti-invariant, so
 the big-group sum for each small translate is one determinant (weyl_sum_A).
 The orbit is evaluated and summed in blocks of WEYL_BLOCK translates, so the
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -53,78 +55,6 @@ class Case(Enum):
     B = "B"  # n+1 odd
 
 
-class LengthType(Enum):
-    HYPEROCTAHEDRAL_RANK = "hyperoctahedral"
-    SYMMETRIC_SIZE = "symmetric"
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """Element of (Z/2)^l x| S_l: perm[i] is the 0-based image of i, flips in {+-1}.
-
-    Acting on a character tuple: entry i of the result is entry perm^{-1}(i) of
-    the input raised to flips[i].
-    """
-
-    perm: tuple[int, ...]
-    flips: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"not a permutation: {self.perm}")
-        if len(self.flips) != len(self.perm) or any(f not in (1, -1) for f in self.flips):
-            raise ValueError(f"flips must be +-1 of matching length: {self.flips}")
-
-    @classmethod
-    def identity(cls, l: int) -> "WeylElement":
-        return cls(tuple(range(l)), (1,) * l)
-
-    @property
-    def rank(self) -> int:
-        return len(self.perm)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.rank)) and all(f == 1 for f in self.flips)
-
-    @property
-    def sign(self) -> int:
-        return _perm_sign(self.perm) * math.prod(self.flips)
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        inv = [0] * self.rank
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return tuple(inv)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self applied after other, so acting with the result equals acting
-        with other first and self second."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.rank))
-        inv1 = self.inverse_perm()
-        flips = tuple(self.flips[i] * other.flips[inv1[i]] for i in range(self.rank))
-        return WeylElement(perm, flips)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _check_rank(l: int) -> None:
     if l < 0:
         raise ValueError("rank must be nonnegative")
@@ -133,35 +63,10 @@ def _check_rank(l: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def enumerate_weyl(l: int) -> tuple[WeylElement, ...]:
-    """All 2^l l! elements, identity first, in deterministic order."""
-    _check_rank(l)
-    out = []
-    for perm in itertools.permutations(range(l)):
-        for flips in itertools.product((1, -1), repeat=l):
-            out.append(WeylElement(perm, flips))
-    return tuple(out)
-
-
-def act(w: WeylElement, chars: Sequence[CharValue]) -> tuple[CharValue, ...]:
-    if len(chars) != w.rank:
-        raise ValueError(f"rank {w.rank} element acting on {len(chars)} characters")
-    inv = w.inverse_perm()
-    return tuple(chars[inv[i]] ** w.flips[i] for i in range(w.rank))
-
-
-def _act_values(w: WeylElement, values: Sequence) -> tuple:
-    # generic over the scalar type (complex or Fraction)
-    inv = w.inverse_perm()
-    return tuple(values[inv[i]] if w.flips[i] == 1 else 1 / values[inv[i]]
-                 for i in range(w.rank))
-
-
-@lru_cache(maxsize=None)
 def _orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
-    # (|W|, l) tables in enumerate_weyl order: row k, entry i holds the source
-    # index inverse_perm()[i] of the k-th element and whether its flip is -1.
-    # Permutations vary slowest, and flip i is -1 on bit l-1-i of the mask index.
+    # (|W|, l) tables: row k, entry i holds the source index perm^{-1}(i) of
+    # the k-th element and whether its flip i is -1.  Permutations vary slowest,
+    # and flip i is -1 on bit l-1-i of the mask index.
     _check_rank(l)
     perms = np.array(list(itertools.permutations(range(l))), dtype=np.intp)
     masks = ((np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1).astype(bool)
@@ -175,10 +80,12 @@ def _orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
 def weyl_orbit(values: Sequence[complex], rows: slice = slice(None)) -> np.ndarray:
     """The Weyl orbit of a character tuple as an (l, |W|) complex array.
 
-    Row i is the i-th orbit column: entry k of it is entry i of
-    _act_values(enumerate_weyl(l)[k], values).  Iterating over the array yields
-    the columns, so the scalar formulas evaluate the whole orbit at once.  rows,
-    a slice of enumerate_weyl(l), keeps only the entries of those elements.
+    Row i is the i-th orbit column: entry k of it is entry i of the k-th
+    translate, the input entry perm^{-1}(i), inverted where flip i is -1.  The
+    elements come in the module's order: permutations slowest (itertools
+    order), then flip i on bit l-1-i of the flip-pattern index.  Iterating over
+    the array yields the columns, so the scalar formulas evaluate the whole
+    orbit at once.  rows, a slice of that order, keeps only those elements.
     """
     src, flip = _orbit_table(len(values))
     src, flip = src[rows].T, flip[rows].T
@@ -214,7 +121,8 @@ def _h_values(case: Case, l: int, Z, x, root) -> list:
 
 def _b_values(case: Case, X, x, root):
     # b = c(x) prod_i h_i(X_i; x), c the small singles of case A (so an empty X
-    # gives c).  root = q_E^{-1/2}; every factor of b sits at s = 1/2.  Scalars
+    # gives c).  b is the reciprocal of a product of L_E(1/2, .) factors, kept
+    # as a product of (1 - q_E^{-1/2} a), so it vanishes where one has a pole.  root = q_E^{-1/2}; every factor of b sits at s = 1/2.  Scalars
     # are complex, Fraction on exact rational data, or numpy arrays.
     v = 1
     for t in x if case is Case.A else ():
@@ -225,7 +133,8 @@ def _b_values(case: Case, X, x, root):
 
 
 def _d1_values(case: Case, X):
-    # every factor of d1/d0 sits at s = 0, so no q-power appears
+    # d1 and d0 are reciprocals of products of L_E(0, .) factors; every factor
+    # sits at s = 0, so no q-power appears
     v = 1
     for i, z in enumerate(X):
         v *= 1 - (z * z if case is Case.A else z)
@@ -247,24 +156,17 @@ def _half_root(field: FieldData) -> float:
     return 1.0 / math.sqrt(field.q_E)
 
 
-def b_factor(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
-             field: FieldData) -> complex:
-    """The half-integral building block b, defined as the reciprocal of a
-    product of L_E(1/2, .) factors; computed as a product of (1 - q_E^{-1/2} a)
-    so it vanishes (rather than erroring) where one of those factors has a pole."""
-    _case_lengths(case, len(big_chars), len(small_chars))
-    return _b_values(case, [c.value for c in big_chars], [c.value for c in small_chars],
-                     _half_root(field))
-
-
-def d1_factor(case: Case, big_chars: Sequence[CharValue], field: FieldData) -> complex:
-    """Big-group denominator: reciprocal of its defining product of L_E(0, .)."""
-    return _d1_values(case, [c.value for c in big_chars])
-
-
-def d0_factor(case: Case, small_chars: Sequence[CharValue], field: FieldData) -> complex:
-    """Small-group denominator: reciprocal of its defining product of L_E(0, .)."""
-    return _d0_values(case, [c.value for c in small_chars])
+@lru_cache(maxsize=None)
+def rho_big(case: Case, rank: int) -> np.ndarray:
+    """The doubled exponents 2 rho paired with d1, as a read-only integer column:
+    rho = (l, ..., 1) in case A, (l-1/2, ..., 1/2) in case B."""
+    if case is Case.A:
+        doubled = [2 * (rank - i) for i in range(rank)]
+    else:
+        doubled = [2 * (rank - i) - 1 for i in range(rank)]
+    column = np.array(doubled)[:, None]
+    column.setflags(write=False)
+    return column
 
 
 def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
@@ -274,12 +176,13 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
     For a small translate y = wx, b(., y) = c(y) prod_i h_i(X_i; y) and
     X^{-rho} d1(X) is anti-invariant (rho = rho_big), so the sum over w' is
     c(y) det[H_i(X_k) - H_i(1/X_k)] / (X^{-rho} d1(X)), H_i(Z) = Z^{-rho_i}
-    h_i(Z; y), with half powers from one fixed root per character as in
-    rho_monomial.  The small orbit is summed in blocks of WEYL_BLOCK translates
-    (one block up to n + 1 = 10), so the working arrays are sized by the block,
-    not by |W_small|; within a block every factor of h is built once per small
-    character and shared by all h_i (_h_values).  Raises PoleError naming d1 or
-    d0, the only divisors, if |d1(X)| or some |d0(wx)| is below POLE_EPS.
+    h_i(Z; y), with half powers from one fixed square root per character (a
+    flipped entry takes the inverse power of the same root).  The small orbit
+    is summed in blocks of WEYL_BLOCK translates (one block up to n + 1 = 10),
+    so the working arrays are sized by the block, not by |W_small|; within a
+    block every factor of h is built once per small character and shared by
+    all h_i (_h_values).  Raises PoleError naming d1 or d0, the only divisors,
+    if |d1(X)| or some |d0(wx)| is below POLE_EPS.
     """
     _case_lengths(case, len(big_chars), len(small_chars))
     root = _half_root(field)
@@ -291,7 +194,7 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
     X = np.array(values, dtype=complex)
     Z = np.concatenate([X, 1 / X])  # H_i is evaluated at X_k, then at 1/X_k
     roots = np.sqrt(X)
-    two_rho = _two_rho_big(case, l)
+    two_rho = rho_big(case, l)
     Z_rho = np.concatenate([roots ** -two_rho, roots ** two_rho], axis=1)
     small_values = [c.value for c in small_chars]
     orbit_size = len(_orbit_table(len(small_values))[0])
@@ -306,34 +209,6 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
         alternants = np.linalg.det(np.stack([h[..., :l] - h[..., l:] for h in H], axis=-2))
         total += (_b_values(case, (), small, root) * alternants / d0).sum()
     return complex(total / (np.prod(Z_rho.diagonal()) * d1))  # X^{-rho} d1(X)
-
-
-def special_vectors_exact(case: Case, l_big: int, q_F: int) -> tuple[list[Fraction], list[Fraction]]:
-    """The distinguished rational character values at which only the identity
-    Weyl pair contributes to the double sum.  All entries are integer powers of
-    q_F (half-integer powers of q_E), so exact arithmetic applies."""
-    qe = Fraction(q_F * q_F)
-    if case is Case.A:
-        big = [1 / qe ** (l_big - i) for i in range(l_big)]
-        small = [Fraction(1, q_F ** (2 * (l_big - i) - 1)) for i in range(l_big)]
-    else:
-        big = [Fraction(1, q_F ** (2 * (l_big - i) - 1)) for i in range(l_big)]
-        small = [1 / qe ** (l_big - 1 - i) for i in range(l_big - 1)]
-    return big, small
-
-
-def b_factor_exact(case: Case, big_values: Sequence[Fraction],
-                   small_values: Sequence[Fraction], q_F: int) -> Fraction:
-    """b on positive rational character values, evaluated exactly (the root
-    q_E^{-1/2} = 1/q_F is rational); vanishing at the special vectors is then
-    an identity, not a rounding question."""
-    _case_lengths(case, len(big_values), len(small_values))
-    return _b_values(case, [Fraction(v) for v in big_values],
-                     [Fraction(v) for v in small_values], Fraction(1, q_F))
-
-
-def act_exact(w: WeylElement, values: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(v) for v in _act_values(w, [Fraction(v) for v in values])]
 
 
 def case_for(n_plus_1: int) -> Case:
@@ -355,67 +230,7 @@ def motive_A_value(n_plus_1: int, field: FieldData) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Weyl vectors and the alternating-sign structure
-
-
-@dataclass(frozen=True)
-class RhoVector:
-    """Strictly decreasing half-integer exponents with unit steps."""
-
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
-        for a, b in zip(self.entries, self.entries[1:]):
-            if a - b != 1:
-                raise ValueError(f"consecutive differences must equal 1: {self.entries}")
-
-    @property
-    def doubled(self) -> tuple[int, ...]:
-        return tuple(int(2 * e) for e in self.entries)
-
-
-@lru_cache(maxsize=None)
-def rho_big(case: Case, rank: int) -> RhoVector:
-    """Exponent vector paired with d1: (l, ..., 1) in case A, (l-1/2, ..., 1/2) in case B."""
-    if case is Case.A:
-        return RhoVector(tuple(Fraction(rank - i) for i in range(rank)))
-    return RhoVector(tuple(Fraction(2 * (rank - i) - 1, 2) for i in range(rank)))
-
-
-@lru_cache(maxsize=None)
-def _two_rho_big(case: Case, rank: int) -> np.ndarray:
-    # rho_big(case, rank).doubled as a read-only integer column
-    column = np.array(rho_big(case, rank).doubled)[:, None]
-    column.setflags(write=False)
-    return column
-
-
-def rho_small(case: Case, rank: int) -> RhoVector:
-    """Exponent vector paired with d0: (l-1/2, ..., 1/2) in case A, (l, ..., 1) in case B."""
-    if case is Case.A:
-        return RhoVector(tuple(Fraction(2 * (rank - i) - 1, 2) for i in range(rank)))
-    return RhoVector(tuple(Fraction(rank - i) for i in range(rank)))
-
-
-def rho_monomial(chars: Sequence[CharValue], rho: RhoVector, w: WeylElement) -> complex:
-    """(w . chars)^{-rho} with branch-consistent half powers.
-
-    Each original character gets one fixed square root; a flipped entry
-    contributes the inverse integer power of that root, so the alternating
-    identity D_{w X} = sgn(w) D_X is exact up to rounding.
-    """
-    roots = [complex(c.value) ** 0.5 for c in chars]
-    inv = w.inverse_perm()
-    out = 1.0 + 0.0j
-    for i, two_rho in enumerate(rho.doubled):
-        j = inv[i]
-        out *= roots[j] ** (-two_rho * w.flips[i])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Iwahori volumes, long-element lengths, and the two S(1) values
+# Iwahori volumes, the Bruhat-cell q-power, and the two S(1) values
 
 
 def iwahori_volume(i: int, q_F: int) -> Fraction:
@@ -445,22 +260,12 @@ def iwahori_volume_gl(i: int, q_F: int) -> Fraction:
     return num / den
 
 
-def long_length(rank_or_size: int, kind: LengthType) -> int:
-    """Coxeter length of the long element: l^2 in type B/C rank l, m(m-1)/2 in S_m."""
-    if rank_or_size < 0:
-        raise ValueError("argument must be >= 0")
-    if kind is LengthType.HYPEROCTAHEDRAL_RANK:
-        return rank_or_size * rank_or_size
-    return rank_or_size * (rank_or_size - 1) // 2
-
-
 def _bruhat_q_exponent(n: int) -> int:
     # q_F-length of the long elements for the pair U(n+1), U(n+2): m(m-1)/2 each,
     # the exponent of the big Bruhat cell. For n odd this equals the hyperoctahedral
     # q_E^{l^2 + l^2}; for n even no integral q_E power exists and this is the
     # unique exponent under which the period identity closes.
-    return (long_length(n + 1, LengthType.SYMMETRIC_SIZE)
-            + long_length(n + 2, LengthType.SYMMETRIC_SIZE))
+    return sum(m * (m - 1) // 2 for m in (n + 1, n + 2))
 
 
 @lru_cache(maxsize=None)

@@ -337,11 +337,6 @@ def zeta_base_split_series(theta: CharValue, phi: CharValue, Xi0: CharValue,
     return total
 
 
-def series_truncation_bound(field: FieldData, terms: int) -> float:
-    root = 1.0 / math.sqrt(field.q_F)
-    return 2.0 * root ** (terms + 1) / (1.0 - root)
-
-
 # ---------------------------------------------------------------------------
 # inductive route
 

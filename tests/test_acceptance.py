@@ -9,22 +9,23 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
-from conftest import unit_chars
-from localperiods import (Case, act, case_for, case_ranks,
-                          d0_factor, d1_factor, enumerate_weyl, factor_product,
-                          inert_datum,
-                          inert_place, motive_A_value, rho_big, rho_monomial,
-                          rho_small, split_place, std_tensor_lfactor,
+from conftest import unit_chars, unit_values
+from localperiods import (Case, case_for, case_ranks, factor_product,
+                          inert_datum, inert_place, motive_A_value, rho_big,
+                          split_place, std_tensor_lfactor,
                           std_tensor_lfactor_det, verify_localcalc,
                           verify_recursion, weyl_sum_A, zeta_base_split_closed,
                           zeta_base_split_series, zeta_closed_factors,
                           zeta_recursive_factors)
 from localperiods.identity import rel_err, sample_datum, sample_pair, _rng_for
-from localperiods.paramcalc import induce_preservation_defect, verify_appendix
-from localperiods.weylsum import WeylElement
+from localperiods.paramcalc import verify_appendix
+from localperiods.weylsum import _b_values, _d0_values, _d1_values
+from weylref import (WeylElement, act, enumerate_weyl, induce_preservation_defect,
+                     rho_monomial, rho_small, special_vectors)
 
 # The one place where a transcribed closed form disagrees with the recursion
 # and the end-to-end identity: the odd-case split product pairs nu_i with
@@ -103,14 +104,12 @@ def test_criterion_3_weyl_constancy_and_special_vectors():
                 # special values are integer powers of q, so the vanishing is
                 # checked in exact rational arithmetic (float evaluation would
                 # drown an identical zero in amplified rounding noise).
-                from localperiods.weylsum import (act_exact, b_factor_exact,
-                                                  special_vectors_exact)
-                X, x = special_vectors_exact(case, l_big, q)
+                X, x = special_vectors(case, l_big, q)
                 for wp in enumerate_weyl(l_big):
                     for w in enumerate_weyl(l_small):
                         if wp.is_identity and w.is_identity:
                             continue
-                        bv = b_factor_exact(case, act_exact(wp, X), act_exact(w, x), q)
+                        bv = _b_values(case, act(wp, X), act(w, x), Fraction(1, q))
                         worst_special = max(worst_special, abs(float(bv)))
     ok = worst < 1e-6 and worst_special < 1e-10
     report_line("criterion 3: Weyl-sum constancy + motive value + special vectors", ok,
@@ -193,7 +192,6 @@ def test_criterion_7_appendix_suite():
 
 def test_criterion_8_alternating_sign():
     with timed(1.0) as t:
-        field = inert_place(2)
         worst = 0.0
         rng = np.random.default_rng(108)
         for case in (Case.A, Case.B):
@@ -201,15 +199,15 @@ def test_criterion_8_alternating_sign():
                 r_big = rho_big(case, l)
                 r_small = rho_small(case, l)
                 for _ in range(20):
-                    X = unit_chars(rng, l)
-                    base1 = rho_monomial(X, r_big, WeylElement.identity(l)) * d1_factor(case, X, field)
-                    base0 = rho_monomial(X, r_small, WeylElement.identity(l)) * d0_factor(case, X, field)
+                    X = unit_values(rng, l)
+                    base1 = rho_monomial(X, r_big, WeylElement.identity(l)) * _d1_values(case, X)
+                    base0 = rho_monomial(X, r_small, WeylElement.identity(l)) * _d0_values(case, X)
                     for w in enumerate_weyl(l):
                         moved = act(w, X)
                         worst = max(worst, abs(rho_monomial(X, r_big, w)
-                                               * d1_factor(case, moved, field) - w.sign * base1))
+                                               * _d1_values(case, moved) - w.sign * base1))
                         worst = max(worst, abs(rho_monomial(X, r_small, w)
-                                               * d0_factor(case, moved, field) - w.sign * base0))
+                                               * _d0_values(case, moved) - w.sign * base0))
     ok = worst < 1e-10
     report_line("criterion 8: alternating-sign structure of d1/d0", ok,
                 f"max defect {worst:.1e}, {t.elapsed:.2f}s")

@@ -284,6 +284,27 @@ def test_usage_error_bad_q(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "--tol must be positive"),
+    ("--tol", "0", "--tol must be positive"),
+    ("--seed", "-1", "--seed must be nonnegative"),
+], ids=["tol-nan", "tol-zero", "seed-negative"])
+def test_usage_error_names_the_flag(capsys, flag, value, message):
+    # a nan tolerance would fail every sample; a negative seed reached numpy
+    code, out, err = run_cli(capsys, "identity", "--n", "1", "--place", "inert", "--q", "2",
+                             "--samples", "1", flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_table_takes_no_format(capsys, fmt):
+    # table always writes CSV, so it has no --format to ignore
+    code, out, err = run_cli(capsys, "table", "--n", "1", "--place", "inert", "--q", "2",
+                             "--samples", "1", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --format" in err
+
+
 def test_basecase_default_place(capsys):
     code, out, _ = run_cli(capsys, "basecase", "--q", "2", "--samples", "20")
     assert code == 0

@@ -23,6 +23,9 @@ def test_report_invariants():
     r = VerificationReport("x", 1, PlaceKind.INERT, 2, 1, 0, 1.0, 1e-7, False,
                            (FactorDiff("f", 1.0, 2.0),))
     assert not r.passed and r.to_json_dict()["pass"] is False
+    with pytest.raises(ValueError, match="tolerance"):
+        VerificationReport("x", 1, PlaceKind.INERT, 2, 1, 0, 1.0, float("nan"), False,
+                           (FactorDiff("f", 1.0, 2.0),))
 
 
 def test_lratio_unit_characters_direct_assembly():
@@ -210,14 +213,16 @@ def test_sampler_exhausted_on_degenerate_stream():
 
 def _orbit_walk_ok(n, small, big):
     # the former sampler check: every Weyl translate of the inverted data
-    from localperiods import act, case_for, d0_factor, d1_factor, enumerate_weyl
+    from localperiods import case_for
     from localperiods.identity import GENERIC_EPS
+    from localperiods.weylsum import _d0_values, _d1_values
+    from weylref import act, enumerate_weyl
     case = case_for(n + 1)
-    X = [c.inv() for c in big.chars]
-    x = [c.inv() for c in small.chars]
-    return (all(abs(d1_factor(case, act(w, X), big.field)) > GENERIC_EPS
+    X = [c.inv().value for c in big.chars]
+    x = [c.inv().value for c in small.chars]
+    return (all(abs(_d1_values(case, act(w, X))) > GENERIC_EPS
                 for w in enumerate_weyl(len(X)))
-            and all(abs(d0_factor(case, act(w, x), small.field)) > GENERIC_EPS
+            and all(abs(_d0_values(case, act(w, x))) > GENERIC_EPS
                     for w in enumerate_weyl(len(x))))
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import unit_values
 from localperiods import (Base, CharValue, WDParam, adjoint_gl, bc_param,
-                          direct_sum, gamma_char, induce,
-                          induce_preservation_defect, inert_place, make_datum,
-                          split_place, theta_param_1to2,
+                          direct_sum, gamma_char, induce, inert_place,
+                          make_datum, split_place, theta_param_1to2,
                           theta_param_2to3, twist, verify_appendix)
 from localperiods.identity import rel_err
+from weylref import induce_preservation_defect
 
 
 def ms(values, digits=9):

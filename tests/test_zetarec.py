@@ -12,7 +12,8 @@ from localperiods import (CharValue, ConventionError, LFactor, PoleError,
 from localperiods.identity import (_rng_for, match_factor_lists, rel_err, sample_datum,
                                    sample_pair)
 from localperiods.satake import stack_data
-from localperiods.zetarec import column, series_truncation_bound
+from localperiods.zetarec import column
+from weylref import series_truncation_bound
 
 
 def closed(small, big):

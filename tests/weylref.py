@@ -1,0 +1,189 @@
+"""Test references, built without the library's orbit table (not collected).
+
+The hyperoctahedral group (Z/2)^l x| S_l element by element, its action on
+character values, the Weyl vectors and the special vectors, against which the
+tests check weylsum's orbit table, alternant and alternating-sign structure.
+Two more references with no caller in the library live here too: the induction
+defect of the parameter calculus and the split series truncation bound.
+"""
+import cmath
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from localperiods import inert_place, sample_pair
+from localperiods.identity import map_samples, rel_err, worst_err
+from localperiods.paramcalc import Base, WDParam, _draw_s, induce
+from localperiods.weylsum import (Case, _b_values, _check_rank, _d0_values,
+                                  _d1_values, _half_root, case_for, weyl_sum_A)
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """Element of (Z/2)^l x| S_l: perm[i] is the 0-based image of i, flips in {+-1}.
+
+    Acting on a character tuple: entry i of the result is entry perm^{-1}(i) of
+    the input raised to flips[i].
+    """
+
+    perm: tuple[int, ...]
+    flips: tuple[int, ...]
+
+    def __post_init__(self):
+        if sorted(self.perm) != list(range(len(self.perm))):
+            raise ValueError(f"not a permutation: {self.perm}")
+        if len(self.flips) != len(self.perm) or any(f not in (1, -1) for f in self.flips):
+            raise ValueError(f"flips must be +-1 of matching length: {self.flips}")
+
+    @classmethod
+    def identity(cls, l: int) -> "WeylElement":
+        return cls(tuple(range(l)), (1,) * l)
+
+    @property
+    def rank(self) -> int:
+        return len(self.perm)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.perm == tuple(range(self.rank)) and all(f == 1 for f in self.flips)
+
+    @property
+    def sign(self) -> int:
+        return _perm_sign(self.perm) * math.prod(self.flips)
+
+    def inverse_perm(self) -> tuple[int, ...]:
+        return tuple(sorted(range(self.rank), key=self.perm.__getitem__))
+
+    def compose(self, other: "WeylElement") -> "WeylElement":
+        """self applied after other, so acting with the result equals acting
+        with other first and self second."""
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
+        perm = tuple(self.perm[other.perm[i]] for i in range(self.rank))
+        inv1 = self.inverse_perm()
+        flips = tuple(self.flips[i] * other.flips[inv1[i]] for i in range(self.rank))
+        return WeylElement(perm, flips)
+
+
+def _perm_sign(perm) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def enumerate_weyl(l: int) -> tuple[WeylElement, ...]:
+    """All 2^l l! elements, identity first, in deterministic order."""
+    _check_rank(l)
+    out = []
+    for perm in itertools.permutations(range(l)):
+        for flips in itertools.product((1, -1), repeat=l):
+            out.append(WeylElement(perm, flips))
+    return tuple(out)
+
+
+def act(w: WeylElement, values) -> tuple:
+    """w acting on character values (complex or Fraction): a flip inverts."""
+    if len(values) != w.rank:
+        raise ValueError(f"rank {w.rank} element acting on {len(values)} values")
+    inv = w.inverse_perm()
+    return tuple(values[inv[i]] if w.flips[i] == 1 else 1 / values[inv[i]]
+                 for i in range(w.rank))
+
+
+def rho_small(case: Case, rank: int) -> tuple[int, ...]:
+    """The doubled exponents 2 rho paired with d0: rho = (l-1/2, ..., 1/2) in
+    case A, (l, ..., 1) in case B."""
+    if case is Case.A:
+        return tuple(2 * (rank - i) - 1 for i in range(rank))
+    return tuple(2 * (rank - i) for i in range(rank))
+
+
+def rho_monomial(values, two_rho, w: WeylElement) -> complex:
+    """(w . values)^{-rho} with branch-consistent half powers.
+
+    two_rho holds the doubled exponents (a tuple, or rho_big's column).  Each
+    original value gets one fixed square root; a flipped entry contributes the
+    inverse integer power of that root, so the alternating identity
+    D_{w X} = sgn(w) D_X is exact up to rounding.
+    """
+    roots = [complex(v) ** 0.5 for v in values]
+    inv = w.inverse_perm()
+    out = 1.0 + 0.0j
+    for i, e in enumerate(np.ravel(two_rho).tolist()):
+        out *= roots[inv[i]] ** (-e * w.flips[i])
+    return out
+
+
+def special_vectors(case: Case, l_big: int, q_F: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The distinguished rational character values at which only the identity
+    Weyl pair contributes to the double sum.  All entries are integer powers of
+    q_F (half-integer powers of q_E), so exact arithmetic applies: b on them,
+    with root q_E^{-1/2} = 1/q_F, is a Fraction."""
+    qe = Fraction(q_F * q_F)
+    if case is Case.A:
+        big = [1 / qe ** (l_big - i) for i in range(l_big)]
+        small = [Fraction(1, q_F ** (2 * (l_big - i) - 1)) for i in range(l_big)]
+    else:
+        big = [Fraction(1, q_F ** (2 * (l_big - i) - 1)) for i in range(l_big)]
+        small = [1 / qe ** (l_big - 1 - i) for i in range(l_big - 1)]
+    return big, small
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def double_sum(case: Case, X, x, root) -> tuple[complex, float]:
+    """The defining double sum over W_big x W_small, term by term, and the
+    worst-case rounding of that sum: every term is a product of at most
+    4 (l_big + l_small)^2 + 10 rounded operations, and the running sum adds one
+    rounding per term, so the error is at most
+    (terms + 4 (l_big + l_small)^2 + 10) u sum |term|."""
+    total, magnitude, terms = 0j, 0.0, 0
+    for wp in enumerate_weyl(len(X)):
+        Xs = act(wp, X)
+        d1 = _d1_values(case, Xs)
+        for w in enumerate_weyl(len(x)):
+            xs = act(w, x)
+            term = _b_values(case, Xs, xs, root) / (d1 * _d0_values(case, xs))
+            total += term
+            magnitude += abs(term)
+            terms += 1
+    ops = 4 * (len(X) + len(x)) ** 2 + 10
+    return total, (terms + ops) * UNIT_ROUNDOFF * magnitude
+
+
+def assert_weyl_sum_matches_double_sum(n_plus_1: int, q: int) -> None:
+    """weyl_sum_A on three sampled inverted pairs lies within the double sum's
+    own rounding bound of it."""
+    field = inert_place(q)
+    case = case_for(n_plus_1)
+    for k in range(3):
+        small, big = sample_pair(n_plus_1 - 1, field, np.random.default_rng([n_plus_1, q, k]))
+        X = [c.inv() for c in big.chars]
+        x = [c.inv() for c in small.chars]
+        reference, bound = double_sum(case, [c.value for c in X], [c.value for c in x],
+                                      _half_root(field))
+        assert abs(weyl_sum_A(case, X, x, field) - reference) <= bound
+
+
+def induce_preservation_defect(field, samples: int = 20, seed: int = 0,
+                               s_points: int = 20) -> float:
+    """max relative gap between L_F(s, Ind z) and L_E(s, z) on random data."""
+    def one(rng):
+        param = WDParam(Base.OVER_E, (cmath.exp(2j * cmath.pi * rng.uniform()),))
+        ind = induce(param)
+        return worst_err(rel_err(ind.lfactor(s, field), param.lfactor(s, field))
+                         for s in _draw_s(rng, s_points))
+
+    return worst_err(map_samples(one, samples, seed))
+
+
+def series_truncation_bound(field, terms: int) -> float:
+    """The tail of zeta_base_split_series after `terms` terms, for unitary
+    characters: 2 q^{-(terms+1)/2} / (1 - q^{-1/2})."""
+    root = 1.0 / math.sqrt(field.q_F)
+    return 2.0 * root ** (terms + 1) / (1.0 - root)
