@@ -11,10 +11,10 @@ Output is deterministic for a fixed command line: per-sample randomness is
 derived from (seed, sample index), floats are rendered at a fixed precision
 with sorted keys, and the optional worker pool (--threads N, `table` included)
 only maps pure per-sample closures, reduced in index order by the single
-writer.  For `recursion` the pool maps only the draws: the report then builds
-and evaluates its factor lists once, for all samples stacked.  Samples run in
-the calling thread by default: the per-sample work holds the GIL, so a thread
-pool makes runs slower, not faster.
+writer.  For `identity`, `table` and `recursion` the pool maps only the draws:
+the report then builds and evaluates its factor lists once, for all samples
+stacked.  Samples run in the calling thread by default: the per-sample work
+holds the GIL, so a thread pool makes runs slower, not faster.
 
 The argument parser is built once, when the module is imported, and every
 main() call parses with it: building it costs about 15 parses, so in-process
@@ -96,8 +96,12 @@ class RunConfig:
             raise UsageError("--samples must be >= 1")
         if not self.tol > 0:  # nan included
             raise UsageError("--tol must be positive")
+        if math.isinf(self.tol):  # every finite error would pass
+            raise UsageError("--tol must be positive and finite")
         if self.seed < 0:
             raise UsageError("--seed must be nonnegative")
+        if self.terms < 1:
+            raise UsageError("--terms must be >= 1")
         if not self.q:
             raise UsageError("need at least one --q")
         for q in self.q:

@@ -10,32 +10,36 @@ factors at s + 1/2.  On a failing sample both sides are re-evaluated via their
 independent routes (closed form vs recursion, transcription vs determinant,
 Weyl sum vs motive value) and the first diverging constituent formula is
 reported factor by factor.  zeta is evaluated only through its factor lists
-and factor_product.  The identity check builds each route's list once per
-sample, and a miss pairs the same two lists.  The recursion check stacks its
-samples (stack_data) and builds each route's list once per report; a miss
-pairs the two lists' columns for that sample.
+and factor_product.
+
+Both the identity (StackedIdentity) and the recursion check stack their
+samples: the samples are drawn one by one (pool_map maps only the draws) and
+stacked (stack_data), each Euler-product route is built once per report and
+multiplied for every sample by one factor_product call, and a sample whose
+stacked product stops (nan) is evaluated again alone, so it raises what it
+would raise alone.
 
 Every check is a set of argument guards plus a per-sample function one(x)
 that returns the sample's relative error and a thunk localize() -> factor
 diffs.  map_samples alone turns sample index k into rng, seeded from (seed, k);
-the recursion check draws through it and then judges sample k of its stacked
+the stacked checks draw through it and then judge sample k of their stacked
 products.  _judged calls localize() within the step of each sample whose error
 is not within tol, and _report keeps the worst error (worst_err: nan if any
 error is nan, so a nan sample fails wherever it falls), keeps the first diff
 per factor label in sample order, and builds the report.  `table` renders the
-same per-sample values, identity_row, that verify_localcalc compares.
-identity_row combines the sample's terms (sample_terms: the closed zeta list,
-L(1/2) of the standard tensor and, at inert places, the Weyl sum), and a miss's
-probes compare those same values with their other routes instead of
-recomputing them.  match_factor_lists pairs two factor lists through one
-matrix of candidate pairs per group, compared in a few array operations.
+same per-sample rows that verify_localcalc compares (StackedIdentity.terms),
+and a miss's probes compare the values of its row with their other routes
+instead of recomputing them.  match_factor_lists is the one matcher, for plain
+factor lists and for column k of stacked ones, whose alphas it reads in place;
+it pairs through one matrix of candidate pairs per group, compared in a few
+array operations, and builds only the leftover factors it reports.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
@@ -47,7 +51,7 @@ from .satake import (SatakeDatum, adjoint_lfactor, make_datum, stack_data,
                      std_tensor_lfactor, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
                       s_value_inert, s_value_split, weyl_sum_A)
-from .zetarec import (ConventionError, LFactor, column, factor_product,
+from .zetarec import (ConventionError, LFactor, column, column_alphas, factor_product,
                       zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
 
@@ -176,79 +180,106 @@ def lratio(s: complex, small: SatakeDatum, big: SatakeDatum,
     return std / (adjoint_lfactor(s + 0.5, big) * adjoint_lfactor(s + 0.5, small))
 
 
-class SampleTerms(NamedTuple):
-    """The values of one sample that identity_row combines and that a miss's
-    probes read again, each computed once."""
+def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
+    """zeta(X, x) times the spherical average S at the inverted characters;
+    zeta is the product of the closed factor list."""
+    n = big.m - 2
+    z = factor_product(zeta_closed_factors(small, big))
+    if big.field.is_inert:
+        z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
+        return z * s_value_inert(big.chars, small.chars, n, big.field, z_inv)
+    return z * s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
 
-    closed: list[LFactor]  # the closed zeta factor list
+
+class SampleTerms(NamedTuple):
+    """One sample's identity row, and the values in it that a miss's probes
+    read again; each is computed once."""
+
+    row: tuple[complex, ...]  # zeta, S, Delta, L(1/2)/(Ad*Ad), lhs, rhs, rel err
     std: complex  # L(1/2) of the standard tensor
     weyl: complex | None  # the Weyl sum A at the inverted characters; None if split
 
 
-def sample_terms(small: SatakeDatum, big: SatakeDatum) -> SampleTerms:
-    weyl = None
-    if big.field.is_inert:
-        weyl = weyl_sum_A(case_for(big.m - 1), [c.inv() for c in big.chars],
-                          [c.inv() for c in small.chars], big.field)
-    return SampleTerms(zeta_closed_factors(small, big), std_tensor_lfactor(0.5, small, big),
-                       weyl)
+class StackedIdentity:
+    """The identity's samples of one report, stacked (stack_data), with each
+    Euler-product route built once and multiplied for every sample by one
+    factor_product call: the closed zeta list, at inert places the inverted
+    closed list, and at split places S(1) (s_value_split).  The Weyl sum, the
+    standard tensor and the adjoints are evaluated on each sample's own data,
+    by terms(k)."""
+
+    def __init__(self, n: int, field: FieldData,
+                 pairs: list[tuple[SatakeDatum, SatakeDatum]]):
+        self.n, self.field, self.pairs = n, field, pairs
+        samples = len(pairs)
+        self.small, self.big = (stack_data(data) for data in zip(*pairs))
+        self.closed = zeta_closed_factors(self.small, self.big)
+        self.z = factor_product(self.closed, samples).tolist()
+        if field.is_inert:
+            self.closed_inv = zeta_closed_factors(self.small.inverted(), self.big.inverted())
+            self.z_inv = factor_product(self.closed_inv, samples).tolist()
+        else:
+            self.s_split = s_value_split(self.big.inverted().chars,
+                                         self.small.inverted().chars, n, field).tolist()
+
+    @cached_property
+    def recursive(self) -> list[LFactor]:
+        """The recursive zeta list, stacked, built when a miss first asks."""
+        return zeta_recursive_factors(self.small, self.big)
+
+    def terms(self, k: int) -> SampleTerms:
+        """Sample k's terms, taken in the order of a sample evaluated alone:
+        the Weyl sum, L(1/2), zeta, S, then the adjoints.  A stacked product
+        that stopped (nan) is evaluated again alone, so the sample raises
+        what, and where, it would raise alone."""
+        n, field, (small, big) = self.n, self.field, self.pairs[k]
+        weyl = None
+        if field.is_inert:
+            weyl = weyl_sum_A(case_for(n + 1), [c.inv() for c in big.chars],
+                              [c.inv() for c in small.chars], field)
+        std = std_tensor_lfactor(0.5, small, big)
+        z = _alone(self.z[k], lambda: factor_product(column(self.closed, k)))
+        if field.is_inert:
+            z_inv = _alone(self.z_inv[k], lambda: factor_product(column(self.closed_inv, k)))
+            s_val = s_value_inert(big.chars, small.chars, n, field, z_inv, weyl)
+        else:
+            s_val = _alone(self.s_split[k], lambda: s_value_split(
+                big.inverted().chars, small.inverted().chars, n, field))
+        delta, lr = motive_delta(big.m, field), lratio(0.5, small, big, std)
+        lhs, rhs = z * s_val, delta * lr
+        return SampleTerms((z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)), std, weyl)
 
 
-def period_terms(small: SatakeDatum, big: SatakeDatum, closed: list[LFactor] | None = None,
-                 weyl: complex | None = None) -> tuple[complex, complex]:
-    """zeta(X, x) and the spherical average S at the inverted characters; zeta is
-    the product of the closed factor list, built here unless it is given, and
-    the inert S uses the Weyl sum weyl if it is given."""
-    n = big.m - 2
-    if closed is None:
-        closed = zeta_closed_factors(small, big)
-    z = factor_product(closed)
-    if big.field.is_inert:
-        z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
-        return z, s_value_inert(big.chars, small.chars, n, big.field, z_inv, weyl)
-    return z, s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
+def _alone(value: complex, evaluate) -> complex:
+    # a stacked sample's value, or its value alone where its product stopped
+    return evaluate() if cmath.isnan(value) else value
 
 
-def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
-    """zeta(X, x) times the spherical average S at the inverted characters."""
-    z, s_val = period_terms(small, big)
-    return z * s_val
-
-
-def identity_row(small: SatakeDatum, big: SatakeDatum,
-                 terms: SampleTerms | None = None) -> tuple[complex, ...]:
+def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
     """zeta, S, Delta and L(1/2)/(Ad*Ad) of one sample, then lhs = zeta * S,
-    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error, from the sample's
-    terms, computed here unless they are given."""
-    closed, std, weyl = sample_terms(small, big) if terms is None else terms
-    z, s_val = period_terms(small, big, closed, weyl)
-    delta, lr = motive_delta(big.m, big.field), lratio(0.5, small, big, std)
-    lhs, rhs = z * s_val, delta * lr
-    return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
+    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error."""
+    return StackedIdentity(big.m - 2, big.field, [(small, big)]).terms(0).row
 
 
 # ---------------------------------------------------------------------------
 # factor-level localization
 
 
-def _pair_off(a_list: list[LFactor],
-              b_list: list[LFactor]) -> tuple[list[LFactor], list[LFactor]]:
-    # Pair each a with the first unpaired b, in list order, whose character
-    # value is within MATCH_RTOL * max(1, |a|) of a's (a nan value never pairs);
-    # return the unpaired of both lists, each in its order.  The candidates
-    # are one matrix of every a against every b; the candidate pairs come
-    # row by row, each row's in list order, so a row takes its first b that
-    # no earlier row took.
-    a = np.array([f.alpha for f in a_list], dtype=complex)
-    b = np.array([f.alpha for f in b_list], dtype=complex)
+def _pair_off(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
+    # Pair each a with the first unpaired b, in order, whose value is within
+    # MATCH_RTOL * max(1, |a|) of a's (a nan value never pairs); return the
+    # positions of the unpaired of both, each in order.  The candidates are
+    # one matrix of every a against every b; the candidate pairs come row by
+    # row, each row's in order, so a row takes its first b that no earlier
+    # row took.
     with np.errstate(invalid="ignore"):
         near = np.abs(a[:, None] - b) <= MATCH_RTOL * np.maximum(1.0, np.abs(a))[:, None]
-    paired_a, paired_b = [False] * len(a_list), [False] * len(b_list)
+    paired_a, paired_b = [False] * len(a), [False] * len(b)
     for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
         if not (paired_a[i] or paired_b[j]):
             paired_a[i] = paired_b[j] = True
-    return ([f for f, paired in zip(a_list, paired_a) if not paired],
-            [f for f, paired in zip(b_list, paired_b) if not paired])
+    return ([i for i, paired in enumerate(paired_a) if not paired],
+            [j for j, paired in enumerate(paired_b) if not paired])
 
 
 @lru_cache(maxsize=256)
@@ -258,50 +289,73 @@ def _exponent(s: float, q: int) -> float:
     return round(s * math.log(q), 9)
 
 
-def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor]) -> list[FactorDiff]:
+def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
+                       k: int | None = None) -> list[FactorDiff]:
     """Pair up two factor lists by (q^-s, inverse) and character value; report
     the leftovers as named diffs, labelled by the left (closed-form) side.
 
     Factors are grouped by the effective exponent s*log(q), so that the same
     Euler factor written over q_E = q_F^2 at s and over q_F at 2s (as at inert
     places) is one group.  A factor and an inverse factor of one side with the
-    same exponent and character value cancel, so they are dropped first."""
-    groups: dict[tuple, tuple[list[LFactor], list[LFactor]]] = {}
-    for side, factors in enumerate((lhs, rhs)):
+    same exponent and character value cancel, so they are dropped first.
+
+    With k, the lists are stacked and their column k (see zetarec.column) is
+    paired: the pairing reads sample k's alphas, and only the leftover
+    factors are built, with sample k's alpha, to be evaluated."""
+    sides = (lhs, rhs)
+    alphas = [[f.alpha for f in side] if k is None else column_alphas(side, k)
+              for side in sides]
+    values = [np.array(side, dtype=complex) for side in alphas]
+    groups: dict[tuple, tuple[list[int], list[int]]] = {}
+    for side, factors in enumerate(sides):
+        keys = list(map(attrgetter("s", "q", "inverse"), factors))
         # a list comes in runs of one (s, q, inverse): key each run once
-        for (s, q, inverse), run in groupby(factors, attrgetter("s", "q", "inverse")):
+        for (s, q, inverse), run in groupby(range(len(keys)), keys.__getitem__):
             groups.setdefault((_exponent(s, q), inverse), ([], []))[side].extend(run)
+
+    def pair_off(a_side: int, a_pos: list[int], b_side: int,
+                 b_pos: list[int]) -> tuple[list[int], list[int]]:
+        a_left, b_left = _pair_off(values[a_side][a_pos], values[b_side][b_pos])
+        return [a_pos[i] for i in a_left], [b_pos[j] for j in b_left]
+
+    def factor(side: int, pos: int) -> LFactor:
+        f = sides[side][pos]
+        return f if k is None else f._replace(alpha=alphas[side][pos])
+
     for (exponent, inverse), direct in groups.items():
         inverted = groups.get((exponent, True))
         if not inverse and inverted is not None:
             for side in (0, 1):
-                direct[side][:], inverted[side][:] = _pair_off(direct[side], inverted[side])
+                direct[side][:], inverted[side][:] = pair_off(side, direct[side],
+                                                              side, inverted[side])
     diffs: list[FactorDiff] = []
-    for _, (a_list, b_list) in sorted(groups.items()):
-        unmatched_a, remaining = _pair_off(a_list, b_list)
-        for i, a in enumerate(unmatched_a):
+    for _, (a_pos, b_pos) in sorted(groups.items()):
+        unmatched_a, remaining = pair_off(0, a_pos, 1, b_pos)
+        for i, a in enumerate(factor(0, pos) for pos in unmatched_a):
             if i < len(remaining):
-                b = remaining[i]
+                b = factor(1, remaining[i])
                 diffs.append(FactorDiff(f"{a.label} [vs {b.label}]", a.value(), b.value()))
             else:
                 diffs.append(FactorDiff(f"{a.label} [unmatched]", a.value(), cmath.nan))
-        for b in remaining[len(unmatched_a):]:
+        for b in (factor(1, pos) for pos in remaining[len(unmatched_a):]):
             diffs.append(FactorDiff(f"[missing] {b.label}", cmath.nan, b.value()))
     return diffs
 
 
-def _probe_factors(n: int, small: SatakeDatum, big: SatakeDatum, terms: SampleTerms,
-                   lhs: complex, rhs: complex, tol: float) -> list[FactorDiff]:
-    # terms are the sample's values, as identity_row combined them
-    diffs = match_factor_lists(terms.closed, zeta_recursive_factors(small, big))
+def _probe_factors(stack: StackedIdentity, k: int, terms: SampleTerms,
+                   tol: float) -> list[FactorDiff]:
+    # terms are sample k's values, as stack.terms(k) combined them
+    small, big = stack.pairs[k]
+    diffs = match_factor_lists(stack.closed, stack.recursive, k)
     v_det = std_tensor_lfactor_det(0.5, small, big)
     if not rel_err(terms.std, v_det) <= tol:
         diffs.append(FactorDiff("std_tensor(1/2) vs determinant oracle", terms.std, v_det))
     if terms.weyl is not None:
-        a_expect = motive_A_value(n + 1, big.field)
+        a_expect = motive_A_value(stack.n + 1, big.field)
         if not rel_err(terms.weyl, a_expect) <= tol:
             diffs.append(FactorDiff("weyl_sum vs motive value", terms.weyl, a_expect))
     if not diffs:
+        *_, lhs, rhs, _ = terms.row
         diffs.append(FactorDiff("zeta*S vs Delta*L(1/2)/(Ad*Ad)", lhs, rhs))
     return diffs
 
@@ -343,27 +397,38 @@ def _report(check: str, n: int, field: FieldData, seed: int, tol: float,
         factor_diffs=() if passed else diffs)
 
 
+def _draw_pairs(n: int, field: FieldData, samples: int, seed: int,
+                pool_map) -> list[tuple[SatakeDatum, SatakeDatum]]:
+    """The samples' (small, big) pairs, drawn one by one (pool_map maps the
+    draws), for the checks that stack them."""
+    return map_samples(lambda rng: sample_pair(n, field, rng), samples, seed,
+                       pool_map=pool_map)
+
+
 def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                      tol: float = 1e-7, pool_map=map,
                      allow_large: bool = False) -> VerificationReport:
-    """Seeded end-to-end check of the period identity for the pair (n+1, n+2)."""
+    """Seeded end-to-end check of the period identity for the pair (n+1, n+2).
+
+    The samples are stacked (StackedIdentity) and judged in order; a miss is
+    probed on its sample's terms and columns of the stacked lists."""
     if not allow_large and not 1 <= n <= 3:
         raise ValueError(f"n={n} outside the guarded range 1..3 (pass allow_large to override)")
+    stack = StackedIdentity(n, field, _draw_pairs(n, field, samples, seed, pool_map))
 
-    def one(rng):
-        small, big = sample_pair(n, field, rng)
-        terms = sample_terms(small, big)
-        *_, lhs, rhs, err = identity_row(small, big, terms)
-        return err, lambda: _probe_factors(n, small, big, terms, lhs, rhs, tol)
+    def one(k):
+        terms = stack.terms(k)
+        return terms.row[-1], lambda: _probe_factors(stack, k, terms, tol)
 
-    return _run_check("identity", n, field, samples, seed, tol, one, pool_map)
+    return _report("identity", n, field, seed, tol,
+                   list(map(_judged(one, tol), range(samples))))
 
 
 def identity_table(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                    pool_map=map) -> list[tuple[complex, ...]]:
     """verify_localcalc's samples as rows of the identity's constituents."""
-    return map_samples(lambda rng: identity_row(*sample_pair(n, field, rng)),
-                       samples, seed, pool_map=pool_map)
+    stack = StackedIdentity(n, field, _draw_pairs(n, field, samples, seed, pool_map))
+    return [stack.terms(k).row for k in range(samples)]
 
 
 def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
@@ -395,29 +460,25 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
     each route's factor list is built once for the whole report and
     factor_product evaluates every sample at once.  A sample whose product
     stops (nan) is evaluated again on its own column, which raises what it
-    would have raised alone, and a miss is localized on its columns."""
+    would have raised alone, and a miss is localized on its columns of the
+    two lists."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pairs = map_samples(lambda rng: sample_pair(n, field, rng), samples, seed,
-                        pool_map=pool_map)
-    small, big = (stack_data(data) for data in zip(*pairs))
+    small, big = (stack_data(data) for data in zip(*_draw_pairs(n, field, samples, seed,
+                                                                pool_map)))
     closed = zeta_closed_factors(small, big)
     recursive = zeta_recursive_factors(small, big)
     z_closed = factor_product(closed, samples).tolist()
     z_recursive = factor_product(recursive, samples).tolist()
 
     def one(k):
-        lhs, rhs = z_closed[k], z_recursive[k]
-        if cmath.isnan(lhs):
-            lhs = factor_product(column(closed, k))
-        if cmath.isnan(rhs):
-            try:
-                rhs = factor_product(column(recursive, k))
-            except ConventionError as err:
-                diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
-                return float("inf"), lambda: [diff]
-        return rel_err(lhs, rhs), lambda: match_factor_lists(column(closed, k),
-                                                             column(recursive, k))
+        lhs = _alone(z_closed[k], lambda: factor_product(column(closed, k)))
+        try:
+            rhs = _alone(z_recursive[k], lambda: factor_product(column(recursive, k)))
+        except ConventionError as err:
+            diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
+            return float("inf"), lambda: [diff]
+        return rel_err(lhs, rhs), lambda: match_factor_lists(closed, recursive, k)
 
     return _report("recursion", n, field, seed, tol,
                    list(map(_judged(one, tol), range(samples))))

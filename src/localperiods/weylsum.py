@@ -23,10 +23,12 @@ smaller group:
 
 The inert S(1) is A times the character-free normalizations (Iwahori volumes
 and a q-power); the split S(1) is the GL_{n+1} x GL_{n+2} double average in
-closed form.  Conventions the verified formulas leave open (q-length of the
-long Weyl element, tuple coordinate order, measure normalization) are fixed
-here to the unique choices under which the end-to-end period identity closes;
-see the function docstrings.
+closed form, a numerator and a denominator factor list that
+zetarec.factor_product multiplies, so it takes stacked characters too.
+Conventions the verified formulas leave open (q-length of the long Weyl
+element, tuple coordinate order, measure normalization) are fixed here to the
+unique choices under which the end-to-end period identity closes; see the
+function docstrings.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numfield import (CharValue, FieldData, POLE_EPS, PoleError,
-                       euler_factor, motive_delta_exact)
+from .numfield import CharValue, FieldData, POLE_EPS, PoleError, motive_delta_exact
+from .zetarec import LFactor, factor_product
 
 MAX_WEYL_RANK = 6  # 2^6 * 6! = 46080 elements
 WEYL_BLOCK = 4096  # small translates per block of the alternant sum (rank 5 has 3840)
@@ -320,6 +322,12 @@ def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
     coordinates are half-block reversed, and the value is normalized by the GL
     Iwahori volumes of both groups (the closed form is Iwahori-measure native,
     while hyperspecial volume 1 is needed here).
+
+    The numerator and denominator are factor lists, each multiplied from 1
+    in list order by factor_product.  Stacked characters (see
+    satake.stack_data) give an object array of one value per sample, each
+    bit-identical to that sample's own value; a sample that meets a pole is
+    nan there and raises PoleError, naming the factor, when evaluated alone.
     """
     if not field.is_split:
         raise ValueError("split formula requested at an inert place")
@@ -329,20 +337,28 @@ def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
     q = field.q_F
     X = _half_reversed([c.value for c in big_chars])
     x = _half_reversed([c.value for c in small_chars])
-    num = 1.0 + 0.0j
+    num: list[LFactor] = []
     for i in range(1, n + 3):
         for j in range(i + 1, n + 3):
-            num *= euler_factor(0.5, q, x[i] * X[n - j + 3])
+            num.append(LFactor(f"L_F(1/2, x{i}*X{n - j + 3})", 0.5, q, x[i] * X[n - j + 3]))
     for i in range(1, n + 2):
         for j in range(1, i + 1):
-            num *= euler_factor(0.5, q, 1.0 / (x[i] * X[n - j + 3]))
-    den = 1.0 + 0.0j
+            num.append(LFactor(f"L_F(1/2, (x{i}*X{n - j + 3})^-1)", 0.5, q,
+                               1.0 / (x[i] * X[n - j + 3])))
+    den: list[LFactor] = []
     for i in range(1, n + 2):
-        den *= euler_factor(i, q, 1.0 + 0.0j)
+        den.append(LFactor(f"zeta_F({i})", i, q, 1.0 + 0.0j))
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
-            den *= euler_factor(1.0, q, x[i] / x[j])
+            den.append(LFactor(f"L_F(1, x{i}/x{j})", 1.0, q, x[i] / x[j]))
     for i in range(1, n + 3):
         for j in range(i + 1, n + 3):
-            den *= euler_factor(1.0, q, X[i] / X[j])
-    return float(_s_scale(n, field)) * num / den
+            den.append(LFactor(f"L_F(1, X{i}/X{j})", 1.0, q, X[i] / X[j]))
+    samples = len(X[1]) if isinstance(X[1], np.ndarray) else None
+    num_v, den_v = factor_product(num, samples), factor_product(den, samples)
+    if samples is None:
+        return float(_s_scale(n, field)) * num_v / den_v
+    # the last two operations in Python's complex arithmetic, on each sample;
+    # numpy would warn on the floating-point flags a nan sample raises there
+    with np.errstate(all="ignore"):
+        return float(_s_scale(n, field)) * num_v.astype(object) / den_v.astype(object)

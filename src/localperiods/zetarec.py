@@ -14,7 +14,9 @@ Every route is an explicit list of LFactor records (zeta_closed_factors,
 zeta_recursive_factors), and factor_product is the one array kernel that
 multiplies a list: a list of scalars, or a stacked list whose alphas hold one
 value per sample, so that a report builds each route once for all its
-samples.  An LFactor is a named tuple (label, s, q, alpha, inverse,
+samples.  A scalar alpha in a stacked list, such as the 1 of zeta_F(i) in
+S(1) at split places (weylsum.s_value_split), is broadcast to every sample.
+An LFactor is a named tuple (label, s, q, alpha, inverse,
 convention_sensitive); f.value() evaluates one factor through
 numfield.euler_factor, and factor_product rounds every factor as it does.  So
 two routes can be compared factor by factor and a discrepancy
@@ -30,6 +32,7 @@ times nu, second times mu); at inert places the two pairings coincide.
 from __future__ import annotations
 
 import math
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -71,12 +74,12 @@ def factor_product(factors: list[LFactor], samples: int | None = None) -> comple
     """The product of the factor values, in list order, as one array kernel.
 
     A list of scalar factors gives a complex.  A stacked list, each alpha an
-    array of one value per sample (see stack_data), gives an array of the
-    `samples` products, ones for an empty list.  Each product multiplies the
-    values of f.value() from 1 in list order, and numpy's complex reciprocal
-    and sequential reduction round as Python's complex arithmetic does, so it
-    is the left-to-right product to the last bit (only the sign of an exactly
-    zero part may differ).
+    array of one value per sample (see stack_data) or a scalar that every
+    sample shares, gives an array of the `samples` products, ones for an
+    empty list.  Each product multiplies the values of f.value() from 1 in
+    list order, and numpy's complex reciprocal and sequential reduction round
+    as Python's complex arithmetic does, so it is the left-to-right product
+    to the last bit (only the sign of an exactly zero part may differ).
 
     A list stops at the first factor, in list order, that is a direct factor
     on its pole (PoleError, naming it) or a convention-sensitive factor (the
@@ -90,6 +93,9 @@ def factor_product(factors: list[LFactor], samples: int | None = None) -> comple
     _, s, q, alpha, inverse, sensitive = zip(*factors) if factors else ((),) * 6
     if min(q, default=2) < 2:
         raise ValueError(f"q must be >= 2, got {min(q)}")
+    if shape:  # a scalar alpha in a stacked list is every sample's alpha
+        alpha = [a if isinstance(a, np.ndarray) else np.full(shape, a, dtype=complex)
+                 for a in alpha]
     alpha = np.array(alpha, dtype=complex).reshape(per_factor[:1] + shape)
     inverse = np.array(inverse, dtype=bool).reshape(per_factor)
     den = 1.0 - np.array(list(map(q_power, q, s)), dtype=complex).reshape(per_factor) * alpha
@@ -118,11 +124,16 @@ def factor_product(factors: list[LFactor], samples: int | None = None) -> comple
     return complex(product)
 
 
+def column_alphas(factors: list[LFactor], k: int) -> list[complex]:
+    """Sample k's alpha, a Python complex, of each factor of a stacked list
+    whose alphas are all arrays (as every zeta route's are)."""
+    return list(map(itemgetter(k), map(attrgetter("alpha"), factors)))
+
+
 def column(factors: list[LFactor], k: int) -> list[LFactor]:
-    """Sample k of a stacked factor list: the same factors, with sample k's
-    Python-complex alpha each, so a miss is localized on plain factors."""
-    return [LFactor(f.label, f.s, f.q, f.alpha[k], f.inverse, f.convention_sensitive)
-            for f in factors]
+    """Sample k of a stacked factor list (see column_alphas): the same
+    factors, with sample k's alpha each, so that it can be evaluated alone."""
+    return [f._replace(alpha=a) for f, a in zip(factors, column_alphas(factors, k))]
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,20 @@ def test_usage_error_names_the_flag(capsys, flag, value, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_infinite_tol_is_usage_error(capsys):
+    # every finite error is within an infinite tolerance, so it certifies nothing
+    code, out, err = run_cli(capsys, "recursion", "--n", "1", "--q", "2", "--samples", "1",
+                             "--tol", "inf")
+    assert (code, out, err) == (2, "", "error: --tol must be positive and finite\n")
+
+
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_terms_below_one_is_usage_error(capsys, terms):
+    code, out, err = run_cli(capsys, "basecase", "--q", "2", "--samples", "1",
+                             "--terms", terms)
+    assert (code, out, err) == (2, "", "error: --terms must be >= 1\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_table_takes_no_format(capsys, fmt):
     # table always writes CSV, so it has no --format to ignore
@@ -381,16 +395,16 @@ def test_format_complex():
 
 
 def nan_error_at_sample_1(monkeypatch):
-    # identity_row gives its real values, except a nan error on the second sample
+    # L(1/2)/(Ad*Ad), evaluated per sample, is nan on the second sample only,
+    # so that sample's rhs and error are nan and the others are real
     import localperiods.identity as identity
-    real, calls = identity.identity_row, []
+    real, calls = identity.lratio, []
 
-    def row(small, big, closed=None):
+    def lratio(*args):
         calls.append(None)
-        out = real(small, big, closed)
-        return out[:-1] + (float("nan"),) if len(calls) == 2 else out
+        return complex("nan") if len(calls) == 2 else real(*args)
 
-    monkeypatch.setattr(identity, "identity_row", row)
+    monkeypatch.setattr(identity, "lratio", lratio)
 
 
 def test_nan_error_after_the_first_sample_fails_identity(monkeypatch, capsys):

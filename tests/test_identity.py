@@ -83,11 +83,10 @@ def test_identity_table_reproduces_report(field):
 
 
 def test_nan_error_is_localized(monkeypatch):
-    # a nan error is not within tol, so the sample is probed like any miss
+    # a nan error is not within tol, so the sample is probed like any miss;
+    # L(1/2)/(Ad*Ad), evaluated per sample, makes every rhs and error nan
     import localperiods.identity as identity
-    nan = complex("nan")
-    monkeypatch.setattr(identity, "identity_row",
-                        lambda small, big, closed=None: (nan,) * 6 + (float("nan"),))
+    monkeypatch.setattr(identity, "lratio", lambda *args: complex("nan"))
     report = verify_localcalc(1, split_place(2), samples=2)
     assert not report.passed
     assert [d.factor for d in report.factor_diffs] == ["zeta*S vs Delta*L(1/2)/(Ad*Ad)"]
@@ -145,13 +144,33 @@ def test_recursion_builds_each_factor_list_once_per_report(monkeypatch):
     assert calls == {"zeta_closed_factors": 1, "zeta_recursive_factors": 1}
 
 
+def test_identity_builds_each_route_once_per_report(monkeypatch):
+    # split n = 3 misses on every sample; the report builds the closed list
+    # and S once, stacked over its samples, the recursive list once, at the
+    # first miss, and its localizer pairs columns of those lists
+    import localperiods.identity as identity
+    calls = dict.fromkeys(["zeta_closed_factors", "zeta_recursive_factors",
+                           "s_value_split"], 0)
+    for name in calls:
+        def counted(*args, real=getattr(identity, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(identity, name, counted)
+    report = verify_localcalc(3, split_place(2), samples=3)
+    assert not report.passed
+    assert calls == {"zeta_closed_factors": 1, "zeta_recursive_factors": 1,
+                     "s_value_split": 1}
+
+
 def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
     # every inert n = 1 sample misses tol 1e-30, and its probes compare the
-    # Weyl sum and the standard-tensor value identity_row already computed
+    # Weyl sum and the standard-tensor value its row already computed; the
+    # zeta lists (closed, inverted closed, recursive) are built once each
     import localperiods.identity as identity
     import localperiods.weylsum as weylsum
     from localperiods.cli import main
-    calls = {"weyl_sum_A": 0, "std_tensor_lfactor": 0}
+    calls = dict.fromkeys(["weyl_sum_A", "std_tensor_lfactor", "zeta_closed_factors",
+                           "zeta_recursive_factors"], 0)
 
     def counting(name, real):
         def counted(*args):
@@ -159,12 +178,14 @@ def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
             return real(*args)
         return counted
     for module, name in ((identity, "weyl_sum_A"), (weylsum, "weyl_sum_A"),
-                         (identity, "std_tensor_lfactor")):
+                         (identity, "std_tensor_lfactor"), (identity, "zeta_closed_factors"),
+                         (identity, "zeta_recursive_factors")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code = main(["identity", "--n", "1", "--place", "inert", "--tol", "1e-30",
                  "--samples", "3"])
     assert code == 1 and "weyl_sum vs motive value" in capsys.readouterr().out
-    assert calls == {"weyl_sum_A": 3, "std_tensor_lfactor": 3}
+    assert calls == {"weyl_sum_A": 3, "std_tensor_lfactor": 3, "zeta_closed_factors": 2,
+                     "zeta_recursive_factors": 1}
 
 
 def test_a_missed_sample_is_localized_within_its_own_step():
@@ -423,3 +444,90 @@ def test_recursion_cli_at_the_smallest_n(capsys, n, place):
         assert report["max_rel_err"] == max(errs)
         if (n, place) == (0, "inert"):
             assert report["max_rel_err"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked identity check against the per-sample loop it replaces
+
+
+def identity_reference(small, big):
+    """One sample's identity row, evaluated alone as the check did before it
+    stacked its samples: the Weyl sum, L(1/2), zeta, S, then the adjoints."""
+    from localperiods import (adjoint_lfactor, case_for, factor_product, motive_delta,
+                              s_value_split, std_tensor_lfactor, weyl_sum_A)
+    n, field = big.m - 2, big.field
+    weyl = None
+    if field.is_inert:
+        weyl = weyl_sum_A(case_for(n + 1), [c.inv() for c in big.chars],
+                          [c.inv() for c in small.chars], field)
+    std = std_tensor_lfactor(0.5, small, big)
+    z = factor_product(zeta_closed_factors(small, big))
+    if field.is_inert:
+        z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
+        s_val = s_value_inert(big.chars, small.chars, n, field, z_inv, weyl)
+    else:
+        s_val = s_value_split(big.inverted().chars, small.inverted().chars, n, field)
+    delta, lr = motive_delta(big.m, field), std / (adjoint_lfactor(1.0, big)
+                                                  * adjoint_lfactor(1.0, small))
+    lhs, rhs = z * s_val, delta * lr
+    return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
+
+
+@pytest.mark.parametrize("place, ns", [(split_place, range(1, 9)), (inert_place, range(1, 7))],
+                         ids=["split", "inert"])
+def test_identity_table_rows_are_the_per_sample_rows(place, ns):
+    for n in ns:
+        for q in (2, 3):
+            for seed in (0, 5):
+                rows = identity_table(n, place(q), samples=3, seed=seed)
+                assert rows == [identity_reference(*sample_pair(n, place(q), _rng_for(seed, k)))
+                                for k in range(3)]
+
+
+def raised(run):
+    """run()'s result, or the type, message and factor of what it raised."""
+    from localperiods import ConventionError, PoleError
+    try:
+        return run()
+    except (PoleError, ConventionError) as err:
+        return type(err).__name__, str(err), err.factor
+
+
+def tuned_pairs(case):
+    """Three samples whose middle one is tuned onto a pole (see the cases)."""
+    place, n = (inert_place, 1) if case == "weyl" else (split_place, 1 if case == "std" else 3)
+    pairs = [sample_pair(n, place(2), _rng_for(47, k)) for k in range(3)]
+    small, big = pairs[1]
+    if case == "weyl":
+        # an inert big character 1 puts the Weyl sum's d1 on its zero
+        pairs[1] = (small, with_chars(big, {0: 1.0}))
+    elif case == "std":
+        # th1 * mu1 = q^(1/2) is a pole of L(1/2) and of the closed list
+        pairs[1] = (with_chars(small, {0: 2 ** 0.5}), with_chars(big, {0: 1.0}))
+    elif case == "s":
+        # a ratio q_F of two big characters puts S's L_F(1, X2/X3) on its pole
+        pairs[1] = (small, with_chars(big, {0: 0.5, 2: 1.0}))
+    else:
+        # mu_l * nu_l = q_F, the recursion's twist data, puts a ratio of two
+        # big characters, in the other order, on a pole of the big adjoint
+        l = big.rank
+        pairs[1] = (small, with_chars(big, {l - 1: 2.0, big.m - l: 1.0}))
+    return pairs
+
+
+@pytest.mark.parametrize("case", ["weyl", "std", "s", "adjoint"])
+def test_a_pole_in_a_stacked_identity_sample_raises_as_the_sample_loop(monkeypatch, case):
+    # the stacked report raises, for its middle sample, what the per-sample
+    # loop raises: the first pole in the order the terms are taken alone
+    import localperiods.identity as identity
+    pairs = tuned_pairs(case)
+    expected = raised(lambda: [identity_reference(*pair) for pair in pairs])
+    assert isinstance(expected, tuple) and expected[0] == "PoleError"
+    # L(1/2) raises ahead of the closed list, S ahead of the adjoints
+    assert expected[2] == {"weyl": "d1(X)", "s": "L_F(1, X2/X3)"}.get(case)
+    field = pairs[0][1].field
+    for run in (lambda: verify_localcalc(pairs[0][1].m - 2, field, samples=3, tol=1e-30),
+                lambda: identity_table(pairs[0][1].m - 2, field, samples=3)):
+        draws = iter(pairs)
+        monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: next(draws))
+        assert raised(run) == expected

@@ -1,10 +1,11 @@
 """The factor-list matcher against a quadratic reference that states its rule.
 
-identity._pair_off pairs each left factor with the first unpaired right factor,
-in list order, whose character value is within MATCH_RTOL * max(1, |alpha|) of
-its own; a nan value never pairs.  The reference below applies that rule by
-scanning every remaining factor, and the two must return the same unpaired
-factors in the same order.
+identity._pair_off pairs each left character value with the first unpaired
+right one, in order, that is within MATCH_RTOL * max(1, |alpha|) of it; a nan
+value never pairs.  The reference below applies that rule by scanning every
+remaining factor, and the two must leave the same factors unpaired, in the
+same order.  match_factor_lists on column k of stacked lists must give what it
+gives on the column's own lists.
 """
 import cmath
 import math
@@ -12,8 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from localperiods.identity import MATCH_RTOL, _pair_off
-from localperiods.zetarec import LFactor
+from localperiods import split_place, zeta_closed_factors, zeta_recursive_factors
+from localperiods.identity import (MATCH_RTOL, _pair_off, _rng_for, match_factor_lists,
+                                   sample_pair)
+from localperiods.satake import stack_data
+from localperiods.zetarec import LFactor, column
 
 
 def pair_off_reference(a_list, b_list):
@@ -69,10 +73,31 @@ def labels(pair):
     return tuple([f.label for f in part] for part in pair)
 
 
+def pair_off(a_list, b_list):
+    # _pair_off on the lists' character values, its unpaired positions mapped
+    # back to the factors
+    a_left, b_left = _pair_off(*(np.array([f.alpha for f in side], dtype=complex)
+                                 for side in (a_list, b_list)))
+    return [a_list[i] for i in a_left], [b_list[j] for j in b_left]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pair_off_matches_the_quadratic_reference(seed):
     rng = np.random.default_rng([seed, 2024])
     for _ in range(250):
         a_list, b_list = random_lists(rng)
-        assert labels(_pair_off(a_list, b_list)) == labels(pair_off_reference(a_list, b_list))
+        assert labels(pair_off(a_list, b_list)) == labels(pair_off_reference(a_list, b_list))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_matching_a_stacked_column_is_matching_its_own_lists(n):
+    # split odd n misses on every sample, so every column has diffs: labels
+    # and values (repr, so that a nan compares) agree with the plain lists'
+    pairs = [sample_pair(n, split_place(2), _rng_for(n, k)) for k in range(4)]
+    small, big = (stack_data(data) for data in zip(*pairs))
+    closed, recursive = zeta_closed_factors(small, big), zeta_recursive_factors(small, big)
+    for k in range(4):
+        stacked = match_factor_lists(closed, recursive, k)
+        alone = match_factor_lists(column(closed, k), column(recursive, k))
+        assert stacked and list(map(repr, stacked)) == list(map(repr, alone))
 

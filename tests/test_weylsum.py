@@ -246,6 +246,19 @@ def test_s_value_split_unit_characters():
     assert got == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_stacked_s_value_split_is_each_samples_value(n):
+    # S's two lists, built once on stacked characters, give each sample's
+    # own value to the last bit
+    from localperiods.identity import _rng_for, sample_pair
+    from localperiods.satake import stack_data
+    pairs = [sample_pair(n, split_place(2 + n % 2), _rng_for(n, k)) for k in range(3)]
+    small, big = (stack_data(data) for data in zip(*pairs))
+    stacked = s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
+    assert stacked.tolist() == [s_value_split(b.inverted().chars, s.inverted().chars, n, b.field)
+                                for s, b in pairs]
+
+
 @pytest.mark.parametrize("m", [4, 5])
 def test_split_coordinates_are_indexed_from_one(m):
     # s_value_split reads the half-reversed coordinates as 1..m, as the closed

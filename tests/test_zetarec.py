@@ -323,6 +323,20 @@ def test_stacked_factor_product_stops_per_sample():
         assert exc.value.factor == factor.label
 
 
+def test_a_scalar_alpha_in_a_stacked_list_is_every_samples():
+    # zeta_F(1)'s alpha 1 stands for every sample: the stacked product
+    # broadcasts it, and each sample's product is that of its own list
+    a = [0.5 + 0j, 0.25j, -0.3]
+    b = [1j, 0.2, -1]
+    stacked = [LFactor("L_F(1/2, a)", 0.5, 2, np.array(a, dtype=object)),
+               LFactor("zeta_F(1)", 1, 2, 1.0 + 0.0j),
+               LFactor("L_F(1, b)^-1", 1.0, 3, np.array(b, dtype=object), True)]
+    got = factor_product(stacked, samples=3)
+    for k in range(3):
+        alone = [stacked[0]._replace(alpha=a[k]), stacked[1], stacked[2]._replace(alpha=b[k])]
+        assert got[k] == factor_product(alone) == left_to_right(alone)
+
+
 @pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
 def test_stacked_builders_give_each_sample_its_own_list(place):
     # the stacked characters hold Python complex values, so each column of a
