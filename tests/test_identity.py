@@ -62,6 +62,16 @@ def test_unramified_period_rank_one_split_regression():
     assert value == pytest.approx(identity_row(small, big)[RHS])
 
 
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unramified_period_is_the_identity_row_lhs(place, n):
+    # zeta * S of one sample is exactly the lhs the identity check compares
+    for q in (2, 3):
+        for k in range(3):
+            small, big = sample_pair(n, place(q), _rng_for(17, k))
+            assert unramified_period(small, big) == identity_row(small, big)[RHS - 1]
+
+
 @pytest.mark.parametrize("kind", ["inert", "split"])
 def test_verify_localcalc_small_run_passes(kind, q):
     field = inert_place(q) if kind == "inert" else split_place(q)
