@@ -10,11 +10,10 @@ status: 0 all checks passed, 1 verification failure (reports still emitted),
 Output is deterministic for a fixed command line: per-sample randomness is
 derived from (seed, sample index), floats are rendered at a fixed precision
 with sorted keys, and the optional worker pool (--threads N, `table` included)
-only maps pure per-sample closures, reduced in index order by the single
-writer.  For `identity`, `table` and `recursion` the pool maps only the draws:
-the report then builds and evaluates its factor lists once, for all samples
-stacked.  Samples run in the calling thread by default: the per-sample work
-holds the GIL, so a thread pool makes runs slower, not faster.
+maps only the draws of each sample's random inputs; every subcommand then
+judges its samples in index order in the calling thread.  Samples are drawn
+in the calling thread by default: the per-sample work holds the GIL, so a
+thread pool makes runs slower, not faster.
 
 The argument parser is built once, when the module is imported, and every
 main() call parses with it: building it costs about 15 parses, so in-process
@@ -102,6 +101,8 @@ class RunConfig:
             raise UsageError("--seed must be nonnegative")
         if self.terms < 1:
             raise UsageError("--terms must be >= 1")
+        if self.threads is not None and self.threads < 1:
+            raise UsageError("--threads must be >= 1")
         if not self.q:
             raise UsageError("need at least one --q")
         for q in self.q:
@@ -171,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_format:
             p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for per-sample evaluation "
-                            "(default: 1, samples run in the calling thread)")
+                       help="worker threads for drawing the samples "
+                            "(default: 1, samples are drawn in the calling thread)")
 
     p = sub.add_parser("identity", help="end-to-end period identity zeta*S(1) vs Delta*L(1/2)")
     common(p)

@@ -12,27 +12,25 @@ Weyl sum vs motive value) and the first diverging constituent formula is
 reported factor by factor.  zeta is evaluated only through its factor lists
 and factor_product.
 
-Both the identity (StackedIdentity) and the recursion check stack their
-samples: the samples are drawn one by one (pool_map maps only the draws) and
-stacked (stack_data), each Euler-product route is built once per report and
-multiplied for every sample by one factor_product call, and a sample whose
-stacked product stops (nan) is evaluated again alone, so it raises what it
-would raise alone.
+Every check is one pipeline.  It draws each sample's random inputs through
+map_samples, which alone turns sample index k into an rng seeded from
+(seed, k), so pool_map maps only the draws.  Then _judge judges the samples
+by index, one(k) -> (relative error, localize): it calls localize() within
+the step of each sample whose error is not within tol, keeps the worst error
+(worst_err: nan if any error is nan, so a nan sample fails wherever it falls)
+and the first diff per factor label in sample order, and builds the report.
 
-Every check is a set of argument guards plus a per-sample function one(x)
-that returns the sample's relative error and a thunk localize() -> factor
-diffs.  map_samples alone turns sample index k into rng, seeded from (seed, k);
-the stacked checks draw through it and then judge sample k of their stacked
-products.  _judged calls localize() within the step of each sample whose error
-is not within tol, and _report keeps the worst error (worst_err: nan if any
-error is nan, so a nan sample fails wherever it falls), keeps the first diff
-per factor label in sample order, and builds the report.  `table` renders the
-same per-sample rows that verify_localcalc compares (StackedIdentity.terms),
-and a miss's probes compare the values of its row with their other routes
-instead of recomputing them.  match_factor_lists is the one matcher, for plain
-factor lists and for column k of stacked ones, whose alphas it reads in place;
-it pairs through one matrix of candidate pairs per group, compared in a few
-array operations, and builds only the leftover factors it reports.
+The checks on (small, big) pairs draw a SampleStack: its Euler-product routes
+are built once per report, when first asked for, on the stacked data
+(stack_data), and multiplied for every sample by one factor_product call.  A
+sample whose stacked product stops (nan) is evaluated again alone, so it
+raises what it would raise alone.  `table` renders the same per-sample rows
+that verify_localcalc compares (SampleStack.terms), and a miss's probes
+compare the values of its row with their other routes instead of recomputing
+them.  match_factor_lists is the one matcher, for plain factor lists and for
+column k of stacked ones, whose alphas it reads in place; it pairs through
+one matrix of candidate pairs per group, compared in a few array operations,
+and builds only the leftover factors it reports.
 """
 from __future__ import annotations
 
@@ -100,8 +98,8 @@ class VerificationReport:
     factor_diffs: tuple[FactorDiff, ...] = dc_field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.tol > 0:  # nan included
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:  # nan included; inf passes every finite error
+            raise ValueError("tolerance must be positive and finite")
         if self.passed != (self.max_rel_err <= self.tol):
             raise ValueError("pass flag inconsistent with max_rel_err vs tol")
         if self.passed != (len(self.factor_diffs) == 0):
@@ -180,17 +178,6 @@ def lratio(s: complex, small: SatakeDatum, big: SatakeDatum,
     return std / (adjoint_lfactor(s + 0.5, big) * adjoint_lfactor(s + 0.5, small))
 
 
-def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
-    """zeta(X, x) times the spherical average S at the inverted characters;
-    zeta is the product of the closed factor list."""
-    n = big.m - 2
-    z = factor_product(zeta_closed_factors(small, big))
-    if big.field.is_inert:
-        z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
-        return z * s_value_inert(big.chars, small.chars, n, big.field, z_inv)
-    return z * s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
-
-
 class SampleTerms(NamedTuple):
     """One sample's identity row, and the values in it that a miss's probes
     read again; each is computed once."""
@@ -200,65 +187,100 @@ class SampleTerms(NamedTuple):
     weyl: complex | None  # the Weyl sum A at the inverted characters; None if split
 
 
-class StackedIdentity:
-    """The identity's samples of one report, stacked (stack_data), with each
-    Euler-product route built once and multiplied for every sample by one
-    factor_product call: the closed zeta list, at inert places the inverted
-    closed list, and at split places S(1) (s_value_split).  The Weyl sum, the
-    standard tensor and the adjoints are evaluated on each sample's own data,
-    by terms(k)."""
+class SampleStack:
+    """The samples of one report, drawn first (draw) and then stacked
+    (stack_data).  Each Euler-product route is built once, when a check first
+    asks for it, and multiplied for every sample by one factor_product call:
+    the closed and recursive zeta lists, at inert places the inverted closed
+    list, and at split places S(1) (s_value_split).  The Weyl sum, the
+    standard tensor and the adjoints are evaluated on each sample's own data."""
 
     def __init__(self, n: int, field: FieldData,
                  pairs: list[tuple[SatakeDatum, SatakeDatum]]):
         self.n, self.field, self.pairs = n, field, pairs
-        samples = len(pairs)
-        self.small, self.big = (stack_data(data) for data in zip(*pairs))
-        self.closed = zeta_closed_factors(self.small, self.big)
-        self.z = factor_product(self.closed, samples).tolist()
-        if field.is_inert:
-            self.closed_inv = zeta_closed_factors(self.small.inverted(), self.big.inverted())
-            self.z_inv = factor_product(self.closed_inv, samples).tolist()
-        else:
-            self.s_split = s_value_split(self.big.inverted().chars,
-                                         self.small.inverted().chars, n, field).tolist()
+        self._values: dict[str, list[complex]] = {}  # route -> stacked values
+
+    @classmethod
+    def draw(cls, n: int, field: FieldData, samples: int, seed: int,
+             pool_map=map) -> "SampleStack":
+        """The samples' (small, big) pairs, drawn one by one; pool_map maps
+        only the draws."""
+        return cls(n, field, map_samples(lambda rng: sample_pair(n, field, rng), samples,
+                                         seed, pool_map=pool_map))
+
+    @cached_property
+    def _stacked(self) -> tuple[SatakeDatum, SatakeDatum]:
+        # (small, big), stacked when a route first needs them (weyl does not)
+        return tuple(stack_data(data) for data in zip(*self.pairs))
+
+    @cached_property
+    def closed(self) -> list[LFactor]:
+        return zeta_closed_factors(*self._stacked)
 
     @cached_property
     def recursive(self) -> list[LFactor]:
-        """The recursive zeta list, stacked, built when a miss first asks."""
-        return zeta_recursive_factors(self.small, self.big)
+        return zeta_recursive_factors(*self._stacked)
+
+    @cached_property
+    def closed_inv(self) -> list[LFactor]:
+        return zeta_closed_factors(*(data.inverted() for data in self._stacked))
+
+    @cached_property
+    def s_split(self) -> list[complex]:
+        return self._s_split(*self._stacked).tolist()
+
+    def _s_split(self, small: SatakeDatum, big: SatakeDatum):
+        return s_value_split(big.inverted().chars, small.inverted().chars, self.n, self.field)
+
+    def product(self, route: str, k: int) -> complex:
+        """Sample k's value of a route: the product of the factor list
+        "closed", "recursive" or "closed_inv", or "s_split".  A sample whose
+        stacked value stopped (nan) is evaluated again alone, so it raises
+        what, and where, it would raise alone."""
+        if route not in self._values:
+            stacked = getattr(self, route)
+            self._values[route] = (stacked if route == "s_split"
+                                   else factor_product(stacked, len(self.pairs)).tolist())
+        value = self._values[route][k]
+        if not cmath.isnan(value):
+            return value
+        if route == "s_split":
+            return self._s_split(*self.pairs[k])
+        return factor_product(column(getattr(self, route), k))
+
+    def weyl(self, k: int) -> complex:
+        """The Weyl sum A at sample k's inverted characters (inert places)."""
+        small, big = self.pairs[k]
+        return weyl_sum_A(case_for(self.n + 1), [c.inv() for c in big.chars],
+                          [c.inv() for c in small.chars], self.field)
 
     def terms(self, k: int) -> SampleTerms:
         """Sample k's terms, taken in the order of a sample evaluated alone:
-        the Weyl sum, L(1/2), zeta, S, then the adjoints.  A stacked product
-        that stopped (nan) is evaluated again alone, so the sample raises
-        what, and where, it would raise alone."""
+        the Weyl sum, L(1/2), zeta, S, then the adjoints."""
         n, field, (small, big) = self.n, self.field, self.pairs[k]
-        weyl = None
-        if field.is_inert:
-            weyl = weyl_sum_A(case_for(n + 1), [c.inv() for c in big.chars],
-                              [c.inv() for c in small.chars], field)
+        weyl = self.weyl(k) if field.is_inert else None
         std = std_tensor_lfactor(0.5, small, big)
-        z = _alone(self.z[k], lambda: factor_product(column(self.closed, k)))
+        z = self.product("closed", k)
         if field.is_inert:
-            z_inv = _alone(self.z_inv[k], lambda: factor_product(column(self.closed_inv, k)))
-            s_val = s_value_inert(big.chars, small.chars, n, field, z_inv, weyl)
+            s_val = s_value_inert(big.chars, small.chars, n, field,
+                                  self.product("closed_inv", k), weyl)
         else:
-            s_val = _alone(self.s_split[k], lambda: s_value_split(
-                big.inverted().chars, small.inverted().chars, n, field))
+            s_val = self.product("s_split", k)
         delta, lr = motive_delta(big.m, field), lratio(0.5, small, big, std)
         lhs, rhs = z * s_val, delta * lr
         return SampleTerms((z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)), std, weyl)
 
 
-def _alone(value: complex, evaluate) -> complex:
-    # a stacked sample's value, or its value alone where its product stopped
-    return evaluate() if cmath.isnan(value) else value
-
-
 def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
     """zeta, S, Delta and L(1/2)/(Ad*Ad) of one sample, then lhs = zeta * S,
     rhs = Delta * L(1/2)/(Ad*Ad) and their relative error."""
-    return StackedIdentity(big.m - 2, big.field, [(small, big)]).terms(0).row
+    return SampleStack(big.m - 2, big.field, [(small, big)]).terms(0).row
+
+
+def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
+    """zeta(X, x) times the spherical average S at the inverted characters:
+    the lhs of the sample's identity row."""
+    return identity_row(small, big)[4]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +364,7 @@ def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
     return diffs
 
 
-def _probe_factors(stack: StackedIdentity, k: int, terms: SampleTerms,
+def _probe_factors(stack: SampleStack, k: int, terms: SampleTerms,
                    tol: float) -> list[FactorDiff]:
     # terms are sample k's values, as stack.terms(k) combined them
     small, big = stack.pairs[k]
@@ -364,45 +386,28 @@ def _probe_factors(stack: StackedIdentity, k: int, terms: SampleTerms,
 # verification drivers
 
 
-def _run_check(check: str, n: int, field: FieldData, samples: int, seed: int,
-               tol: float, one, pool_map) -> VerificationReport:
-    """Map one(rng) -> (rel err, localize) over the samples into one report."""
-    results = map_samples(_judged(one, tol), samples, seed, pool_map=pool_map)
-    return _report(check, n, field, seed, tol, results)
-
-
-def _judged(one, tol: float):
-    """one(x) -> (rel err, localize) as x -> (rel err, diffs).  A sample that
-    misses tol runs localize within its own step and keeps only the diffs, so
-    it holds no factor list once its step ends."""
-    def judged(x):
-        err, localize = one(x)
-        return err, () if err <= tol else localize()
-    return judged
-
-
-def _report(check: str, n: int, field: FieldData, seed: int, tol: float,
-            results: list) -> VerificationReport:
-    max_err = worst_err(err for err, _ in results)
-    passed = max_err <= tol
+def _judge(check: str, n: int, field: FieldData, seed: int, tol: float, samples: int,
+           one) -> VerificationReport:
+    """Judge the samples in order, one(k) -> (rel err, localize), into one
+    report.  A sample that misses tol runs localize() within its own step and
+    keeps only the diffs, so it holds no factor list once its step ends; the
+    first diff per factor label is kept, in sample order."""
+    errs: list[float] = []
     merged: dict[str, FactorDiff] = {}
-    for _, diffs in results:
-        for d in diffs:
-            merged.setdefault(d.factor, d)
+    for k in range(samples):
+        err, localize = one(k)
+        errs.append(err)
+        if not err <= tol:
+            for d in localize():
+                merged.setdefault(d.factor, d)
+    max_err = worst_err(errs)
+    passed = max_err <= tol
     diffs = tuple(merged.values()) or (
         FactorDiff("unlocalized discrepancy", complex(max_err), 0j),)
     return VerificationReport(
-        check_name=check, n=n, kind=field.kind, q_F=field.q_F, samples=len(results),
+        check_name=check, n=n, kind=field.kind, q_F=field.q_F, samples=samples,
         seed=seed, max_rel_err=max_err, tol=tol, passed=passed,
         factor_diffs=() if passed else diffs)
-
-
-def _draw_pairs(n: int, field: FieldData, samples: int, seed: int,
-                pool_map) -> list[tuple[SatakeDatum, SatakeDatum]]:
-    """The samples' (small, big) pairs, drawn one by one (pool_map maps the
-    draws), for the checks that stack them."""
-    return map_samples(lambda rng: sample_pair(n, field, rng), samples, seed,
-                       pool_map=pool_map)
 
 
 def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
@@ -410,24 +415,22 @@ def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                      allow_large: bool = False) -> VerificationReport:
     """Seeded end-to-end check of the period identity for the pair (n+1, n+2).
 
-    The samples are stacked (StackedIdentity) and judged in order; a miss is
-    probed on its sample's terms and columns of the stacked lists."""
+    A miss is probed on its sample's terms and columns of the stacked lists."""
     if not allow_large and not 1 <= n <= 3:
         raise ValueError(f"n={n} outside the guarded range 1..3 (pass allow_large to override)")
-    stack = StackedIdentity(n, field, _draw_pairs(n, field, samples, seed, pool_map))
+    stack = SampleStack.draw(n, field, samples, seed, pool_map)
 
     def one(k):
         terms = stack.terms(k)
         return terms.row[-1], lambda: _probe_factors(stack, k, terms, tol)
 
-    return _report("identity", n, field, seed, tol,
-                   list(map(_judged(one, tol), range(samples))))
+    return _judge("identity", n, field, seed, tol, samples, one)
 
 
 def identity_table(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                    pool_map=map) -> list[tuple[complex, ...]]:
     """verify_localcalc's samples as rows of the identity's constituents."""
-    stack = StackedIdentity(n, field, _draw_pairs(n, field, samples, seed, pool_map))
+    stack = SampleStack.draw(n, field, samples, seed, pool_map)
     return [stack.terms(k).row for k in range(samples)]
 
 
@@ -439,16 +442,14 @@ def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
         raise ValueError("the Weyl-average constancy check runs at inert places")
     n = n_plus_1 - 1
     expect = motive_A_value(n_plus_1, field)
-    case = case_for(n_plus_1)
+    stack = SampleStack.draw(n, field, samples, seed, pool_map)
 
-    def one(rng):
-        small, big = sample_pair(n, field, rng)
-        a_val = weyl_sum_A(case, [c.inv() for c in big.chars],
-                           [c.inv() for c in small.chars], field)
+    def one(k):
+        a_val = stack.weyl(k)
         return rel_err(a_val, expect), lambda: [
             FactorDiff("weyl_sum vs motive value", a_val, expect)]
 
-    return _run_check("weyl", n, field, samples, seed, tol, one, pool_map)
+    return _judge("weyl", n, field, seed, tol, samples, one)
 
 
 def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
@@ -456,32 +457,21 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
     """Inductive route against the closed forms, with factor-level localization
     of any display whose transcription disagrees (e.g. an index-pairing typo).
 
-    The samples are drawn one by one (pool_map maps the draws) and stacked, so
-    each route's factor list is built once for the whole report and
-    factor_product evaluates every sample at once.  A sample whose product
-    stops (nan) is evaluated again on its own column, which raises what it
-    would have raised alone, and a miss is localized on its columns of the
-    two lists."""
+    A miss is localized on its columns of the two stacked lists."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    small, big = (stack_data(data) for data in zip(*_draw_pairs(n, field, samples, seed,
-                                                                pool_map)))
-    closed = zeta_closed_factors(small, big)
-    recursive = zeta_recursive_factors(small, big)
-    z_closed = factor_product(closed, samples).tolist()
-    z_recursive = factor_product(recursive, samples).tolist()
+    stack = SampleStack.draw(n, field, samples, seed, pool_map)
 
     def one(k):
-        lhs = _alone(z_closed[k], lambda: factor_product(column(closed, k)))
+        lhs = stack.product("closed", k)
         try:
-            rhs = _alone(z_recursive[k], lambda: factor_product(column(recursive, k)))
+            rhs = stack.product("recursive", k)
         except ConventionError as err:
             diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
             return float("inf"), lambda: [diff]
-        return rel_err(lhs, rhs), lambda: match_factor_lists(closed, recursive, k)
+        return rel_err(lhs, rhs), lambda: match_factor_lists(stack.closed, stack.recursive, k)
 
-    return _report("recursion", n, field, seed, tol,
-                   list(map(_judged(one, tol), range(samples))))
+    return _judge("recursion", n, field, seed, tol, samples, one)
 
 
 def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
@@ -490,12 +480,15 @@ def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
     """Split base case: truncated series oracle against the closed form."""
     if not field.is_split:
         raise ValueError("the base-case series check runs at split places")
+    draws = map_samples(lambda rng: [CharValue.from_angle(t)
+                                     for t in rng.uniform(0.0, 1.0, size=3)],
+                        samples, seed, pool_map=pool_map)
 
-    def one(rng):
-        theta, phi, xi0 = (CharValue.from_angle(t) for t in rng.uniform(0.0, 1.0, size=3))
+    def one(k):
+        theta, phi, xi0 = draws[k]
         closed = zeta_base_split_closed(theta, phi, xi0, field)
         series = zeta_base_split_series(theta, phi, xi0, field, terms)
         return rel_err(closed, series), lambda: [
             FactorDiff(f"series({terms} terms) vs closed form", series, closed)]
 
-    return _run_check("basecase", 0, field, samples, seed, tol, one, pool_map)
+    return _judge("basecase", 0, field, seed, tol, samples, one)

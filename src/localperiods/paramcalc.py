@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .identity import FactorDiff, VerificationReport, _run_check, rel_err, worst_err
+from .identity import (FactorDiff, VerificationReport, _judge, map_samples, rel_err,
+                       worst_err)
 from .numfield import CharValue, FieldData, euler_factor, lfactor_chi
 from .satake import SatakeDatum, adjoint_lfactor, bc_params, make_datum
 
@@ -152,9 +153,14 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         raise ValueError("the lift identities live over a genuine quadratic extension")
     gamma = gamma_char()
 
-    def one(rng):
-        z_sigma = cmath.exp(2j * cmath.pi * rng.uniform())
-        z_pi = cmath.exp(2j * cmath.pi * rng.uniform())
+    def draw(rng):  # sigma's character, then pi's, then the s points
+        z_sigma, z_pi = (cmath.exp(2j * cmath.pi * rng.uniform()) for _ in range(2))
+        return z_sigma, z_pi, _draw_s(rng, s_points)
+
+    draws = map_samples(draw, samples, seed, pool_map=pool_map)
+
+    def one(k):
+        z_sigma, z_pi, s_values = draws[k]
         sigma = make_datum(2, field, [z_sigma])
         pi = make_datum(2, field, [z_pi])
         m_sigma = bc_param(sigma)
@@ -178,7 +184,7 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         sigcor_rhs = tensor_product(bc_param(theta_sigma_bar), m_pi)
 
         sides = []  # (identity, s, lhs, rhs) in evaluation order
-        for s in _draw_s(rng, s_points):
+        for s in s_values:
             chi = lfactor_chi(s, field, 1)
             sigma_prime_l = sigma_prime.lfactor(s, field)
             sides += [
@@ -194,7 +200,7 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         worst = worst_err(rel_err(lhs, rhs) for _, _, lhs, rhs in sides)
         return worst, lambda: _first_misses(sides, tol)
 
-    return _run_check("appendix", 0, field, samples, seed, tol, one, pool_map)
+    return _judge("appendix", 0, field, seed, tol, samples, one)
 
 
 def _first_misses(sides: list[tuple], tol: float) -> list[FactorDiff]:

@@ -222,16 +222,14 @@ def std_tensor_lfactor_det(s: complex, small: SatakeDatum, big: SatakeDatum) -> 
 
 
 def _kron_det(s: complex, q: int, avals, bvals) -> complex:
-    mat = np.kron(np.diag(np.asarray(avals, dtype=complex)),
-                  np.diag(np.asarray(bvals, dtype=complex)))
-    eye = np.eye(mat.shape[0], dtype=complex)
-    mat = eye - q_power(q, s) * mat
-    # The matrix is diagonal, so it is singular exactly when one diagonal entry
-    # vanishes; the determinant is a product of (n+1)(n+2) such entries and can
-    # fall far below POLE_EPS with no entry near zero.
-    if np.abs(np.diag(mat)).min() < POLE_EPS:
+    # A (x) B is diagonal for diagonal A and B, so the determinant is the
+    # product of the (n+1)(n+2) entries 1 - q^{-s} a_i b_j.  It is singular
+    # exactly when one entry vanishes, and the product can fall far below
+    # POLE_EPS with no entry near zero.
+    entries = 1.0 - q_power(q, s) * np.outer(avals, bvals)
+    if np.abs(entries).min() < POLE_EPS:
         raise PoleError(f"tensor determinant vanishes at s={s!r}", factor="std_tensor_det")
-    return complex(np.linalg.det(mat))
+    return complex(np.prod(entries))
 
 
 def adjoint_lfactor(s: complex, datum: SatakeDatum) -> complex:

@@ -45,25 +45,22 @@ def test_repeat_run_is_byte_identical(capsys):
     assert len(out1.strip().splitlines()) == 4  # two places x two q
 
 
-def test_threads_do_not_change_output(capsys):
-    base = ("identity", "--n", "1", "--place", "inert", "--q", "2",
-            "--samples", "6", "--seed", "5")
-    _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    _, out4, _ = run_cli(capsys, *base, "--threads", "4")
-    assert out1 == out4
-    # also on a failing run, where factor-diff collection order matters
-    base = ("identity", "--n", "3", "--place", "split", "--q", "2",
-            "--samples", "8", "--seed", "3")
-    code1, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    code4, out4, _ = run_cli(capsys, *base, "--threads", "4")
-    assert (code1, out1) == (code4, out4) == (1, out1)
-    # the table maps its samples with the same pool
-    base = ("table", "--n", "2", "--place", "both", "--q", "2", "--q", "3",
-            "--samples", "6", "--seed", "5")
-    code1, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    code4, out4, _ = run_cli(capsys, *base, "--threads", "4")
-    assert (code1, out1) == (code4, out4) == (0, out1)
-    assert len(out1.splitlines()) == 1 + 4 * 6
+@pytest.mark.parametrize("argv, code", [
+    (("identity", "--n", "1", "--place", "inert", "--samples", "6", "--seed", "5"), 0),
+    # a failing run, where factor-diff collection order matters
+    (("identity", "--n", "3", "--place", "split", "--samples", "8", "--seed", "3"), 1),
+    (("table", "--n", "2", "--q", "3", "--samples", "6", "--seed", "5"), 0),
+    (("weyl", "--n", "2", "--q", "3", "--samples", "5", "--seed", "5", "--tol", "1e-30"), 1),
+    (("recursion", "--n", "3", "--q", "3", "--samples", "6", "--seed", "5"), 1),
+    (("basecase", "--samples", "6", "--seed", "5", "--terms", "5"), 1),
+    (("appendix", "--samples", "6", "--seed", "5", "--tol", "1e-30"), 1),
+], ids=["identity", "identity-fail", "table", "weyl", "recursion", "basecase", "appendix"])
+def test_threads_do_not_change_output(capsys, argv, code):
+    # every subcommand maps only its draws on the pool, then judges in order
+    base = argv + ("--q", "2")
+    run1 = run_cli(capsys, *base, "--threads", "1")
+    run4 = run_cli(capsys, *base, "--threads", "4")
+    assert run1 == run4 and run1[0] == code
 
 
 def test_table_maps_samples_with_the_run_pool(monkeypatch, capsys):
@@ -301,6 +298,13 @@ def test_infinite_tol_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "recursion", "--n", "1", "--q", "2", "--samples", "1",
                              "--tol", "inf")
     assert (code, out, err) == (2, "", "error: --tol must be positive and finite\n")
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    code, out, err = run_cli(capsys, "identity", "--n", "1", "--q", "2", "--samples", "1",
+                             "--threads", threads)
+    assert (code, out, err) == (2, "", "error: --threads must be >= 1\n")
 
 
 @pytest.mark.parametrize("terms", ["0", "-3"])

@@ -28,6 +28,12 @@ def test_report_invariants():
                            (FactorDiff("f", 1.0, 2.0),))
 
 
+def test_infinite_tol_is_rejected():
+    # every finite error is within an infinite tolerance, so it certifies nothing
+    with pytest.raises(ValueError, match="positive and finite"):
+        verify_recursion(3, split_place(2), samples=2, tol=float("inf"))
+
+
 def test_lratio_unit_characters_direct_assembly():
     # every constituent reduces to euler_factor powers when all characters are 1
     field = inert_place(2)
@@ -205,8 +211,7 @@ def test_a_missed_sample_is_localized_within_its_own_step():
     import localperiods.identity as identity
     events = []
 
-    def one(rng):
-        k = sum(event == "start" for event, _ in events)
+    def one(k):
         events.append(("start", k))
 
         def localize():
@@ -214,7 +219,7 @@ def test_a_missed_sample_is_localized_within_its_own_step():
             return [FactorDiff("shared", k, 0), FactorDiff(f"sample{k}", k, 0)]
         return 1.0, localize
 
-    report = identity._run_check("recursion", 1, split_place(2), 3, 0, 1e-9, one, map)
+    report = identity._judge("recursion", 1, split_place(2), 0, 1e-9, 3, one)
     assert events == [(event, k) for k in range(3) for event in ("start", "localize")]
     assert [(d.factor, d.lhs) for d in report.factor_diffs] == [
         ("shared", 0), ("sample0", 0), ("sample1", 1), ("sample2", 2)]
