@@ -114,8 +114,10 @@ class RunConfig:
             if not 1 <= self.n <= 3:
                 raise UsageError(f"--n {self.n} outside the guarded range 1..3 "
                                  "(use --force-large to override)")
-        if self.command in ("identity", "weyl", "table"):
-            # the Weyl sum enumerates the small group only; its rank bounds the cost
+        if self.command == "weyl" or (self.command in ("identity", "table")
+                                      and self.place != "split"):
+            # only inert places run the Weyl sum; it enumerates the small group
+            # only, so that group's rank bounds the cost
             rank = case_ranks(self.n + 1)[1]
             if rank > MAX_WEYL_RANK:
                 raise UsageError(f"--n {self.n} needs a Weyl group of rank {rank}, "
@@ -175,10 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker threads for drawing the samples "
                             "(default: 1, samples are drawn in the calling thread)")
 
+    def force_large(p: argparse.ArgumentParser):
+        p.add_argument("--force-large", action="store_true",
+                       help="allow n outside the guarded range 1..3")
+
     p = sub.add_parser("identity", help="end-to-end period identity zeta*S(1) vs Delta*L(1/2)")
     common(p)
-    p.add_argument("--force-large", action="store_true",
-                   help="allow n outside the guarded range 1..3")
+    force_large(p)
     p = sub.add_parser("weyl", help="double Weyl average constancy and motive value (inert)")
     common(p)
     p = sub.add_parser("recursion", help="inductive zeta route against the closed forms")
@@ -190,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_n=False)
     p = sub.add_parser("table", help="per-sample value table for the identity check (CSV)")
     common(p, with_format=False)
+    force_large(p)
     return parser
 
 

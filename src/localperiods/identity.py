@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numfield import CharValue, FieldData, PlaceKind, motive_delta
+from .numfield import FieldData, PlaceKind, motive_delta
 from .satake import (SatakeDatum, adjoint_lfactor, make_datum, stack_data,
                      std_tensor_lfactor, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
@@ -480,7 +480,7 @@ def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
     """Split base case: truncated series oracle against the closed form."""
     if not field.is_split:
         raise ValueError("the base-case series check runs at split places")
-    draws = map_samples(lambda rng: [CharValue.from_angle(t)
+    draws = map_samples(lambda rng: [cmath.exp(2j * math.pi * t)
                                      for t in rng.uniform(0.0, 1.0, size=3)],
                         samples, seed, pool_map=pool_map)
 

@@ -6,9 +6,11 @@ a uniformizer.  This module owns that primitive, the quadratic-character factors
 attached to an unramified quadratic extension E/F, and the local Gross motive
 value Delta_{G_m} = prod_{r=1}^{m} L(r, chi^r).
 
-Scalars are double-precision complex; identities are checked downstream with
-relative tolerances, never exact equality.  Rational inputs (integer s, chi = +-1)
-are evaluated exactly with Fraction and converted at the boundary.
+Euler factors are evaluated in double-precision complex, and identities are
+checked downstream with relative tolerances, never exact equality.  Rational
+inputs (integer s, chi = +-1) are evaluated exactly with Fraction and converted
+at the boundary.  A character value is any nonzero scalar, so exact values can
+run through the factor-list builders too.
 """
 from __future__ import annotations
 
@@ -82,51 +84,26 @@ def split_place(q_F: int) -> FieldData:
 
 @dataclass(frozen=True)
 class CharValue:
-    """An unramified character, recorded by its value at a uniformizer.
+    """An unramified character, recorded by its value at a uniformizer: any
+    nonzero scalar that supports *, / and 1/x (complex, Fraction, a residue,
+    a monomial), kept as given.
 
     The value may also be a 1-D array, one value per sample of a stacked
-    report.  Each entry is coerced with complex() as a scalar value is, and
-    kept as a Python complex in an object array: arithmetic on the array then
-    rounds each entry exactly as on that sample alone (numpy's complex
-    multiply may fuse, and its division scales differently), so every
-    sample's column of a stacked computation is bit-identical to its own."""
+    report (see satake.stack_data).  It is an object array of the samples'
+    own scalars: arithmetic on it then rounds each entry exactly as on that
+    sample alone (numpy's complex multiply may fuse, and its division scales
+    differently), so every sample's column of a stacked computation is
+    bit-identical to its own.  Every entry is checked to be nonzero."""
 
     value: complex
-    unitary: bool = False
 
     def __post_init__(self):
-        stacked = isinstance(self.value, np.ndarray)
-        if stacked:
-            v = np.array([complex(x) for x in self.value], dtype=object)
-        else:
-            v = complex(self.value)
-        object.__setattr__(self, "value", v)
-        for x in v if stacked else (v,):
+        for x in self.value if isinstance(self.value, np.ndarray) else (self.value,):
             if x == 0:
                 raise ValueError("character value at the uniformizer must be nonzero")
-            if self.unitary and abs(abs(x) - 1.0) > 1e-12:
-                raise ValueError(f"unitary character must have |value| = 1, got {abs(x)!r}")
-
-    @classmethod
-    def one(cls) -> "CharValue":
-        return cls(1.0 + 0.0j, unitary=True)
-
-    @classmethod
-    def from_angle(cls, t: float) -> "CharValue":
-        """Unitary character e(t) with value exp(2 pi i t)."""
-        return cls(cmath.exp(2j * math.pi * t), unitary=True)
 
     def inv(self) -> "CharValue":
-        return CharValue(1.0 / self.value, unitary=self.unitary)
-
-    def conj(self) -> "CharValue":
-        return CharValue(self.value.conjugate(), unitary=self.unitary)
-
-    def __mul__(self, other: "CharValue") -> "CharValue":
-        return CharValue(self.value * other.value, unitary=self.unitary and other.unitary)
-
-    def __pow__(self, k: int) -> "CharValue":
-        return CharValue(self.value ** k, unitary=self.unitary)
+        return CharValue(1 / self.value)
 
 
 @lru_cache(maxsize=256)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .identity import (FactorDiff, VerificationReport, _judge, map_samples, rel_err,
                        worst_err)
-from .numfield import CharValue, FieldData, euler_factor, lfactor_chi
+from .numfield import FieldData, euler_factor, lfactor_chi
 from .satake import SatakeDatum, adjoint_lfactor, bc_params, make_datum
 
 BC_TOL = 1e-9  # slack of _datum_from_bc on a unit eigenvalue and a pair product
@@ -59,9 +59,10 @@ class WDParam:
         return out
 
 
-def gamma_char() -> CharValue:
-    """The unramified extension of the quadratic character at an inert place."""
-    return CharValue(-1.0 + 0.0j, unitary=True)
+def gamma_char() -> complex:
+    """The unramified extension of the quadratic character at an inert place,
+    as its value at a uniformizer."""
+    return -1.0 + 0.0j
 
 
 def direct_sum(a: WDParam, b: WDParam) -> WDParam:
@@ -70,8 +71,8 @@ def direct_sum(a: WDParam, b: WDParam) -> WDParam:
     return WDParam(a.base, a.eigenvalues + b.eigenvalues)
 
 
-def twist(a: WDParam, chi: CharValue) -> WDParam:
-    return WDParam(a.base, tuple(z * chi.value for z in a.eigenvalues))
+def twist(a: WDParam, chi: complex) -> WDParam:
+    return WDParam(a.base, tuple(z * chi for z in a.eigenvalues))
 
 
 def tensor_product(a: WDParam, b: WDParam) -> WDParam:
@@ -97,18 +98,18 @@ def adjoint_gl(a: WDParam) -> WDParam:
     return WDParam(a.base, tuple(z / w for z in a.eigenvalues for w in a.eigenvalues))
 
 
-def theta_param_2to3(m_param: WDParam, gamma: CharValue) -> WDParam:
+def theta_param_2to3(m_param: WDParam, gamma: complex) -> WDParam:
     """Lift parameter across U(2) -> U(3): gamma^{-1} M + gamma^2."""
     if m_param.size != 2:
         raise ValueError("expected a two-dimensional parameter")
-    return direct_sum(twist(m_param, gamma.inv()), WDParam(m_param.base, ((gamma.value ** 2),)))
+    return direct_sum(twist(m_param, 1 / gamma), WDParam(m_param.base, (gamma ** 2,)))
 
 
-def theta_param_1to2(m_param: WDParam, gamma: CharValue) -> WDParam:
+def theta_param_1to2(m_param: WDParam, gamma: complex) -> WDParam:
     """Lift parameter across U(1) -> U(2): gamma^{-1} M + gamma."""
     if m_param.size != 1:
         raise ValueError("expected a one-dimensional parameter")
-    return direct_sum(twist(m_param, gamma.inv()), WDParam(m_param.base, (gamma.value,)))
+    return direct_sum(twist(m_param, 1 / gamma), WDParam(m_param.base, (gamma,)))
 
 
 def bc_param(datum: SatakeDatum) -> WDParam:
@@ -168,7 +169,7 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         m_pi = bc_param(pi)
         m_pi_bar = bc_param(pi.conjugated())
         m_mu = WDParam(Base.OVER_E, (1.0 + 0.0j,))  # unramified U(1) character is trivial
-        gamma_param = WDParam(Base.OVER_E, (gamma.value,))
+        gamma_param = WDParam(Base.OVER_E, (gamma,))
 
         theta_pi_bar = _datum_from_bc(2, m_pi_bar, field)
         theta_sigma_bar = _datum_from_bc(3, theta_param_2to3(m_sigma_bar, gamma), field)
@@ -179,7 +180,7 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         sigma_twist = twist(m_sigma, gamma ** 3)
         mu_twist = twist(m_mu, gamma ** 2)
         bigsig_rhs = tensor_product(tensor_product(m_pi, m_sigma_bar),
-                                    WDParam(Base.OVER_E, (1.0 / gamma.value,)))
+                                    WDParam(Base.OVER_E, (1 / gamma,)))
         pi_twist = twist(m_pi, gamma ** 2)
         sigcor_rhs = tensor_product(bc_param(theta_sigma_bar), m_pi)
 

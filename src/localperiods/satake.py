@@ -62,7 +62,7 @@ class SatakeDatum:
     def phi(self, i: int) -> complex:
         """phi_i, the inverse of the i-th tuple entry from the end."""
         self._require_split_index(i)
-        return 1.0 / self.chars[self.m - i].value
+        return 1 / self.chars[self.m - i].value
 
     @cached_property
     def split_values(self) -> tuple[tuple, tuple]:
@@ -86,7 +86,7 @@ class SatakeDatum:
         return SatakeDatum(self.m, self.field, tuple(c.inv() for c in self.chars))
 
     def conjugated(self) -> "SatakeDatum":
-        return SatakeDatum(self.m, self.field, tuple(c.conj() for c in self.chars))
+        return make_datum(self.m, self.field, [v.conjugate() for v in self.values()])
 
 
 def _as_chars(values) -> tuple[CharValue, ...]:
@@ -112,13 +112,13 @@ def make_datum(m: int, field: FieldData, values) -> SatakeDatum:
 
 def stack_data(data) -> SatakeDatum:
     """The data of one group and place as one stacked datum: each character
-    holds one value per datum, in order (see CharValue), so the factor-list
-    builders run on it unedited and build every datum's list at once."""
+    holds one value per datum, in order, in an object array (see CharValue),
+    so the factor-list builders run on it unedited and build every datum's
+    list at once."""
     first = data[0]
     if any((d.m, d.field) != (first.m, first.field) for d in data):
         raise ValueError("stacked data must share one group size and place")
-    chars = tuple(CharValue(np.array([c.value for c in column], dtype=object),
-                            unitary=all(c.unitary for c in column))
+    chars = tuple(CharValue(np.array([c.value for c in column], dtype=object))
                   for column in zip(*(d.chars for d in data)))
     return SatakeDatum(first.m, first.field, chars)
 
@@ -147,12 +147,12 @@ class BCParams:
 def bc_params(datum: SatakeDatum) -> BCParams:
     if datum.field.is_split:
         vals = datum.values()
-        return BCParams(PlaceKind.SPLIT, vals, tuple(1.0 / v for v in vals))
+        return BCParams(PlaceKind.SPLIT, vals, tuple(1 / v for v in vals))
     out: list[complex] = []
     for c in datum.chars:
-        out.extend((c.value, 1.0 / c.value))
+        out.extend((c.value, 1 / c.value))
     if datum.m % 2 == 1:
-        out.append(1.0 + 0.0j)
+        out.append(1)
     return BCParams(PlaceKind.INERT, tuple(out))
 
 

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numfield import (CharValue, FieldData, POLE_EPS, PoleError, euler_factor,
-                       euler_factor_inv, q_power)
+from .numfield import (FieldData, POLE_EPS, PoleError, euler_factor, euler_factor_inv,
+                       q_power)
 from .satake import SatakeDatum, _check_pair, bc_params
 
 
@@ -295,22 +295,22 @@ def zeta_closed_factors(small: SatakeDatum, big: SatakeDatum) -> list[LFactor]:
 # split base case
 
 
-def _require_unitary(name: str, c: CharValue) -> None:
-    if abs(abs(c.value) - 1.0) > 1e-9:
+def _require_unitary(name: str, c: complex) -> None:
+    if abs(abs(c) - 1.0) > 1e-9:
         raise ValueError(f"{name} must be unitary for the series to converge")
 
 
-def zeta_base_split_closed(theta: CharValue, phi: CharValue, Xi0: CharValue,
+def zeta_base_split_closed(theta: complex, phi: complex, Xi0: complex,
                            field: FieldData) -> complex:
-    """L_F(1/2, phi/Xi0) L_F(1/2, theta*Xi0) / L_F(1, theta*phi) over q_F.
+    """L_F(1/2, phi/Xi0) L_F(1/2, theta*Xi0) / L_F(1, theta*phi) over q_F, for
+    the character values theta, phi and Xi0.
 
     The last factor is multiplied in reciprocal form, so the value degenerates
     to 0 (a ZeroFactor outcome) when theta*phi sits on the pole of L_F(1, .).
     """
     if not field.is_split:
         raise ValueError("split base case requested at an inert place")
-    return factor_product(_base_split_factors(theta.value, phi.value, Xi0.value,
-                                              field.q_F, prefix=""))
+    return factor_product(_base_split_factors(theta, phi, Xi0, field.q_F, prefix=""))
 
 
 def _base_split_factors(theta: complex, phi: complex, Xi0: complex, q: int,
@@ -322,7 +322,7 @@ def _base_split_factors(theta: complex, phi: complex, Xi0: complex, q: int,
     ]
 
 
-def zeta_base_split_series(theta: CharValue, phi: CharValue, Xi0: CharValue,
+def zeta_base_split_series(theta: complex, phi: complex, Xi0: complex,
                            field: FieldData, terms: int) -> complex:
     """Truncated integral: 1 + sum_{k=1..terms} (theta*Xi0/q^{1/2})^k + (phi/(Xi0 q^{1/2}))^k.
 
@@ -336,8 +336,8 @@ def zeta_base_split_series(theta: CharValue, phi: CharValue, Xi0: CharValue,
     for name, c in (("theta", theta), ("phi", phi), ("Xi0", Xi0)):
         _require_unitary(name, c)
     root = 1.0 / math.sqrt(field.q_F)
-    r1 = theta.value * Xi0.value * root
-    r2 = phi.value / Xi0.value * root
+    r1 = theta * Xi0 * root
+    r2 = phi / Xi0 * root
     total = 1.0 + 0.0j
     p1 = 1.0 + 0.0j
     p2 = 1.0 + 0.0j

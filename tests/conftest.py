@@ -11,12 +11,12 @@ def rng():
     return np.random.default_rng(20240809)
 
 
-def unit_chars(rng, count):
-    return [CharValue.from_angle(t) for t in rng.uniform(0.0, 1.0, size=count)]
-
-
 def unit_values(rng, count):
     return [cmath.exp(2j * cmath.pi * t) for t in rng.uniform(0.0, 1.0, size=count)]
+
+
+def unit_chars(rng, count):
+    return [CharValue(v) for v in unit_values(rng, count)]
 
 
 @pytest.fixture(params=[2, 3], ids=["q2", "q3"])

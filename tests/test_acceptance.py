@@ -74,7 +74,7 @@ def test_criterion_2_split_base_case_series():
             field = split_place(q)
             rng = np.random.default_rng(102)
             for _ in range(20):
-                theta, phi, xi0 = unit_chars(rng, 3)
+                theta, phi, xi0 = unit_values(rng, 3)
                 series = zeta_base_split_series(theta, phi, xi0, field, 200)
                 closed = zeta_base_split_closed(theta, phi, xi0, field)
                 worst = max(worst, rel_err(series, closed))

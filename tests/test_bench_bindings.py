@@ -1,16 +1,19 @@
 """The benchmark under bench/ drives the program through names it looks up:
-its workloads' command lines, the functions its tracer rebinds, and the
-pool_map keyword the tracer injects into the drivers.  These tests import
-bench/workloads.py and bench/tracer.py and run nothing, so a change to src/
-that would break a benchmark run or its trace fails here first."""
+its workloads' command lines, the functions its tracer rebinds, the
+pool_map keyword the tracer injects into the drivers, and what its rounding
+oracle reads of sampled data.  These tests import bench/workloads.py and
+bench/tracer.py, and run one small sample through those reads, so a change to
+src/ that would break a benchmark run or its trace fails here first."""
 import importlib
 import importlib.util
 import inspect
 import os
 import sys
 
+import numpy as np
 import pytest
 
+import localperiods as lp
 import localperiods.cli as cli
 import localperiods.identity as identity
 
@@ -52,3 +55,16 @@ def test_drivers_take_pool_map_by_keyword():
 
 def test_cli_binds_sample_pair():
     assert cli.sample_pair is identity.sample_pair
+
+
+def test_sample_chars_answer_the_rounding_oracles_reads():
+    # bench/rounding.py inverts each character of sample_pair's data with
+    # .inv(), reads .inv().value, and hands the inverted characters to
+    # weyl_sum_A, all through the package's top-level names
+    n, field = 3, lp.inert_place(2)
+    small, big = lp.sample_pair(n, field, np.random.default_rng([0, 0]))
+    for c in small.chars + big.chars:
+        assert c.inv().value == 1 / c.value
+    value = lp.weyl_sum_A(lp.case_for(n + 1), [c.inv() for c in big.chars],
+                          [c.inv() for c in small.chars], field)
+    assert abs(value - lp.motive_A_value(n + 1, field)) < 1e-9

@@ -110,6 +110,7 @@ def test_weyl_rank_guard(capsys):
     RunConfig(command="identity", n=12, place="inert", q=(2,), samples=1, seed=0,
               tol=1e-7, format="json", force_large=True)
     for argv in (("weyl", "--n", "13"), ("identity", "--n", "13", "--force-large"),
+                 ("identity", "--n", "13", "--force-large", "--place", "inert"),
                  ("table", "--n", "13")):
         code, out, err = run_cli(capsys, *argv, "--q", "2", "--samples", "1")
         assert code == 2 and out == "" and err.startswith("error: --n 13")
@@ -119,6 +120,28 @@ def test_weyl_rank_guard(capsys):
     # the recursion enumerates no Weyl group, so the guard does not apply
     RunConfig(command="recursion", n=13, place="split", q=(2,), samples=1, seed=0,
               tol=1e-9, format="json")
+
+
+def test_split_places_skip_the_rank_guard(capsys):
+    # split places never call the Weyl sum, so split identity runs past rank 6
+    # and localizes the odd-n finding (a request with an inert place keeps
+    # the guard: test_weyl_rank_guard)
+    code, out, err = run_cli(capsys, "identity", "--n", "13", "--force-large", "--place",
+                             "split", "--q", "2", "--samples", "3")
+    assert code == 1 and err == ""
+    labels = {d["factor"].split(" [")[0] for d in json.loads(out)["factor_diffs"]}
+    assert labels == {f"L_F(1/2, nu{i}*th{j})" for i in range(1, 8) for j in range(i + 1, 8)}
+    code, out, _ = run_cli(capsys, "identity", "--n", "20", "--force-large", "--place",
+                           "split", "--q", "2", "--samples", "3")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_table_takes_force_large(capsys):
+    code, out, err = run_cli(capsys, "table", "--n", "13", "--force-large", "--place",
+                             "split", "--q", "2", "--samples", "2")
+    lines = out.strip().splitlines()
+    assert err == "" and lines[0].startswith("sample_index,") and len(lines) == 3
+    assert code == 1  # the split odd-n finding misses tol
 
 
 @pytest.mark.parametrize("argv", [

@@ -89,25 +89,20 @@ def test_field_data_derived_quantities():
 def test_char_value_validation():
     with pytest.raises(ValueError):
         CharValue(0.0)
-    with pytest.raises(ValueError):
-        CharValue(2.0, unitary=True)
-    c = CharValue.from_angle(0.3)
-    assert abs(abs(c.value) - 1) < 1e-12
-    assert abs((c * c.inv()).value - 1) < 1e-12
-    assert (c ** -1).value == pytest.approx(c.inv().value)
+    c = CharValue(cmath.exp(0.6j * cmath.pi))
+    assert c.inv().value == 1 / c.value
+    assert abs(c.value * c.inv().value - 1) < 1e-12
+    # any nonzero scalar is kept as given, so an exact value stays exact
+    assert CharValue(Fraction(2, 3)).inv().value == Fraction(3, 2)
+    assert type(CharValue(2).value) is int
 
 
 def test_char_value_stacked_checks_every_entry():
-    # a 1-D array is one value per sample: each entry is coerced with
-    # complex() as a scalar is, kept as a Python complex, and checked
+    # a 1-D array is one value per sample: every entry is checked, and the
+    # inverse is each entry's own 1 / value
     import numpy as np
-    c = CharValue(np.array([1, 0.6 + 0.8j, -1j]), unitary=True)
-    assert c.value.dtype == object and c.value.tolist() == [1 + 0j, 0.6 + 0.8j, -1j]
-    assert all(type(v) is complex for v in c.value)
-    assert c.inv().value.tolist() == [1.0 / v for v in c.value]
+    c = CharValue(np.array([1, 0.6 + 0.8j, -1j], dtype=object))
+    assert c.value.tolist() == [1, 0.6 + 0.8j, -1j]
+    assert c.inv().value.tolist() == [1 / v for v in c.value]
     with pytest.raises(ValueError, match="nonzero"):
         CharValue(np.array([1.0, 0.0, 1j]))
-    with pytest.raises(ValueError, match="got 2.0"):
-        CharValue(np.array([1.0, 1j, 2.0]), unitary=True)
-    # a scalar is still coerced with complex() alone
-    assert CharValue(2).value == 2 + 0j and type(CharValue(2).value) is complex

@@ -1,10 +1,11 @@
+import cmath
 import math
 from collections import Counter
 
 import pytest
 
 from conftest import unit_values
-from localperiods import (Base, CharValue, WDParam, adjoint_gl, bc_param,
+from localperiods import (Base, WDParam, adjoint_gl, bc_param,
                           direct_sum, gamma_char, induce, inert_place,
                           make_datum, split_place, theta_param_1to2,
                           theta_param_2to3, twist, verify_appendix)
@@ -47,10 +48,9 @@ def test_direct_sum_lfactor_multiplicative(rng):
 def test_twist_identities(rng):
     (z,) = unit_values(rng, 1)
     a = WDParam(Base.OVER_E, (z,))
-    one = CharValue.one()
-    assert twist(a, one).eigenvalues == a.eigenvalues
-    chi = CharValue.from_angle(0.2)
-    assert ms(twist(twist(a, chi), chi.inv()).eigenvalues) == ms(a.eigenvalues)
+    assert twist(a, 1).eigenvalues == a.eigenvalues
+    chi = cmath.exp(0.4j * cmath.pi)
+    assert ms(twist(twist(a, chi), 1 / chi).eigenvalues) == ms(a.eigenvalues)
     assert twist(a, gamma_char()).eigenvalues[0] == pytest.approx(-z)
 
 

@@ -237,7 +237,7 @@ def test_s_value_split_unit_characters():
     # n = 1, all characters trivial, q = 2: six identical numerator factors,
     # denominator zeta_F(1) zeta_F(2) and four unit-ratio factors L_F(1, 1)
     field = split_place(2)
-    ones = [CharValue.one()] * 3
+    ones = [CharValue(1)] * 3
     num = (1 / (1 - 2 ** -0.5)) ** 6
     den = (1 / (1 - Fraction(1, 2))) * (1 / (1 - Fraction(1, 4))) * (1 / (1 - Fraction(1, 2))) ** 4
     scale = 2 ** 4 * iwahori_volume_gl(2, 2) * iwahori_volume_gl(3, 2)

@@ -1,11 +1,14 @@
 import cmath
+from collections import Counter
+from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
 
-from conftest import unit_chars
-from localperiods import (CharValue, ConventionError, LFactor, PoleError,
-                          euler_factor, factor_product, inert_place,
+from conftest import unit_chars, unit_values
+from localperiods import (ConventionError, LFactor, PoleError,
+                          euler_factor, factor_product, inert_place, make_datum,
                           split_place, zeta_base_split_closed,
                           zeta_base_split_series, zeta_closed_factors,
                           zeta_recursive_factors)
@@ -35,7 +38,7 @@ def test_inert_base_case_is_one(rng):
 
 def test_base_split_series_expected_values():
     field = split_place(2)
-    one = CharValue.one()
+    one = 1
     # closed form at trivial characters: (1 - q^{-1}) / (1 - q^{-1/2})^2
     expected = (1 - 0.5) / (1 - 2 ** -0.5) ** 2
     assert expected == pytest.approx(5.82842712474619)
@@ -52,7 +55,7 @@ def test_base_split_series_vs_closed_random(rng):
         field = split_place(q)
         bound = series_truncation_bound(field, 200)
         for _ in range(20):
-            theta, phi, xi0 = unit_chars(rng, 3)
+            theta, phi, xi0 = unit_values(rng, 3)
             series = zeta_base_split_series(theta, phi, xi0, field, 200)
             closed = zeta_base_split_closed(theta, phi, xi0, field)
             assert abs(series - closed) <= bound + 1e-12
@@ -64,7 +67,7 @@ def test_base_split_series_geometric_convergence(rng):
     # over a long window (still well above the float noise floor)
     for q in (2, 3):
         field = split_place(q)
-        theta, phi, xi0 = unit_chars(rng, 3)
+        theta, phi, xi0 = unit_values(rng, 3)
         closed = zeta_base_split_closed(theta, phi, xi0, field)
         t1, t2 = 10, 50
         e1 = abs(zeta_base_split_series(theta, phi, xi0, field, t1) - closed)
@@ -76,34 +79,31 @@ def test_base_split_series_geometric_convergence(rng):
 
 def test_base_split_swap_symmetry(rng):
     field = split_place(3)
-    theta, phi, xi0 = unit_chars(rng, 3)
+    theta, phi, xi0 = unit_values(rng, 3)
     a = zeta_base_split_closed(theta, phi, xi0, field)
-    b = zeta_base_split_closed(phi, theta, xi0.inv(), field)
+    b = zeta_base_split_closed(phi, theta, 1 / xi0, field)
     assert a == pytest.approx(b)
 
 
 def test_base_split_zero_factor_not_pole():
     # theta*phi at the pole of L_F(1, .): the reciprocal factor vanishes
     field = split_place(2)
-    theta = CharValue(2.0)
-    phi = CharValue(1.0)
-    assert zeta_base_split_closed(theta, phi, CharValue.one(), field) == pytest.approx(0.0)
+    assert zeta_base_split_closed(2.0, 1.0, 1, field) == pytest.approx(0.0)
 
 
 def test_base_split_series_requires_unitary():
     field = split_place(2)
     with pytest.raises(ValueError):
-        zeta_base_split_series(CharValue(2.0), CharValue.one(), CharValue.one(), field, 10)
+        zeta_base_split_series(2.0, 1, 1, field, 10)
     with pytest.raises(ValueError):
-        zeta_base_split_series(CharValue.one(), CharValue.one(), CharValue.one(), field, 0)
+        zeta_base_split_series(1, 1, 1, field, 0)
 
 
 def test_split_base_cases_of_both_routes(rng):
     field = split_place(2)
     small = sample_datum(1, field, rng)
     big = sample_datum(2, field, rng)
-    expected = zeta_base_split_closed(CharValue(big.theta(1)), CharValue(big.phi(1)),
-                                      small.chars[0], field)
+    expected = zeta_base_split_closed(big.theta(1), big.phi(1), small.chars[0].value, field)
     assert recursive(small, big) == pytest.approx(expected)
     assert closed(small, big) == pytest.approx(expected)
 
@@ -150,6 +150,62 @@ def test_recursion_split_odd_n_localizes_nu_th_factors(n, q, rng):
         diffs = match_factor_lists(zeta_closed_factors(small, big),
                                    zeta_recursive_factors(small, big))
         assert [d.factor for d in diffs] == ODD_SPLIT_DIFFS[n]
+
+
+PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+def exact_pair(n, field, rng):
+    # random Fraction characters, each a ratio of two primes that no other
+    # character uses: distinct Laurent monomials in them are distinct values
+    small_count, big_count = (m if field.is_split else m // 2 for m in (n + 1, n + 2))
+    primes = iter(rng.permutation(PRIMES).tolist())
+    values = [Fraction(next(primes), next(primes)) for _ in range(small_count + big_count)]
+    return (make_datum(n + 1, field, values[:small_count]),
+            make_datum(n + 2, field, values[small_count:]))
+
+
+def exact_key(f, field):
+    # (q_F-exponent of q^-s, inverse, alpha): a factor over q_E = q_F^2 at s
+    # is the factor over q_F at 2s
+    assert isinstance(f.alpha, Rational), f.label
+    assert f.q in (field.q_F, field.q_E)
+    return Fraction(f.s) * (2 if f.q != field.q_F else 1), f.inverse, f.alpha
+
+
+def exact_multiset(factors, field):
+    """The factors as a multiset of keys, once every direct factor that meets
+    an inverse factor of the same key on this side has cancelled with it."""
+    keys = Counter(exact_key(f, field) for f in factors)
+    for exponent, inverse, alpha in list(keys):
+        if not inverse:
+            both = min(keys[exponent, False, alpha], keys[exponent, True, alpha])
+            keys[exponent, False, alpha] -= both
+            keys[exponent, True, alpha] -= both
+    return +keys
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+def test_exact_characters_compare_the_zeta_routes_as_multisets(place, n, q):
+    # the builders run unedited on Fraction characters, and every alpha stays
+    # exact; the two routes are then equal Euler products for all data when
+    # their multisets are equal.  At split odd n >= 3 exactly l1(l1-1)/2
+    # factors are left on each side, the closed side's being the transcribed
+    # L_F(1/2, nu_i*th_j) that the float localizer names.
+    field = place(q)
+    small, big = exact_pair(n, field, np.random.default_rng([q, n]))
+    closed_list = zeta_closed_factors(small, big)
+    closed_keys = exact_multiset(closed_list, field)
+    recursive_keys = exact_multiset(zeta_recursive_factors(small, big), field)
+    extra, missing = closed_keys - recursive_keys, recursive_keys - closed_keys
+    expected = ODD_SPLIT_DIFFS[n] if field.is_split and n in ODD_SPLIT_DIFFS else []
+    l1 = small.rank
+    assert sum(extra.values()) == sum(missing.values()) == len(expected)
+    assert len(expected) == (l1 * (l1 - 1) // 2 if field.is_split and n % 2 else 0)
+    labels = {exact_key(f, field): f.label for f in closed_list}
+    assert sorted(labels[key] for key in extra.elements()) == sorted(
+        d.split(" [vs")[0] for d in expected)
 
 
 def test_recursion_convention_error_at_twist_pole():
@@ -371,8 +427,8 @@ def test_split_base_case_product_is_unchanged(rng):
     from localperiods.zetarec import _base_split_factors
     field = split_place(2)
     for _ in range(20):
-        theta, phi, xi0 = unit_chars(rng, 3)
-        factors = _base_split_factors(theta.value, phi.value, xi0.value, 2, prefix="")
+        theta, phi, xi0 = unit_values(rng, 3)
+        factors = _base_split_factors(theta, phi, xi0, 2, prefix="")
         assert zeta_base_split_closed(theta, phi, xi0, field) == left_to_right(factors)
 
 
