@@ -110,7 +110,7 @@ class RunConfig:
                 raise UsageError(f"--q must be >= 2, got {q}")
         if self.n < 0:
             raise UsageError("--n must be nonnegative")
-        if self.command in ("identity", "table") and not self.force_large:
+        if self.command == "identity" and not self.force_large:
             if not 1 <= self.n <= 3:
                 raise UsageError(f"--n {self.n} outside the guarded range 1..3 "
                                  "(use --force-large to override)")
@@ -177,13 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker threads for drawing the samples "
                             "(default: 1, samples are drawn in the calling thread)")
 
-    def force_large(p: argparse.ArgumentParser):
-        p.add_argument("--force-large", action="store_true",
-                       help="allow n outside the guarded range 1..3")
-
     p = sub.add_parser("identity", help="end-to-end period identity zeta*S(1) vs Delta*L(1/2)")
     common(p)
-    force_large(p)
+    p.add_argument("--force-large", action="store_true",
+                   help="allow n outside the guarded range 1..3")
     p = sub.add_parser("weyl", help="double Weyl average constancy and motive value (inert)")
     common(p)
     p = sub.add_parser("recursion", help="inductive zeta route against the closed forms")
@@ -195,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_n=False)
     p = sub.add_parser("table", help="per-sample value table for the identity check (CSV)")
     common(p, with_format=False)
-    force_large(p)
     return parser
 
 

@@ -95,7 +95,7 @@ class CharValue:
     differently), so every sample's column of a stacked computation is
     bit-identical to its own.  Every entry is checked to be nonzero."""
 
-    value: complex
+    value: object
 
     def __post_init__(self):
         for x in self.value if isinstance(self.value, np.ndarray) else (self.value,):

@@ -47,19 +47,19 @@ class SatakeDatum:
         return self.m // 2
 
     @property
-    def odd_char(self) -> complex | None:
+    def odd_char(self) -> object | None:
         """Value of the E_1-character, the middle entry at a split place, m odd."""
         if self.field.is_split and self.m % 2 == 1:
             return self.chars[self.m // 2].value
         return None
 
     # Split accessors, 1-based to match the tuple layout; they return values.
-    def theta(self, i: int) -> complex:
+    def theta(self, i: int) -> object:
         """theta_i, the i-th tuple entry."""
         self._require_split_index(i)
         return self.chars[i - 1].value
 
-    def phi(self, i: int) -> complex:
+    def phi(self, i: int) -> object:
         """phi_i, the inverse of the i-th tuple entry from the end."""
         self._require_split_index(i)
         return 1 / self.chars[self.m - i].value
@@ -78,7 +78,7 @@ class SatakeDatum:
         if not 1 <= i <= self.rank:
             raise IndexError(f"character index {i} outside 1..{self.rank}")
 
-    def values(self) -> tuple[complex, ...]:
+    def values(self) -> tuple[object, ...]:
         return tuple(c.value for c in self.chars)
 
     def inverted(self) -> "SatakeDatum":
@@ -133,8 +133,8 @@ class BCParams:
     """
 
     kind: PlaceKind
-    values: tuple[complex, ...]
-    dual_values: tuple[complex, ...] | None = None
+    values: tuple[object, ...]
+    dual_values: tuple[object, ...] | None = None
 
     def __post_init__(self):
         if self.kind is PlaceKind.SPLIT:
@@ -148,7 +148,7 @@ def bc_params(datum: SatakeDatum) -> BCParams:
     if datum.field.is_split:
         vals = datum.values()
         return BCParams(PlaceKind.SPLIT, vals, tuple(1 / v for v in vals))
-    out: list[complex] = []
+    out: list[object] = []
     for c in datum.chars:
         out.extend((c.value, 1 / c.value))
     if datum.m % 2 == 1:

@@ -116,7 +116,7 @@ def test_weyl_rank_guard(capsys):
         assert code == 2 and out == "" and err.startswith("error: --n 13")
     with pytest.raises(UsageError, match="rank 7"):
         RunConfig(command="table", n=13, place="inert", q=(2,), samples=1, seed=0,
-                  tol=1e-7, format="json", force_large=True)
+                  tol=1e-7, format="json")
     # the recursion enumerates no Weyl group, so the guard does not apply
     RunConfig(command="recursion", n=13, place="split", q=(2,), samples=1, seed=0,
               tol=1e-9, format="json")
@@ -136,12 +136,17 @@ def test_split_places_skip_the_rank_guard(capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
-def test_table_takes_force_large(capsys):
-    code, out, err = run_cli(capsys, "table", "--n", "13", "--force-large", "--place",
-                             "split", "--q", "2", "--samples", "2")
+def test_table_has_no_n_range_guard(capsys):
+    # only identity keeps the 1..3 guard; table is bounded by the rank guard alone
+    code, out, err = run_cli(capsys, "table", "--n", "13", "--place", "split",
+                             "--q", "2", "--samples", "2")
     lines = out.strip().splitlines()
     assert err == "" and lines[0].startswith("sample_index,") and len(lines) == 3
     assert code == 1  # the split odd-n finding misses tol
+    code, out, err = run_cli(capsys, "table", "--n", "0", "--q", "2", "--samples", "1")
+    assert code == 0 and err == "" and len(out.strip().splitlines()) == 3
+    code, _, err = run_cli(capsys, "table", "--n", "4", "--force-large")
+    assert code == 2 and "unrecognized arguments: --force-large" in err
 
 
 @pytest.mark.parametrize("argv", [
