@@ -59,8 +59,7 @@ class Check(NamedTuple):
 
 
 CHECKS = {
-    "identity": Check(None, 1e-7, lambda c, f, **kw: verify_localcalc(
-        c.n, f, allow_large=c.force_large, **kw)),
+    "identity": Check(None, 1e-7, lambda c, f, **kw: verify_localcalc(c.n, f, **kw)),
     "weyl": Check(PlaceKind.INERT, 1e-6,
                   lambda c, f, **kw: verify_weyl_constancy(c.n + 1, f, **kw)),
     "recursion": Check(None, 1e-9, lambda c, f, **kw: verify_recursion(c.n, f, **kw)),
@@ -84,7 +83,7 @@ class RunConfig:
     seed: int
     tol: float
     format: str                 # json | csv | text
-    threads: int | None = None
+    threads: int = 1
     terms: int = 200
     force_large: bool = False
 
@@ -101,7 +100,7 @@ class RunConfig:
             raise UsageError("--seed must be nonnegative")
         if self.terms < 1:
             raise UsageError("--terms must be >= 1")
-        if self.threads is not None and self.threads < 1:
+        if self.threads < 1:
             raise UsageError("--threads must be >= 1")
         if not self.q:
             raise UsageError("need at least one --q")
@@ -173,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None)
         if with_format:
             p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker threads for drawing the samples "
                             "(default: 1, samples are drawn in the calling thread)")
 
@@ -272,8 +271,8 @@ def _csv_quote(cell: str) -> str:
 # command execution
 
 
-def _pool_map(threads: int | None):
-    if threads is None or threads <= 1:
+def _pool_map(threads: int):
+    if threads == 1:
         return map, None
     executor = ThreadPoolExecutor(max_workers=threads)
     return executor.map, executor

@@ -262,8 +262,7 @@ class SampleStack:
         std = std_tensor_lfactor(0.5, small, big)
         z = self.product("closed", k)
         if field.is_inert:
-            s_val = s_value_inert(big.chars, small.chars, n, field,
-                                  self.product("closed_inv", k), weyl)
+            s_val = s_value_inert(n, field, self.product("closed_inv", k), weyl)
         else:
             s_val = self.product("s_split", k)
         delta, lr = motive_delta(big.m, field), lratio(0.5, small, big, std)
@@ -411,13 +410,10 @@ def _judge(check: str, n: int, field: FieldData, seed: int, tol: float, samples:
 
 
 def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
-                     tol: float = 1e-7, pool_map=map,
-                     allow_large: bool = False) -> VerificationReport:
+                     tol: float = 1e-7, pool_map=map) -> VerificationReport:
     """Seeded end-to-end check of the period identity for the pair (n+1, n+2).
 
     A miss is probed on its sample's terms and columns of the stacked lists."""
-    if not allow_large and not 1 <= n <= 3:
-        raise ValueError(f"n={n} outside the guarded range 1..3 (pass allow_large to override)")
     stack = SampleStack.draw(n, field, samples, seed, pool_map)
 
     def one(k):

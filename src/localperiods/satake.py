@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .numfield import (CharValue, FieldData, PlaceKind, PoleError, POLE_EPS,
+from .numfield import (CharValue, FieldData, PoleError, POLE_EPS,
                        euler_factor, q_power)
 
 
@@ -123,8 +124,7 @@ def stack_data(data) -> SatakeDatum:
     return SatakeDatum(first.m, first.field, chars)
 
 
-@dataclass(frozen=True)
-class BCParams:
+class BCParams(NamedTuple):
     """Frobenius parameters of the quadratic base change to GL_m(E).
 
     Inert: `values` is the multiset over E, closed under inversion once the
@@ -132,28 +132,20 @@ class BCParams:
     GL_m(F)-component and `dual_values` its elementwise inverses.
     """
 
-    kind: PlaceKind
     values: tuple[object, ...]
     dual_values: tuple[object, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind is PlaceKind.SPLIT:
-            if self.dual_values is None or len(self.dual_values) != len(self.values):
-                raise ValueError("split parameters need matching dual components")
-        elif self.dual_values is not None:
-            raise ValueError("inert parameters carry a single multiset")
 
 
 def bc_params(datum: SatakeDatum) -> BCParams:
     if datum.field.is_split:
         vals = datum.values()
-        return BCParams(PlaceKind.SPLIT, vals, tuple(1 / v for v in vals))
+        return BCParams(vals, tuple(1 / v for v in vals))
     out: list[object] = []
     for c in datum.chars:
         out.extend((c.value, 1 / c.value))
     if datum.m % 2 == 1:
         out.append(1)
-    return BCParams(PlaceKind.INERT, tuple(out))
+    return BCParams(tuple(out))
 
 
 def _check_pair(small: SatakeDatum, big: SatakeDatum) -> None:

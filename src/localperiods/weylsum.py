@@ -124,8 +124,9 @@ def _h_values(case: Case, l: int, Z, x, root) -> list:
 def _b_values(case: Case, X, x, root):
     # b = c(x) prod_i h_i(X_i; x), c the small singles of case A (so an empty X
     # gives c).  b is the reciprocal of a product of L_E(1/2, .) factors, kept
-    # as a product of (1 - q_E^{-1/2} a), so it vanishes where one has a pole.  root = q_E^{-1/2}; every factor of b sits at s = 1/2.  Scalars
-    # are complex, Fraction on exact rational data, or numpy arrays.
+    # as a product of (1 - q_E^{-1/2} a), so it vanishes where one has a pole.
+    # root = q_E^{-1/2}; every factor of b sits at s = 1/2.  Scalars are
+    # complex, Fraction on exact rational data, or numpy arrays.
     v = 1
     for t in x if case is Case.A else ():
         v = v * (1 - root * t)
@@ -280,21 +281,16 @@ def _s_scale(n: int, field: FieldData) -> Fraction:
             * volume(n + 1, field.q_F) * volume(n + 2, field.q_F))
 
 
-def s_value_inert(big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
-                  n: int, field: FieldData, zeta_at_inverse: complex,
-                  a_val: complex | None = None) -> complex:
+def s_value_inert(n: int, field: FieldData, zeta_at_inverse: complex,
+                  a_val: complex) -> complex:
     """Spherical double average S at the identity, inert place.
 
     The product zeta(X^{-1}, x^{-1}) * q-power * Vol(B_{n+1}) Vol(B_{n+2}) *
-    A(X^{-1}, x^{-1}), with the zeta value supplied by the caller and A, unless
-    the caller gives it as a_val, computed by the double Weyl sum at the
-    inverted characters.
+    A(X^{-1}, x^{-1}), with the zeta value and the double Weyl sum A at the
+    inverted characters (weyl_sum_A) supplied by the caller.
     """
     if not field.is_inert:
         raise ValueError("inert formula requested at a split place")
-    if a_val is None:
-        a_val = weyl_sum_A(case_for(n + 1), [c.inv() for c in big_chars],
-                           [c.inv() for c in small_chars], field)
     return zeta_at_inverse * float(_s_scale(n, field)) * a_val
 
 

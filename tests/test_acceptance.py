@@ -179,8 +179,7 @@ def test_criterion_7_appendix_suite():
         reports = []
         for q in (2, 3):
             field = inert_place(q)
-            reports.append(verify_appendix(field, samples=20, seed=107, tol=1e-9,
-                                           s_points=20))
+            reports.append(verify_appendix(field, samples=20, seed=107, tol=1e-9))
             worst_induce = max(worst_induce,
                                induce_preservation_defect(field, samples=20, seed=107))
     ok = all(r.passed for r in reports) and worst_induce < 1e-12

@@ -179,7 +179,8 @@ def test_closed_stdout_pipe_exits_quietly():
 
 
 def test_default_runs_in_calling_thread():
-    assert _pool_map(None) == (map, None)
+    assert cli.PARSER.parse_args(["identity"]).threads == 1
+    assert _pool_map(1) == (map, None)
 
 
 def test_split_odd_n_small_determinant_is_not_a_pole(capsys):

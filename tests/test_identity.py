@@ -10,7 +10,7 @@ from localperiods.identity import (FactorDiff, VerificationReport, identity_row,
                                    identity_table, rel_err, sample_pair, _rng_for)
 
 RHS = 5  # identity_row index of Delta * L(1/2)/(Ad*Ad)
-from localperiods.weylsum import s_value_inert
+from localperiods.weylsum import case_for, s_value_inert, weyl_sum_A
 
 
 def test_report_invariants():
@@ -53,7 +53,9 @@ def test_unramified_period_rank_one_inert_is_s_value(rng):
     # U(1) < U(2): zeta = 1 so the period is the spherical average alone
     field = inert_place(2)
     small, big = sample_pair(0, field, _rng_for(5, 0))
-    expected = s_value_inert(big.chars, small.chars, 0, field, 1.0)
+    weyl = weyl_sum_A(case_for(1), [c.inv() for c in big.chars],
+                      [c.inv() for c in small.chars], field)
+    expected = s_value_inert(0, field, 1.0, weyl)
     assert unramified_period(small, big) == pytest.approx(expected)
 
 
@@ -116,9 +118,19 @@ def test_verify_localcalc_failure_has_diffs():
 
 def test_verify_guards():
     with pytest.raises(ValueError):
-        verify_localcalc(9, inert_place(2), samples=1)
-    with pytest.raises(ValueError):
         verify_weyl_constancy(2, split_place(2), samples=1)
+
+
+def test_identity_drivers_agree_beyond_the_cli_range():
+    # the 1..3 range is the CLI's; both library drivers take any n alike
+    inert = verify_localcalc(4, inert_place(2), samples=3, seed=1)
+    rows = identity_table(4, inert_place(2), samples=3, seed=1)
+    assert inert.passed and inert.max_rel_err == max(row[-1] for row in rows)
+    split = verify_localcalc(7, split_place(2), samples=3, seed=1)
+    rows = identity_table(7, split_place(2), samples=3, seed=1)
+    assert not split.passed and split.max_rel_err == max(row[-1] for row in rows) > split.tol
+    assert {d.factor.split(" [")[0] for d in split.factor_diffs} == {
+        f"L_F(1/2, nu{i}*th{j})" for j in range(1, 5) for i in range(1, j)}
 
 
 @pytest.mark.parametrize("driver, args", [
@@ -479,7 +491,7 @@ def identity_reference(small, big):
     z = factor_product(zeta_closed_factors(small, big))
     if field.is_inert:
         z_inv = factor_product(zeta_closed_factors(small.inverted(), big.inverted()))
-        s_val = s_value_inert(big.chars, small.chars, n, field, z_inv, weyl)
+        s_val = s_value_inert(n, field, z_inv, weyl)
     else:
         s_val = s_value_split(big.inverted().chars, small.inverted().chars, n, field)
     delta, lr = motive_delta(big.m, field), std / (adjoint_lfactor(1.0, big)

@@ -1,6 +1,7 @@
 import cmath
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import unit_values
 from localperiods import (Base, WDParam, adjoint_gl, bc_param,
                           direct_sum, gamma_char, induce, inert_place,
                           make_datum, split_place, theta_param_1to2,
-                          theta_param_2to3, twist, verify_appendix)
+                          tensor_product, theta_param_2to3, twist, verify_appendix)
 from localperiods.identity import rel_err
 from weylref import induce_preservation_defect
 
@@ -22,6 +23,20 @@ def test_wdparam_validation():
         WDParam(Base.OVER_E, ())
     with pytest.raises(ValueError):
         WDParam(Base.OVER_E, (0.0,))
+    with pytest.raises(ValueError):
+        WDParam(Base.OVER_E, (Fraction(0),))
+
+
+def test_fraction_eigenvalues_stay_exact():
+    # eigenvalues are kept as given, so exact data stays exact
+    F = Fraction
+    a, b = WDParam(Base.OVER_E, (F(2), F(1, 3))), WDParam(Base.OVER_E, (F(-5, 7),))
+    for param, expected in [(direct_sum(a, b), (F(2), F(1, 3), F(-5, 7))),
+                            (twist(a, F(3, 2)), (F(3), F(1, 2))),
+                            (tensor_product(a, b), (F(-10, 7), F(-5, 21))),
+                            (adjoint_gl(a), (F(1), F(6), F(1, 6), F(1)))]:
+        assert param.eigenvalues == expected
+        assert all(type(z) is Fraction for z in param.eigenvalues)
 
 
 def test_direct_sum_union_and_commutativity(rng):
@@ -137,7 +152,7 @@ def test_verify_appendix_fails_on_a_nan_at_sample_1(monkeypatch):
 
 def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
     # the lift parameters do not depend on s, so the number of twist and
-    # tensor_product calls per sample does not grow with s_points
+    # tensor_product calls per sample does not grow with S_POINTS
     import localperiods.paramcalc as paramcalc
     calls = Counter()
     for name in ("twist", "tensor_product"):
@@ -148,6 +163,7 @@ def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
     per_run = []
     for s_points in (1, 5):
         calls.clear()
-        assert verify_appendix(inert_place(2), samples=2, seed=1, s_points=s_points).passed
+        monkeypatch.setattr(paramcalc, "S_POINTS", s_points)
+        assert verify_appendix(inert_place(2), samples=2, seed=1).passed
         per_run.append(dict(calls))
     assert per_run[0] == per_run[1] and set(per_run[0]) == {"twist", "tensor_product"}

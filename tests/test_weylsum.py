@@ -218,9 +218,10 @@ def test_s_value_inert_linear_in_zeta_argument(rng):
     field = inert_place(2)
     X = unit_chars(rng, 1)
     x = unit_chars(rng, 1)
-    one = s_value_inert(X, x, 1, field, 1.0)
+    a_val = weyl_sum_A(Case.A, [c.inv() for c in X], [c.inv() for c in x], field)
+    one = s_value_inert(1, field, 1.0, a_val)
     z = 0.37 - 1.2j
-    assert s_value_inert(X, x, 1, field, z) == pytest.approx(one * z)
+    assert s_value_inert(1, field, z, a_val) == pytest.approx(one * z)
 
 
 def test_s_value_inert_rank_one_factors(rng):
@@ -230,7 +231,7 @@ def test_s_value_inert_rank_one_factors(rng):
     x = unit_chars(rng, 1)
     a_val = weyl_sum_A(Case.A, [c.inv() for c in X], [c.inv() for c in x], field)
     expected = 2 ** 4 * Fraction(1, 3) * Fraction(1, 9)
-    assert s_value_inert(X, x, 1, field, 1.0) == pytest.approx(float(expected) * a_val)
+    assert s_value_inert(1, field, 1.0, a_val) == pytest.approx(float(expected) * a_val)
 
 
 def test_s_value_split_unit_characters():
