@@ -1,4 +1,4 @@
-"""Local field descriptors, unramified characters, and scalar Euler factors.
+"""Local field descriptors, unramified characters, and Euler factors.
 
 Everything downstream reduces to products of factors 1/(1 - q^{-s} a), where q
 is a residue field cardinality and a is the value of an unramified character at
@@ -6,11 +6,11 @@ a uniformizer.  This module owns that primitive, the quadratic-character factors
 attached to an unramified quadratic extension E/F, and the local Gross motive
 value Delta_{G_m} = prod_{r=1}^{m} L(r, chi^r).
 
-Euler factors are evaluated in double-precision complex, and identities are
-checked downstream with relative tolerances, never exact equality.  Rational
-inputs (integer s, chi = +-1) are evaluated exactly with Fraction and converted
-at the boundary.  A character value is any nonzero scalar, so exact values can
-run through the factor-list builders too.
+Euler factors are evaluated in double-precision complex, at one s or at an
+array of s, and identities are checked downstream with relative tolerances,
+never exact equality.  Rational inputs (integer s, chi = +-1) are evaluated
+exactly with Fraction and converted at the boundary.  A character value is any
+nonzero scalar, so exact values can run through the factor-list builders too.
 """
 from __future__ import annotations
 
@@ -82,6 +82,12 @@ def split_place(q_F: int) -> FieldData:
     return FieldData(q_F, PlaceKind.SPLIT)
 
 
+def has_zero(value) -> bool:
+    """Whether a scalar is zero, or any entry of an array is."""
+    zero = value == 0
+    return bool(zero.any()) if type(zero) is np.ndarray else zero
+
+
 @dataclass(frozen=True)
 class CharValue:
     """An unramified character, recorded by its value at a uniformizer: any
@@ -98,9 +104,8 @@ class CharValue:
     value: object
 
     def __post_init__(self):
-        for x in self.value if isinstance(self.value, np.ndarray) else (self.value,):
-            if x == 0:
-                raise ValueError("character value at the uniformizer must be nonzero")
+        if has_zero(self.value):
+            raise ValueError("character value at the uniformizer must be nonzero")
 
     def inv(self) -> "CharValue":
         return CharValue(1 / self.value)
@@ -117,15 +122,36 @@ def euler_factor(s: complex, q: int, alpha: complex, *,
                  factor: str | None = None) -> complex:
     """1/(1 - q^{-s} alpha).
 
-    Raises PoleError when the denominator is within POLE_EPS of zero; samplers
-    upstream are responsible for keeping generic data away from poles.
+    s may also be a complex array, one point per entry, with alpha a scalar or
+    an array of the same shape: q^{-s} is then np.exp(-s log q) and the
+    factor np.reciprocal of the denominator, so the values may differ from
+    the scalar path's in the last bits.
+
+    Raises PoleError when the denominator (any entry of it) is within POLE_EPS
+    of zero; samplers upstream are responsible for keeping generic data away
+    from poles.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    den = 1.0 - q_power(q, s) * alpha
+    try:
+        q_s = q_power(q, s)
+    except TypeError:  # an array of s is unhashable, so q_power cannot memoize it
+        return _euler_factor_array(s, q, alpha, factor)
+    den = 1.0 - q_s * alpha
     if abs(den) < POLE_EPS:
         raise PoleError(f"local factor pole at s={s!r}, q={q}, alpha={alpha!r}", factor=factor)
     return 1.0 / den
+
+
+def _euler_factor_array(s: np.ndarray, q: int, alpha, factor: str | None) -> np.ndarray:
+    den = 1.0 - np.exp(-s * math.log(q)) * alpha
+    poles = np.abs(den) < POLE_EPS
+    if poles.any():
+        k = poles.argmax()  # the first pole entry
+        a = np.broadcast_to(alpha, den.shape).flat[k]
+        raise PoleError(f"local factor pole at s={complex(s.flat[k])!r}, q={q}, "
+                        f"alpha={complex(a)!r}", factor=factor)
+    return np.reciprocal(den)
 
 
 def euler_factor_inv(s: complex, q: int, alpha: complex) -> complex:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .identity import (FactorDiff, VerificationReport, _judge, map_samples, rel_err,
-                       worst_err)
-from .numfield import FieldData, euler_factor, lfactor_chi
+from .identity import FactorDiff, VerificationReport, _judge, map_samples, worst_err
+from .numfield import FieldData, euler_factor, has_zero, lfactor_chi
 from .satake import SatakeDatum, adjoint_lfactor, bc_params, make_datum
 
 BC_TOL = 1e-9  # slack of _datum_from_bc on a unit eigenvalue and a pair product
@@ -39,12 +39,12 @@ class Base(Enum):
 @dataclass(frozen=True)
 class WDParam:
     base: Base
-    eigenvalues: tuple[object, ...]  # nonzero scalars, kept as given
+    eigenvalues: tuple[object, ...]  # nonzero scalars (or arrays of them), kept as given
 
     def __post_init__(self):
         if not self.eigenvalues:
             raise ValueError("parameter needs at least one eigenvalue")
-        if any(z == 0 for z in self.eigenvalues):
+        if any(map(has_zero, self.eigenvalues)):
             raise ValueError("Frobenius eigenvalues must be nonzero")
 
     @property
@@ -135,6 +135,83 @@ def _datum_from_bc(m: int, param: WDParam, field: FieldData) -> SatakeDatum:
 # ---------------------------------------------------------------------------
 # the appendix suite
 
+IDENTITIES = ("piad", "sigmaad", "muad", "bigsig", "sigcor")  # in comparison order
+
+
+class _Lift(NamedTuple):
+    """A sample's data and lift parameters, none of which depends on s; or,
+    stacked by _on_points, those of every point."""
+
+    sigma: SatakeDatum
+    pi: SatakeDatum
+    theta_pi_bar: SatakeDatum
+    theta_sigma_bar: SatakeDatum
+    theta_mu_bar: SatakeDatum
+    sigma_prime: WDParam
+    sigma_twist: WDParam
+    mu_twist: WDParam
+    bigsig_rhs: WDParam
+    pi_twist: WDParam
+    sigcor_rhs: WDParam
+
+
+def _lift(field: FieldData, z_sigma: complex, z_pi: complex) -> _Lift:
+    """Build one sample's U(2) data sigma and pi, the trivial U(1) character mu,
+    and their lift parameters with the parameter calculus."""
+    gamma = gamma_char()
+    sigma = make_datum(2, field, [z_sigma])
+    pi = make_datum(2, field, [z_pi])
+    m_sigma = bc_param(sigma)
+    m_sigma_bar = bc_param(sigma.conjugated())
+    m_pi = bc_param(pi)
+    m_pi_bar = bc_param(pi.conjugated())
+    m_mu = WDParam(Base.OVER_E, (1.0 + 0.0j,))  # unramified U(1) character is trivial
+    gamma_param = WDParam(Base.OVER_E, (gamma,))
+    theta_sigma_bar = _datum_from_bc(3, theta_param_2to3(m_sigma_bar, gamma), field)
+    return _Lift(
+        sigma=sigma, pi=pi,
+        theta_pi_bar=_datum_from_bc(2, m_pi_bar, field),
+        theta_sigma_bar=theta_sigma_bar,
+        theta_mu_bar=_datum_from_bc(2, theta_param_1to2(m_mu, gamma), field),
+        sigma_prime=induce(tensor_product(tensor_product(m_pi_bar, m_sigma), gamma_param)),
+        sigma_twist=twist(m_sigma, gamma ** 3),
+        mu_twist=twist(m_mu, gamma ** 2),
+        bigsig_rhs=tensor_product(tensor_product(m_pi, m_sigma_bar),
+                                  WDParam(Base.OVER_E, (1 / gamma,))),
+        pi_twist=twist(m_pi, gamma ** 2),
+        sigcor_rhs=tensor_product(bc_param(theta_sigma_bar), m_pi))
+
+
+def _on_points(items: tuple, counts: list[int]):
+    """The samples' data (or parameters) of one slot as one datum (parameter)
+    on the point axis: each value becomes a complex array that holds sample
+    k's value counts[k] times."""
+    def stacked(columns):
+        return [np.repeat(np.array(c, dtype=complex), counts) for c in columns]
+
+    first = items[0]
+    if isinstance(first, SatakeDatum):
+        return make_datum(first.m, first.field, stacked(zip(*(d.values() for d in items))))
+    return WDParam(first.base, tuple(stacked(zip(*(p.eigenvalues for p in items)))))
+
+
+def _sides(s, g: _Lift, field: FieldData) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the identities at s, each (points, IDENTITIES): s and the
+    values of g are arrays on one point axis, so every factor is one array
+    evaluation."""
+    chi = lfactor_chi(s, field, 1)
+    sigma_prime_l = g.sigma_prime.lfactor(s, field)
+    sides = [
+        (adjoint_lfactor(s, g.theta_pi_bar), adjoint_lfactor(s, g.pi)),
+        (adjoint_lfactor(s, g.theta_sigma_bar),
+         chi * adjoint_lfactor(s, g.sigma) * g.sigma_twist.lfactor(s, field)),
+        (adjoint_lfactor(s, g.theta_mu_bar), chi ** 2 * g.mu_twist.lfactor(s, field)),
+        (sigma_prime_l, g.bigsig_rhs.lfactor(s, field)),
+        (sigma_prime_l * g.pi_twist.lfactor(s, field), g.sigcor_rhs.lfactor(s, field)),
+    ]
+    lhs, rhs = zip(*sides)
+    return np.stack(lhs, axis=1), np.stack(rhs, axis=1)
+
 
 def _draw_s(rng: np.random.Generator, count: int) -> list[complex]:
     return [complex(re, im) for re, im in zip(rng.uniform(0.6, 2.5, size=count),
@@ -147,66 +224,43 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
 
     For each sample, U(2) data sigma and pi and the trivial U(1) character mu
     are drawn, the lift parameters are built with the parameter calculus, and
-    each identity is compared at S_POINTS random s values.
+    each identity is compared at S_POINTS random s values.  The comparisons
+    of all samples run at once, on one axis of (sample, s) points.
     """
     if not field.is_inert:
         raise ValueError("the lift identities live over a genuine quadratic extension")
-    gamma = gamma_char()
 
     def draw(rng):  # sigma's character, then pi's, then the s points
         z_sigma, z_pi = (cmath.exp(2j * cmath.pi * rng.uniform()) for _ in range(2))
         return z_sigma, z_pi, _draw_s(rng, S_POINTS)
 
     draws = map_samples(draw, samples, seed, pool_map=pool_map)
+    counts = [len(s_values) for _, _, s_values in draws]
+    s = np.array([p for _, _, s_values in draws for p in s_values], dtype=complex)
+    lifts = [_lift(field, z_sigma, z_pi) for z_sigma, z_pi, _ in draws]
+    grid = _Lift(*(_on_points(slot, counts) for slot in zip(*lifts)))
+    # a nan point fails its sample through its error, as in Python's complex
+    # arithmetic; numpy would also warn on the floating-point flags it raises
+    with np.errstate(all="ignore"):
+        lhs, rhs = _sides(s, grid, field)
+        # rel_err entry by entry (numpy's abs is hypot, as Python's)
+        errs = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    bounds = np.cumsum([0, *counts])
 
     def one(k):
-        z_sigma, z_pi, s_values = draws[k]
-        sigma = make_datum(2, field, [z_sigma])
-        pi = make_datum(2, field, [z_pi])
-        m_sigma = bc_param(sigma)
-        m_sigma_bar = bc_param(sigma.conjugated())
-        m_pi = bc_param(pi)
-        m_pi_bar = bc_param(pi.conjugated())
-        m_mu = WDParam(Base.OVER_E, (1.0 + 0.0j,))  # unramified U(1) character is trivial
-        gamma_param = WDParam(Base.OVER_E, (gamma,))
-
-        theta_pi_bar = _datum_from_bc(2, m_pi_bar, field)
-        theta_sigma_bar = _datum_from_bc(3, theta_param_2to3(m_sigma_bar, gamma), field)
-        theta_mu_bar = _datum_from_bc(2, theta_param_1to2(m_mu, gamma), field)
-        sigma_prime = induce(tensor_product(tensor_product(m_pi_bar, m_sigma), gamma_param))
-
-        # the parameters that do not depend on s, built once per sample
-        sigma_twist = twist(m_sigma, gamma ** 3)
-        mu_twist = twist(m_mu, gamma ** 2)
-        bigsig_rhs = tensor_product(tensor_product(m_pi, m_sigma_bar),
-                                    WDParam(Base.OVER_E, (1 / gamma,)))
-        pi_twist = twist(m_pi, gamma ** 2)
-        sigcor_rhs = tensor_product(bc_param(theta_sigma_bar), m_pi)
-
-        sides = []  # (identity, s, lhs, rhs) in evaluation order
-        for s in s_values:
-            chi = lfactor_chi(s, field, 1)
-            sigma_prime_l = sigma_prime.lfactor(s, field)
-            sides += [
-                ("piad", s, adjoint_lfactor(s, theta_pi_bar), adjoint_lfactor(s, pi)),
-                ("sigmaad", s, adjoint_lfactor(s, theta_sigma_bar),
-                 chi * adjoint_lfactor(s, sigma) * sigma_twist.lfactor(s, field)),
-                ("muad", s, adjoint_lfactor(s, theta_mu_bar),
-                 chi ** 2 * mu_twist.lfactor(s, field)),
-                ("bigsig", s, sigma_prime_l, bigsig_rhs.lfactor(s, field)),
-                ("sigcor", s, sigma_prime_l * pi_twist.lfactor(s, field),
-                 sigcor_rhs.lfactor(s, field)),
-            ]
-        worst = worst_err(rel_err(lhs, rhs) for _, _, lhs, rhs in sides)
-        return worst, lambda: _first_misses(sides, tol)
+        seg = slice(bounds[k], bounds[k + 1])
+        return (worst_err(errs[seg].ravel().tolist()),
+                lambda: _first_misses(s[seg], lhs[seg], rhs[seg], errs[seg], tol))
 
     return _judge("appendix", 0, field, seed, tol, samples, one)
 
 
-def _first_misses(sides: list[tuple], tol: float) -> list[FactorDiff]:
-    # the first (s, lhs, rhs) of each identity whose error is not within tol
+def _first_misses(s, lhs, rhs, errs, tol: float) -> list[FactorDiff]:
+    # the first (s, lhs, rhs) of each identity whose error is not within tol,
+    # s points first, then identities
     diffs: dict[str, FactorDiff] = {}
-    for name, s, lhs, rhs in sides:
-        if name not in diffs and not rel_err(lhs, rhs) <= tol:
-            diffs[name] = FactorDiff(f"{name} at s={s:.4g}", lhs, rhs)
+    for p, i in zip(*np.nonzero(~(errs <= tol))):
+        name = IDENTITIES[i]
+        if name not in diffs:
+            diffs[name] = FactorDiff(f"{name} at s={complex(s[p]):.4g}", lhs[p, i], rhs[p, i])
     return list(diffs.values())

@@ -107,17 +107,24 @@ def _case_lengths(case: Case, n_big: int, n_small: int) -> None:
         raise ValueError(f"case B needs big length = small length + 1, got {n_big} and {n_small}")
 
 
-def _h_values(case: Case, l: int, Z, x, root) -> list:
-    # [h_0(Z; x), ..., h_{l-1}(Z; x)]: h_i is the product of the factors of b
-    # that involve the i-th big character, evaluated at Z.  The three factors of
-    # each small character t_j are built once and shared by every h_i, which
-    # takes the far one for j >= i and the low one for j < i.
+def _h_values(case: Case, l: int, Z, x, root) -> np.ndarray:
+    # h_0(Z; x), ..., h_{l-1}(Z; x) as one (l, ...) array: h_i is the product
+    # of the factors of b that involve the i-th big character, evaluated at Z.
+    # The three factors of each small character t_j are built once and
+    # multiply every h_i in place, h_i taking the far one for j >= i and the
+    # low one for j < i.
     rZ = root * Z
-    h = [1 - rZ if case is Case.B else 1] * l
+    start = 1 - rZ if case is Case.B else 1
+    if not len(x):
+        return np.array([start] * l)
     for j, t in enumerate(x):
         near, far, low = 1 - rZ * t, 1 - rZ / t, 1 - root * t / Z
-        for i in range(l):
-            h[i] = h[i] * near * (far if j >= i else low)
+        if j == 0:
+            h = np.array([start * near] * l)
+        else:
+            h *= near
+        h[:j + 1] *= far
+        h[j + 1:] *= low
     return h
 
 
@@ -195,7 +202,9 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
         raise PoleError("degenerate big characters in the double Weyl sum", factor="d1(X)")
     l = len(values)
     X = np.array(values, dtype=complex)
-    Z = np.concatenate([X, 1 / X])  # H_i is evaluated at X_k, then at 1/X_k
+    # H_i is evaluated at X_k, then at 1/X_k; as a row, so that h has a block
+    # axis also when the small group has rank 0
+    Z = np.concatenate([X, 1 / X])[None, :]
     roots = np.sqrt(X)
     two_rho = rho_big(case, l)
     Z_rho = np.concatenate([roots ** -two_rho, roots ** two_rho], axis=1)
@@ -208,8 +217,10 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
         d0 = _d0_values(case, small)
         if np.any(np.abs(d0) < POLE_EPS):
             raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
-        H = (z * h for z, h in zip(Z_rho, _h_values(case, l, Z, small[:, :, None], root)))
-        alternants = np.linalg.det(np.stack([h[..., :l] - h[..., l:] for h in H], axis=-2))
+        H = _h_values(case, l, Z, small[:, :, None], root)  # (l, block, 2 l)
+        np.multiply(Z_rho[:, None, :], H, out=H)
+        alternants = np.linalg.det((H[..., :l] - H[..., l:]).transpose(1, 0, 2))
+        del H  # so that the next block's h is not built while this one is alive
         total += (_b_values(case, (), small, root) * alternants / d0).sum()
     return complex(total / (np.prod(Z_rho.diagonal()) * d1))  # X^{-rho} d1(X)
 

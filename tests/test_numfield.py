@@ -106,3 +106,30 @@ def test_char_value_stacked_checks_every_entry():
     assert c.inv().value.tolist() == [1 / v for v in c.value]
     with pytest.raises(ValueError, match="nonzero"):
         CharValue(np.array([1.0, 0.0, 1j]))
+
+
+def test_euler_factor_on_an_array_of_s_matches_the_scalar_calls(q):
+    # one array evaluation per factor: np.exp and np.reciprocal instead of
+    # cmath.exp and Python's complex division, so equal up to the last bits
+    import numpy as np
+    rng = np.random.default_rng(q)
+    s = rng.uniform(0.5, 2.5, 400) + 1j * rng.uniform(-3.0, 3.0, 400)
+    alpha = np.exp(2j * np.pi * rng.uniform(size=400))
+    for a in (alpha, -1.0 + 0.0j):
+        values = euler_factor(s, q, a)
+        scalar = [euler_factor(complex(x), q, complex(y))
+                  for x, y in zip(s, np.broadcast_to(a, s.shape))]
+        assert values.shape == s.shape
+        assert all(abs(v - w) <= 1e-15 * abs(w) for v, w in zip(values.tolist(), scalar))
+
+
+def test_euler_factor_array_pole_names_the_factor():
+    import numpy as np
+    s = np.array([1.0 + 0.5j, 0.0 + 0.0j, 2.0 + 0.0j])
+    with pytest.raises(PoleError, match="s=0j") as err:
+        euler_factor(s, 2, 1.0 + 0.0j, factor="zeta_F(s)")
+    assert err.value.factor == "zeta_F(s)"
+    # the pole may sit in the alpha array too
+    with pytest.raises(PoleError) as err:
+        euler_factor(np.full(3, 1.0 + 0j), 2, np.array([0.5, 2.0, 1.0]) + 0j, factor="L")
+    assert err.value.factor == "L"

@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import unit_values
@@ -11,6 +12,9 @@ from localperiods import (Base, WDParam, adjoint_gl, bc_param,
                           make_datum, split_place, theta_param_1to2,
                           tensor_product, theta_param_2to3, twist, verify_appendix)
 from localperiods.identity import rel_err
+from localperiods.numfield import lfactor_chi
+from localperiods.paramcalc import IDENTITIES, S_POINTS
+from localperiods.satake import adjoint_lfactor
 from weylref import induce_preservation_defect
 
 
@@ -25,6 +29,13 @@ def test_wdparam_validation():
         WDParam(Base.OVER_E, (0.0,))
     with pytest.raises(ValueError):
         WDParam(Base.OVER_E, (Fraction(0),))
+
+
+def test_wdparam_checks_every_entry_of_an_array_eigenvalue():
+    # on the appendix's point axis an eigenvalue holds one value per point
+    assert WDParam(Base.OVER_E, (np.array([1.0, -1j]), 2.0)).size == 2
+    with pytest.raises(ValueError, match="nonzero"):
+        WDParam(Base.OVER_E, (1.0, np.array([1.0, 0.0, 1j])))
 
 
 def test_fraction_eigenvalues_stay_exact():
@@ -167,3 +178,120 @@ def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
         assert verify_appendix(inert_place(2), samples=2, seed=1).passed
         per_run.append(dict(calls))
     assert per_run[0] == per_run[1] and set(per_run[0]) == {"twist", "tensor_product"}
+
+
+# ---------------------------------------------------------------------------
+# the appendix on one (sample, s) point axis, against the per-point loop
+
+
+def scalar_sides(s, lift, field):
+    # the five identities at one s on one sample's lift, as a loop over the
+    # (sample, s) points evaluates them, in Python's complex arithmetic
+    chi = lfactor_chi(s, field, 1)
+    sigma_prime_l = lift.sigma_prime.lfactor(s, field)
+    return [
+        (adjoint_lfactor(s, lift.theta_pi_bar), adjoint_lfactor(s, lift.pi)),
+        (adjoint_lfactor(s, lift.theta_sigma_bar),
+         chi * adjoint_lfactor(s, lift.sigma) * lift.sigma_twist.lfactor(s, field)),
+        (adjoint_lfactor(s, lift.theta_mu_bar), chi ** 2 * lift.mu_twist.lfactor(s, field)),
+        (sigma_prime_l, lift.bigsig_rhs.lfactor(s, field)),
+        (sigma_prime_l * lift.pi_twist.lfactor(s, field), lift.sigcor_rhs.lfactor(s, field)),
+    ]
+
+
+def first_miss_labels(points, tol):
+    # the per-point loop's judging: within each sample, the first miss of each
+    # identity, s points first, then identities; the report keeps the first of
+    # each label, in sample order.  points[k] lists sample k's (s, sides).
+    labels = {}
+    for sample in points:
+        missed = set()
+        for s, sides in sample:
+            for name, (lhs, rhs) in zip(IDENTITIES, sides):
+                if name not in missed and not rel_err(lhs, rhs) <= tol:
+                    missed.add(name)
+                    labels.setdefault(f"{name} at s={s:.4g}", (lhs, rhs))
+    return labels
+
+
+def recorded_appendix(monkeypatch, field, samples, seed, tol):
+    """verify_appendix's report, with each sample's lift and s points and the
+    grid's (lhs, rhs) arrays, recorded as it runs."""
+    import localperiods.paramcalc as paramcalc
+    seen = {"lifts": [], "s": [], "grid": []}
+    real_lift, real_draw_s, real_sides = paramcalc._lift, paramcalc._draw_s, paramcalc._sides
+
+    def record(key, value):
+        seen[key].append(value)
+        return value
+
+    monkeypatch.setattr(paramcalc, "_lift", lambda *a: record("lifts", real_lift(*a)))
+    monkeypatch.setattr(paramcalc, "_draw_s", lambda *a: record("s", real_draw_s(*a)))
+    monkeypatch.setattr(paramcalc, "_sides", lambda *a: record("grid", real_sides(*a)))
+    report = verify_appendix(field, samples=samples, seed=seed, tol=tol)
+    (grid,) = seen["grid"]
+    return report, seen["lifts"], seen["s"], grid
+
+
+def test_appendix_grid_matches_the_per_point_scalar_loop(monkeypatch, q):
+    field = inert_place(q)
+    report, lifts, s_lists, (lhs, rhs) = recorded_appendix(monkeypatch, field, 4, 3, 1e-9)
+    assert report.passed
+    assert lhs.shape == rhs.shape == (4 * S_POINTS, len(IDENTITIES))
+    points = [(s, sides) for lift, s_values in zip(lifts, s_lists)
+              for s in s_values for sides in [scalar_sides(s, lift, field)]]
+    for p, (s, sides) in enumerate(points):
+        for i, (ref_lhs, ref_rhs) in enumerate(sides):
+            assert rel_err(complex(lhs[p, i]), ref_lhs) <= 1e-14
+            assert rel_err(complex(rhs[p, i]), ref_rhs) <= 1e-14
+
+
+def test_appendix_exact_tolerance_keeps_the_per_point_order(monkeypatch):
+    # at tol 1e-30 a point misses when its two sides differ in any bit, so
+    # which points miss follows the rounding; the report must then list, in
+    # order, exactly what the per-point loop's rule picks from the same values
+    field = inert_place(2)
+    report, lifts, s_lists, (lhs, rhs) = recorded_appendix(monkeypatch, field, 10, 0, 1e-30)
+    points, p = [], 0
+    for s_values in s_lists:
+        points.append([(s, list(zip(lhs[p + k].tolist(), rhs[p + k].tolist())))
+                       for k, s in enumerate(s_values)])
+        p += len(s_values)
+    expected = first_miss_labels(points, 1e-30)
+    assert not report.passed
+    assert [d.factor for d in report.factor_diffs] == list(expected)
+    assert [(d.lhs, d.rhs) for d in report.factor_diffs] == list(expected.values())
+    assert {d.factor.split(" at ")[0] for d in report.factor_diffs} == set(IDENTITIES)
+
+
+def test_appendix_misses_of_the_maths_match_the_scalar_loop(monkeypatch, q):
+    # pinning gamma to +1 instead of -1 breaks sigmaad and muad at every
+    # point by O(1), far above rounding: the grid's labels and values are
+    # then those of the per-point scalar loop
+    import localperiods.paramcalc as paramcalc
+    monkeypatch.setattr(paramcalc, "gamma_char", lambda: 1.0 + 0.0j)
+    field = inert_place(q)
+    report, lifts, s_lists, _ = recorded_appendix(monkeypatch, field, 3, 1, 1e-9)
+    points = [[(s, scalar_sides(s, lift, field)) for s in s_values]
+              for lift, s_values in zip(lifts, s_lists)]
+    expected = first_miss_labels(points, 1e-9)
+    assert not report.passed
+    assert [d.factor for d in report.factor_diffs] == list(expected)
+    assert {name.split(" at ")[0] for name in expected} == {"sigmaad", "muad"}
+    for d, (ref_lhs, ref_rhs) in zip(report.factor_diffs, expected.values()):
+        assert rel_err(d.lhs, ref_lhs) <= 1e-14 and rel_err(d.rhs, ref_rhs) <= 1e-14
+
+
+def test_appendix_evaluates_each_adjoint_once_per_report(monkeypatch):
+    # piad's two sides, sigmaad's two adjoints and muad's one: five array
+    # calls per report, whatever the number of samples and of s points
+    import localperiods.paramcalc as paramcalc
+    calls = []
+    real = paramcalc.adjoint_lfactor
+    monkeypatch.setattr(paramcalc, "adjoint_lfactor",
+                        lambda *a: calls.append(None) or real(*a))
+    for samples, s_points in ((1, 1), (3, 7), (10, S_POINTS)):
+        calls.clear()
+        monkeypatch.setattr(paramcalc, "S_POINTS", s_points)
+        assert verify_appendix(inert_place(3), samples=samples, seed=2).passed
+        assert len(calls) == 5
