@@ -60,8 +60,7 @@ class Check(NamedTuple):
 
 CHECKS = {
     "identity": Check(None, 1e-7, lambda c, f, **kw: verify_localcalc(c.n, f, **kw)),
-    "weyl": Check(PlaceKind.INERT, 1e-6,
-                  lambda c, f, **kw: verify_weyl_constancy(c.n + 1, f, **kw)),
+    "weyl": Check(PlaceKind.INERT, 1e-6, lambda c, f, **kw: verify_weyl_constancy(c.n, f, **kw)),
     "recursion": Check(None, 1e-9, lambda c, f, **kw: verify_recursion(c.n, f, **kw)),
     "basecase": Check(PlaceKind.SPLIT, 1e-8,
                       lambda c, f, **kw: verify_basecase(f, terms=c.terms, **kw)),

@@ -27,10 +27,9 @@ sample whose stacked product stops (nan) is evaluated again alone, so it
 raises what it would raise alone.  `table` renders the same per-sample rows
 that verify_localcalc compares (SampleStack.terms), and a miss's probes
 compare the values of its row with their other routes instead of recomputing
-them.  match_factor_lists is the one matcher, for plain factor lists and for
-column k of stacked ones, whose alphas it reads in place; it pairs through
-one matrix of candidate pairs per group, compared in a few array operations,
-and builds only the leftover factors it reports.
+them.  Which zeta factors the two routes leave unpaired depends on (n, place)
+alone: leftover_pairs finds them once, by exact keys on prime Fraction
+characters, and match_factor_lists evaluates only those at a missed sample.
 """
 from __future__ import annotations
 
@@ -38,8 +37,8 @@ import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from itertools import groupby
-from operator import attrgetter
+from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -49,13 +48,12 @@ from .satake import (SatakeDatum, adjoint_lfactor, make_datum, stack_data,
                      std_tensor_lfactor, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
                       s_value_inert, s_value_split, weyl_sum_A)
-from .zetarec import (ConventionError, LFactor, column, column_alphas, factor_product,
+from .zetarec import (ConventionError, LFactor, column, factor_product,
                       zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
 
 GENERIC_EPS = 1e-6
 MAX_RESAMPLE = 100
-MATCH_RTOL = 1e-8  # two factors pair when their character values agree to this
 
 
 class SamplerExhausted(RuntimeError):
@@ -286,80 +284,88 @@ def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
 # factor-level localization
 
 
-def _pair_off(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
-    # Pair each a with the first unpaired b, in order, whose value is within
-    # MATCH_RTOL * max(1, |a|) of a's (a nan value never pairs); return the
-    # positions of the unpaired of both, each in order.  The candidates are
-    # one matrix of every a against every b; the candidate pairs come row by
-    # row, each row's in order, so a row takes its first b that no earlier
-    # row took.
-    with np.errstate(invalid="ignore"):
-        near = np.abs(a[:, None] - b) <= MATCH_RTOL * np.maximum(1.0, np.abs(a))[:, None]
-    paired_a, paired_b = [False] * len(a), [False] * len(b)
-    for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
-        if not (paired_a[i] or paired_b[j]):
-            paired_a[i] = paired_b[j] = True
-    return ([i for i, paired in enumerate(paired_a) if not paired],
-            [j for j, paired in enumerate(paired_b) if not paired])
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
-@lru_cache(maxsize=256)
-def _exponent(s: float, q: int) -> float:
-    # the effective exponent s*log(q) of q^-s, rounded so that an Euler factor
-    # over q_E = q_F^2 at s and over q_F at 2s get one key
-    return round(s * math.log(q), 9)
+def _unpaired(a: list[tuple], b: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+    # Pair each (alpha, position) of a with the first unpaired one of b, in
+    # order, that has the same alpha; return the unpaired of both, in order.
+    free: dict[object, list[tuple]] = {}
+    for entry in b:
+        free.setdefault(entry[0], []).append(entry)
+    a_left = []
+    for entry in a:
+        same = free.get(entry[0])
+        if same:
+            same.pop(0)
+        else:
+            a_left.append(entry)
+    return a_left, [entry for entry in b if entry in free[entry[0]]]
 
 
-def match_factor_lists(lhs: list[LFactor], rhs: list[LFactor],
-                       k: int | None = None) -> list[FactorDiff]:
-    """Pair up two factor lists by (q^-s, inverse) and character value; report
-    the leftovers as named diffs, labelled by the left (closed-form) side.
+@lru_cache(maxsize=64)
+def leftover_pairs(n: int, field: FieldData, closed, recursive) -> tuple[tuple, ...]:
+    """The (closed, recursive) positions of the factors that the two zeta
+    builders leave unpaired for the pair (n+1, n+2) at this place, in report
+    order; a position is None where its side has no partner left.
 
-    Factors are grouped by the effective exponent s*log(q), so that the same
-    Euler factor written over q_E = q_F^2 at s and over q_F at 2s (as at inert
-    places) is one group.  A factor and an inverse factor of one side with the
-    same exponent and character value cancel, so they are dropped first.
-
-    With k, the lists are stacked and their column k (see zetarec.column) is
-    paired: the pairing reads sample k's alphas, and only the leftover
-    factors are built, with sample k's alpha, to be evaluated."""
-    sides = (lhs, rhs)
-    alphas = [[f.alpha for f in side] if k is None else column_alphas(side, k)
-              for side in sides]
-    values = [np.array(side, dtype=complex) for side in alphas]
-    groups: dict[tuple, tuple[list[int], list[int]]] = {}
-    for side, factors in enumerate(sides):
-        keys = list(map(attrgetter("s", "q", "inverse"), factors))
-        # a list comes in runs of one (s, q, inverse): key each run once
-        for (s, q, inverse), run in groupby(range(len(keys)), keys.__getitem__):
-            groups.setdefault((_exponent(s, q), inverse), ([], []))[side].extend(run)
-
-    def pair_off(a_side: int, a_pos: list[int], b_side: int,
-                 b_pos: list[int]) -> tuple[list[int], list[int]]:
-        a_left, b_left = _pair_off(values[a_side][a_pos], values[b_side][b_pos])
-        return [a_pos[i] for i in a_left], [b_pos[j] for j in b_left]
-
-    def factor(side: int, pos: int) -> LFactor:
-        f = sides[side][pos]
-        return f if k is None else f._replace(alpha=alphas[side][pos])
-
+    Both builders run, unedited, on Fraction characters that are distinct
+    primes, so two Laurent monomials in the characters are equal exactly when
+    their values are.  Each factor is keyed by the q_F-exponent of its q^-s
+    (s over q_F, 2s over q_E), its inverse flag and its alpha.  On each side a
+    direct and an inverse factor with the same key cancel; then each closed
+    factor pairs with the first unpaired recursive factor of the same key, in
+    list order.  The leftovers are listed by (exponent, inverse) group, each
+    group's in list order, the i-th closed one against the i-th recursive
+    one.  Which factors are left depends on (n, field) alone, so this runs
+    once for each; a rebound builder is a new key."""
+    small_count, big_count = (m if field.is_split else m // 2 for m in (n + 1, n + 2))
+    chars = [Fraction(p) for p in _primes(small_count + big_count)]
+    small = make_datum(n + 1, field, chars[:small_count])
+    big = make_datum(n + 2, field, chars[small_count:])
+    groups: dict[tuple, tuple[list, list]] = {}  # (exponent, inverse) -> per side
+    for side, build in enumerate((closed, recursive)):
+        for pos, f in enumerate(build(small, big)):
+            if f.q not in (field.q_F, field.q_E):
+                raise ValueError(f"factor {f.label} is over q = {f.q}, not q_F or q_E")
+            exponent = Fraction(f.s) * (1 if f.q == field.q_F else 2)
+            groups.setdefault((exponent, f.inverse), ([], []))[side].append((f.alpha, pos))
     for (exponent, inverse), direct in groups.items():
         inverted = groups.get((exponent, True))
         if not inverse and inverted is not None:
             for side in (0, 1):
-                direct[side][:], inverted[side][:] = pair_off(side, direct[side],
-                                                              side, inverted[side])
+                direct[side][:], inverted[side][:] = _unpaired(direct[side], inverted[side])
+    pairs: list[tuple] = []
+    for _, (a, b) in sorted(groups.items()):
+        a_left, b_left = _unpaired(a, b)
+        pairs += zip_longest([pos for _, pos in a_left], [pos for _, pos in b_left])
+    return tuple(pairs)
+
+
+def match_factor_lists(stack: SampleStack, k: int) -> list[FactorDiff]:
+    """Sample k's diffs between the closed and the recursive zeta lists: the
+    factors leftover_pairs leaves, evaluated at column k of the stack's lists
+    and labelled by the left (closed-form) side."""
+    def factor(side: list[LFactor], pos: int | None) -> LFactor | None:
+        return None if pos is None else side[pos]._replace(alpha=side[pos].alpha[k])
+
     diffs: list[FactorDiff] = []
-    for _, (a_pos, b_pos) in sorted(groups.items()):
-        unmatched_a, remaining = pair_off(0, a_pos, 1, b_pos)
-        for i, a in enumerate(factor(0, pos) for pos in unmatched_a):
-            if i < len(remaining):
-                b = factor(1, remaining[i])
-                diffs.append(FactorDiff(f"{a.label} [vs {b.label}]", a.value(), b.value()))
-            else:
-                diffs.append(FactorDiff(f"{a.label} [unmatched]", a.value(), cmath.nan))
-        for b in (factor(1, pos) for pos in remaining[len(unmatched_a):]):
+    for a_pos, b_pos in leftover_pairs(stack.n, stack.field, zeta_closed_factors,
+                                       zeta_recursive_factors):
+        a, b = factor(stack.closed, a_pos), factor(stack.recursive, b_pos)
+        if b is None:
+            diffs.append(FactorDiff(f"{a.label} [unmatched]", a.value(), cmath.nan))
+        elif a is None:
             diffs.append(FactorDiff(f"[missing] {b.label}", cmath.nan, b.value()))
+        else:
+            diffs.append(FactorDiff(f"{a.label} [vs {b.label}]", a.value(), b.value()))
     return diffs
 
 
@@ -367,7 +373,7 @@ def _probe_factors(stack: SampleStack, k: int, terms: SampleTerms,
                    tol: float) -> list[FactorDiff]:
     # terms are sample k's values, as stack.terms(k) combined them
     small, big = stack.pairs[k]
-    diffs = match_factor_lists(stack.closed, stack.recursive, k)
+    diffs = match_factor_lists(stack, k)
     v_det = std_tensor_lfactor_det(0.5, small, big)
     if not rel_err(terms.std, v_det) <= tol:
         diffs.append(FactorDiff("std_tensor(1/2) vs determinant oracle", terms.std, v_det))
@@ -430,14 +436,13 @@ def identity_table(n: int, field: FieldData, samples: int = 50, seed: int = 0,
     return [stack.terms(k).row for k in range(samples)]
 
 
-def verify_weyl_constancy(n_plus_1: int, field: FieldData, samples: int = 100,
-                          seed: int = 0, tol: float = 1e-6,
-                          pool_map=map) -> VerificationReport:
-    """Constancy of the double Weyl average and its motive value (inert places)."""
+def verify_weyl_constancy(n: int, field: FieldData, samples: int = 100, seed: int = 0,
+                          tol: float = 1e-6, pool_map=map) -> VerificationReport:
+    """Constancy of the double Weyl average for the pair (n+1, n+2) and its
+    motive value (inert places)."""
     if not field.is_inert:
         raise ValueError("the Weyl-average constancy check runs at inert places")
-    n = n_plus_1 - 1
-    expect = motive_A_value(n_plus_1, field)
+    expect = motive_A_value(n + 1, field)
     stack = SampleStack.draw(n, field, samples, seed, pool_map)
 
     def one(k):
@@ -465,7 +470,7 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
         except ConventionError as err:
             diff = FactorDiff(f"ConventionError: {err.factor}", cmath.nan, cmath.nan)
             return float("inf"), lambda: [diff]
-        return rel_err(lhs, rhs), lambda: match_factor_lists(stack.closed, stack.recursive, k)
+        return rel_err(lhs, rhs), lambda: match_factor_lists(stack, k)
 
     return _judge("recursion", n, field, seed, tol, samples, one)
 

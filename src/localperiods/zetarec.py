@@ -32,7 +32,6 @@ times nu, second times mu); at inert places the two pairings coincide.
 from __future__ import annotations
 
 import math
-from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -124,16 +123,11 @@ def factor_product(factors: list[LFactor], samples: int | None = None) -> comple
     return complex(product)
 
 
-def column_alphas(factors: list[LFactor], k: int) -> list[complex]:
-    """Sample k's alpha, a Python complex, of each factor of a stacked list
-    whose alphas are all arrays (as every zeta route's are)."""
-    return list(map(itemgetter(k), map(attrgetter("alpha"), factors)))
-
-
 def column(factors: list[LFactor], k: int) -> list[LFactor]:
-    """Sample k of a stacked factor list (see column_alphas): the same
-    factors, with sample k's alpha each, so that it can be evaluated alone."""
-    return [f._replace(alpha=a) for f, a in zip(factors, column_alphas(factors, k))]
+    """Sample k of a stacked factor list whose alphas are all arrays (as every
+    zeta route's are): the same factors, with sample k's alpha each, so that
+    it can be evaluated alone."""
+    return [f._replace(alpha=f.alpha[k]) for f in factors]
 
 
 # ---------------------------------------------------------------------------

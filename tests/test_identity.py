@@ -1,8 +1,11 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from localperiods import (LFactor, PlaceKind, euler_factor,
                           inert_place, lratio, make_datum,
-                          split_datum, split_place, unramified_period,
+                          SatakeDatum, split_datum, split_place, unramified_period,
                           verify_appendix, verify_basecase, verify_localcalc,
                           verify_recursion, verify_weyl_constancy,
                           zeta_closed_factors, zeta_recursive_factors)
@@ -118,7 +121,7 @@ def test_verify_localcalc_failure_has_diffs():
 
 def test_verify_guards():
     with pytest.raises(ValueError):
-        verify_weyl_constancy(2, split_place(2), samples=1)
+        verify_weyl_constancy(1, split_place(2), samples=1)
 
 
 def test_identity_drivers_agree_beyond_the_cli_range():
@@ -135,7 +138,7 @@ def test_identity_drivers_agree_beyond_the_cli_range():
 
 @pytest.mark.parametrize("driver, args", [
     (verify_localcalc, (1, inert_place(2))),
-    (verify_weyl_constancy, (2, inert_place(2))),
+    (verify_weyl_constancy, (1, inert_place(2))),
     (verify_recursion, (1, split_place(2))),
     (verify_basecase, (split_place(2),)),
     (verify_appendix, (inert_place(2),)),
@@ -156,49 +159,58 @@ def test_verify_recursion_reports_convention_error(monkeypatch):
         "ConventionError: step1: L_F(1, chi^1*mu1*nu1)^-1"]
 
 
-def test_recursion_builds_each_factor_list_once_per_report(monkeypatch):
-    # split n = 3 misses on every sample; the report builds each route once,
-    # stacked over its samples, and its localizer pairs columns of those lists
-    # instead of building them again
+def count_builds(monkeypatch, names):
+    """Rebind each identity.<name> to count its calls by the data it gets:
+    "exact" for leftover_pairs' Fraction characters, else "float"."""
     import localperiods.identity as identity
-    calls = {"zeta_closed_factors": 0, "zeta_recursive_factors": 0}
-    for name in calls:
-        def counted(small, big, real=getattr(identity, name), name=name):
-            calls[name] += 1
-            return real(small, big)
+    calls = Counter()
+    for name in names:
+        def counted(*args, real=getattr(identity, name), name=name):
+            exact = any(isinstance(c.value, Fraction) for data in args
+                        if isinstance(data, SatakeDatum) for c in data.chars)
+            calls[name, "exact" if exact else "float"] += 1
+            return real(*args)
         monkeypatch.setattr(identity, name, counted)
-    report = verify_recursion(3, split_place(2), samples=2)
-    assert not report.passed
-    assert calls == {"zeta_closed_factors": 1, "zeta_recursive_factors": 1}
+    return calls
+
+
+def test_recursion_builds_each_factor_list_once_per_report(monkeypatch):
+    # split n = 3 misses on every sample; each report builds each route once,
+    # stacked over its samples, and its localizer evaluates columns of those
+    # lists; the exact build that pairs the routes runs once per (n, place)
+    calls = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors"])
+    for q in (2, 2, 3):
+        assert not verify_recursion(3, split_place(q), samples=2).passed
+    assert calls == {(name, kind): 3 if kind == "float" else 2
+                     for name in ("zeta_closed_factors", "zeta_recursive_factors")
+                     for kind in ("float", "exact")}
 
 
 def test_identity_builds_each_route_once_per_report(monkeypatch):
     # split n = 3 misses on every sample; the report builds the closed list
     # and S once, stacked over its samples, the recursive list once, at the
-    # first miss, and its localizer pairs columns of those lists
-    import localperiods.identity as identity
-    calls = dict.fromkeys(["zeta_closed_factors", "zeta_recursive_factors",
-                           "s_value_split"], 0)
-    for name in calls:
-        def counted(*args, real=getattr(identity, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(identity, name, counted)
+    # first miss, and its localizer evaluates columns of those lists
+    calls = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors",
+                                       "s_value_split"])
     report = verify_localcalc(3, split_place(2), samples=3)
     assert not report.passed
-    assert calls == {"zeta_closed_factors": 1, "zeta_recursive_factors": 1,
-                     "s_value_split": 1}
+    assert calls == {("zeta_closed_factors", "float"): 1,
+                     ("zeta_recursive_factors", "float"): 1, ("s_value_split", "float"): 1,
+                     ("zeta_closed_factors", "exact"): 1,
+                     ("zeta_recursive_factors", "exact"): 1}
 
 
 def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
     # every inert n = 1 sample misses tol 1e-30, and its probes compare the
     # Weyl sum and the standard-tensor value its row already computed; the
-    # zeta lists (closed, inverted closed, recursive) are built once each
+    # zeta lists (closed, inverted closed) are built once each, and the
+    # localizer pairs the routes on one exact build, which leaves no factor
+    # at inert places, so the stacked recursive list is never built
     import localperiods.identity as identity
     import localperiods.weylsum as weylsum
     from localperiods.cli import main
-    calls = dict.fromkeys(["weyl_sum_A", "std_tensor_lfactor", "zeta_closed_factors",
-                           "zeta_recursive_factors"], 0)
+    builds = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors"])
+    calls = dict.fromkeys(["weyl_sum_A", "std_tensor_lfactor"], 0)
 
     def counting(name, real):
         def counted(*args):
@@ -206,14 +218,15 @@ def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
             return real(*args)
         return counted
     for module, name in ((identity, "weyl_sum_A"), (weylsum, "weyl_sum_A"),
-                         (identity, "std_tensor_lfactor"), (identity, "zeta_closed_factors"),
-                         (identity, "zeta_recursive_factors")):
+                         (identity, "std_tensor_lfactor")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code = main(["identity", "--n", "1", "--place", "inert", "--tol", "1e-30",
                  "--samples", "3"])
     assert code == 1 and "weyl_sum vs motive value" in capsys.readouterr().out
-    assert calls == {"weyl_sum_A": 3, "std_tensor_lfactor": 3, "zeta_closed_factors": 2,
-                     "zeta_recursive_factors": 1}
+    assert calls == {"weyl_sum_A": 3, "std_tensor_lfactor": 3}
+    assert builds == {("zeta_closed_factors", "float"): 2,
+                      ("zeta_closed_factors", "exact"): 1,
+                      ("zeta_recursive_factors", "exact"): 1}
 
 
 def test_a_missed_sample_is_localized_within_its_own_step():
@@ -348,10 +361,11 @@ def test_period_conjugation_symmetry():
 def recursion_reference(pairs, tol):
     """Each sample's (error, diff labels), judged one sample at a time as the
     check did before it stacked its samples; a PoleError propagates from the
-    first sample, and the first route, that raises it."""
+    first sample, and the first route, that raises it.  The labels are those
+    of the sample's own one-sample stack."""
     import localperiods.identity as identity
     from localperiods import ConventionError, factor_product
-    from localperiods.identity import match_factor_lists
+    from localperiods.identity import SampleStack, match_factor_lists
     results = []
     for small, big in pairs:
         closed = identity.zeta_closed_factors(small, big)
@@ -364,7 +378,8 @@ def recursion_reference(pairs, tol):
             continue
         err = rel_err(z_closed, z_recursive)
         results.append((err, [] if err <= tol else
-                        [d.factor for d in match_factor_lists(closed, recursive)]))
+                        [d.factor for d in match_factor_lists(
+                            SampleStack(big.m - 2, big.field, [(small, big)]), 0)]))
     return results
 
 

@@ -12,8 +12,8 @@ from localperiods import (ConventionError, LFactor, PoleError,
                           split_place, zeta_base_split_closed,
                           zeta_base_split_series, zeta_closed_factors,
                           zeta_recursive_factors)
-from localperiods.identity import (_rng_for, match_factor_lists, rel_err, sample_datum,
-                                   sample_pair)
+from localperiods.identity import (SampleStack, _rng_for, match_factor_lists, rel_err,
+                                   sample_datum, sample_pair)
 from localperiods.satake import stack_data
 from localperiods.zetarec import column
 from weylref import series_truncation_bound
@@ -144,12 +144,10 @@ ODD_SPLIT_DIFFS = {
 @pytest.mark.parametrize("n", sorted(ODD_SPLIT_DIFFS))
 def test_recursion_split_odd_n_localizes_nu_th_factors(n, q, rng):
     field = split_place(q)
-    for _ in range(10):
-        small, big = sample_pair(n, field, rng)
+    stack = SampleStack(n, field, [sample_pair(n, field, rng) for _ in range(10)])
+    for k, (small, big) in enumerate(stack.pairs):
         assert rel_err(closed(small, big), recursive(small, big)) > 1e-6
-        diffs = match_factor_lists(zeta_closed_factors(small, big),
-                                   zeta_recursive_factors(small, big))
-        assert [d.factor for d in diffs] == ODD_SPLIT_DIFFS[n]
+        assert [d.factor for d in match_factor_lists(stack, k)] == ODD_SPLIT_DIFFS[n]
 
 
 PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
