@@ -6,19 +6,19 @@ identities."""
 
 from types import ModuleType as _ModuleType
 
-from .numfield import (CharValue, FieldData, PlaceKind, PoleError, euler_factor,
-                       euler_factor_inv, inert_place, lfactor_chi, motive_delta,
-                       motive_delta_exact, split_place)
-from .satake import (BCParams, SatakeDatum, adjoint_lfactor, bc_params,
-                     inert_datum, make_datum, split_datum, std_tensor_lfactor,
-                     std_tensor_lfactor_det)
+from .numfield import (CharValue, ConventionError, FieldData, LFactor, PlaceKind,
+                       PoleError, euler_factor, euler_factor_inv, factor_product,
+                       inert_place, lfactor_chi, motive_delta, motive_delta_exact,
+                       split_place)
+from .satake import (BCParams, SatakeDatum, adjoint_factors, adjoint_lfactor,
+                     bc_params, inert_datum, make_datum, split_datum,
+                     std_tensor_factors, std_tensor_lfactor, std_tensor_lfactor_det)
 from .weylsum import (Case, SizeError, case_for, case_ranks, iwahori_volume,
                       iwahori_volume_gl, motive_A_value, rho_big, s_value_inert,
                       s_value_split, weyl_sum_A)
-from .zetarec import (ConventionError, LFactor, factor_product,
-                      zeta_base_split_closed, zeta_base_split_series,
+from .zetarec import (zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
-from .identity import (FactorDiff, SamplerExhausted, VerificationReport, lratio,
+from .identity import (FactorDiff, SamplerExhausted, VerificationReport,
                        rel_err, sample_datum, sample_pair, unramified_period,
                        verify_basecase, verify_localcalc, verify_recursion,
                        verify_weyl_constancy)

@@ -9,8 +9,9 @@ where L(s) is the standard-tensor factor over the product of the two adjoint
 factors at s + 1/2.  On a failing sample both sides are re-evaluated via their
 independent routes (closed form vs recursion, transcription vs determinant,
 Weyl sum vs motive value) and the first diverging constituent formula is
-reported factor by factor.  zeta is evaluated only through its factor lists
-and factor_product.
+reported factor by factor.  Every Euler product of the identity (zeta, S(1)
+at split places, the standard tensor and the adjoints) is evaluated only
+through its factor list and factor_product.
 
 Every check is one pipeline.  It draws each sample's random inputs through
 map_samples, which alone turns sample index k into an rng seeded from
@@ -21,13 +22,14 @@ the step of each sample whose error is not within tol, keeps the worst error
 and the first diff per factor label in sample order, and builds the report.
 
 The checks on (small, big) pairs draw a SampleStack: its Euler-product routes
-are built once per report, when first asked for, on the stacked data
-(stack_data), and multiplied for every sample by one factor_product call.  A
-sample whose stacked product stops (nan) is evaluated again alone, so it
-raises what it would raise alone.  `table` renders the same per-sample rows
-that verify_localcalc compares (SampleStack.terms), and a miss's probes
-compare the values of its row with their other routes instead of recomputing
-them.  Which zeta factors the two routes leave unpaired depends on (n, place)
+(the zeta lists, S(1) at split places, the standard tensor at 1/2 and the
+adjoints at 1) are built once per report, when first asked for, on the
+stacked data (stack_data), and multiplied for every sample by one
+factor_product call.  A sample whose stacked product stops (nan) is
+evaluated again alone, so it raises what it would raise alone.  `table`
+renders the same per-sample rows that verify_localcalc compares
+(SampleStack.row), and a miss's probes compare the values of its row with
+their other routes instead of recomputing them.  Which zeta factors the two routes leave unpaired depends on (n, place)
 alone: leftover_pairs finds them once, by exact keys on prime Fraction
 characters, and match_factor_lists evaluates only those at a missed sample.
 """
@@ -39,17 +41,16 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import zip_longest
-from typing import NamedTuple
 
 import numpy as np
 
-from .numfield import FieldData, PlaceKind, motive_delta
-from .satake import (SatakeDatum, adjoint_lfactor, make_datum, stack_data,
-                     std_tensor_lfactor, std_tensor_lfactor_det)
+from .numfield import (ConventionError, FieldData, LFactor, PlaceKind, column,
+                       factor_product, motive_delta)
+from .satake import (SatakeDatum, adjoint_factors, make_datum, stack_data,
+                     std_tensor_factors, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
                       s_value_inert, s_value_split, weyl_sum_A)
-from .zetarec import (ConventionError, LFactor, column, factor_product,
-                      zeta_base_split_closed, zeta_base_split_series,
+from .zetarec import (zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
 
 GENERIC_EPS = 1e-6
@@ -167,36 +168,20 @@ def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[Sat
 # the two sides of the identity
 
 
-def lratio(s: complex, small: SatakeDatum, big: SatakeDatum,
-           std: complex | None = None) -> complex:
-    """Standard-tensor factor at s over the two adjoint factors at s + 1/2; the
-    standard-tensor value std is computed here unless it is given."""
-    if std is None:
-        std = std_tensor_lfactor(s, small, big)
-    return std / (adjoint_lfactor(s + 0.5, big) * adjoint_lfactor(s + 0.5, small))
-
-
-class SampleTerms(NamedTuple):
-    """One sample's identity row, and the values in it that a miss's probes
-    read again; each is computed once."""
-
-    row: tuple[complex, ...]  # zeta, S, Delta, L(1/2)/(Ad*Ad), lhs, rhs, rel err
-    std: complex  # L(1/2) of the standard tensor
-    weyl: complex | None  # the Weyl sum A at the inverted characters; None if split
-
-
 class SampleStack:
     """The samples of one report, drawn first (draw) and then stacked
     (stack_data).  Each Euler-product route is built once, when a check first
     asks for it, and multiplied for every sample by one factor_product call:
     the closed and recursive zeta lists, at inert places the inverted closed
-    list, and at split places S(1) (s_value_split).  The Weyl sum, the
-    standard tensor and the adjoints are evaluated on each sample's own data."""
+    list, at split places S(1) (s_value_split), the standard tensor at 1/2
+    and the two adjoints at 1.  The Weyl sum is evaluated on each sample's
+    own data, once."""
 
     def __init__(self, n: int, field: FieldData,
                  pairs: list[tuple[SatakeDatum, SatakeDatum]]):
         self.n, self.field, self.pairs = n, field, pairs
         self._values: dict[str, list[complex]] = {}  # route -> stacked values
+        self._weyl: dict[int, complex] = {}  # sample -> Weyl sum
 
     @classmethod
     def draw(cls, n: int, field: FieldData, samples: int, seed: int,
@@ -224,6 +209,15 @@ class SampleStack:
         return zeta_closed_factors(*(data.inverted() for data in self._stacked))
 
     @cached_property
+    def std(self) -> list[LFactor]:
+        return std_tensor_factors(0.5, *self._stacked)
+
+    @cached_property
+    def adjoints(self) -> list[LFactor]:  # L(1, Ad) of the big datum, then the small
+        small, big = self._stacked
+        return adjoint_factors(1.0, big) + adjoint_factors(1.0, small)
+
+    @cached_property
     def s_split(self) -> list[complex]:
         return self._s_split(*self._stacked).tolist()
 
@@ -231,10 +225,10 @@ class SampleStack:
         return s_value_split(big.inverted().chars, small.inverted().chars, self.n, self.field)
 
     def product(self, route: str, k: int) -> complex:
-        """Sample k's value of a route: the product of the factor list
-        "closed", "recursive" or "closed_inv", or "s_split".  A sample whose
-        stacked value stopped (nan) is evaluated again alone, so it raises
-        what, and where, it would raise alone."""
+        """Sample k's value of a route: "s_split", or the product of one of
+        the factor lists above ("closed", "std", "adjoints", ...).  A sample
+        whose stacked value stopped (nan) is evaluated again alone, so it
+        raises what, and where, it would raise alone."""
         if route not in self._values:
             stacked = getattr(self, route)
             self._values[route] = (stacked if route == "s_split"
@@ -248,30 +242,33 @@ class SampleStack:
 
     def weyl(self, k: int) -> complex:
         """The Weyl sum A at sample k's inverted characters (inert places)."""
-        small, big = self.pairs[k]
-        return weyl_sum_A(case_for(self.n + 1), [c.inv() for c in big.chars],
-                          [c.inv() for c in small.chars], self.field)
+        if k not in self._weyl:
+            small, big = self.pairs[k]
+            self._weyl[k] = weyl_sum_A(case_for(self.n + 1), [c.inv() for c in big.chars],
+                                       [c.inv() for c in small.chars], self.field)
+        return self._weyl[k]
 
-    def terms(self, k: int) -> SampleTerms:
-        """Sample k's terms, taken in the order of a sample evaluated alone:
-        the Weyl sum, L(1/2), zeta, S, then the adjoints."""
-        n, field, (small, big) = self.n, self.field, self.pairs[k]
+    def row(self, k: int) -> tuple[complex, ...]:
+        """Sample k's identity row: zeta, S, Delta, L(1/2)/(Ad*Ad), then
+        lhs = zeta * S, rhs = Delta * L(1/2)/(Ad*Ad) and their relative error.
+        Its terms are taken in the order of a sample evaluated alone: the
+        Weyl sum, L(1/2), zeta, S, then the adjoints."""
+        n, field = self.n, self.field
         weyl = self.weyl(k) if field.is_inert else None
-        std = std_tensor_lfactor(0.5, small, big)
+        std = self.product("std", k)
         z = self.product("closed", k)
         if field.is_inert:
             s_val = s_value_inert(n, field, self.product("closed_inv", k), weyl)
         else:
             s_val = self.product("s_split", k)
-        delta, lr = motive_delta(big.m, field), lratio(0.5, small, big, std)
+        delta, lr = motive_delta(n + 2, field), std / self.product("adjoints", k)
         lhs, rhs = z * s_val, delta * lr
-        return SampleTerms((z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)), std, weyl)
+        return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
 
 
 def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
-    """zeta, S, Delta and L(1/2)/(Ad*Ad) of one sample, then lhs = zeta * S,
-    rhs = Delta * L(1/2)/(Ad*Ad) and their relative error."""
-    return SampleStack(big.m - 2, big.field, [(small, big)]).terms(0).row
+    """One sample's identity row (see SampleStack.row)."""
+    return SampleStack(big.m - 2, big.field, [(small, big)]).row(0)
 
 
 def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
@@ -369,20 +366,19 @@ def match_factor_lists(stack: SampleStack, k: int) -> list[FactorDiff]:
     return diffs
 
 
-def _probe_factors(stack: SampleStack, k: int, terms: SampleTerms,
-                   tol: float) -> list[FactorDiff]:
-    # terms are sample k's values, as stack.terms(k) combined them
+def _probe_factors(stack: SampleStack, k: int, row: tuple, tol: float) -> list[FactorDiff]:
+    # row is stack.row(k); the probes read the values it was built from
     small, big = stack.pairs[k]
     diffs = match_factor_lists(stack, k)
-    v_det = std_tensor_lfactor_det(0.5, small, big)
-    if not rel_err(terms.std, v_det) <= tol:
-        diffs.append(FactorDiff("std_tensor(1/2) vs determinant oracle", terms.std, v_det))
-    if terms.weyl is not None:
-        a_expect = motive_A_value(stack.n + 1, big.field)
-        if not rel_err(terms.weyl, a_expect) <= tol:
-            diffs.append(FactorDiff("weyl_sum vs motive value", terms.weyl, a_expect))
+    std, v_det = stack.product("std", k), std_tensor_lfactor_det(0.5, small, big)
+    if not rel_err(std, v_det) <= tol:
+        diffs.append(FactorDiff("std_tensor(1/2) vs determinant oracle", std, v_det))
+    if big.field.is_inert:
+        weyl, a_expect = stack.weyl(k), motive_A_value(stack.n + 1, big.field)
+        if not rel_err(weyl, a_expect) <= tol:
+            diffs.append(FactorDiff("weyl_sum vs motive value", weyl, a_expect))
     if not diffs:
-        *_, lhs, rhs, _ = terms.row
+        *_, lhs, rhs, _ = row
         diffs.append(FactorDiff("zeta*S vs Delta*L(1/2)/(Ad*Ad)", lhs, rhs))
     return diffs
 
@@ -419,12 +415,12 @@ def verify_localcalc(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                      tol: float = 1e-7, pool_map=map) -> VerificationReport:
     """Seeded end-to-end check of the period identity for the pair (n+1, n+2).
 
-    A miss is probed on its sample's terms and columns of the stacked lists."""
+    A miss is probed on its sample's values and columns of the stacked lists."""
     stack = SampleStack.draw(n, field, samples, seed, pool_map)
 
     def one(k):
-        terms = stack.terms(k)
-        return terms.row[-1], lambda: _probe_factors(stack, k, terms, tol)
+        row = stack.row(k)
+        return row[-1], lambda: _probe_factors(stack, k, row, tol)
 
     return _judge("identity", n, field, seed, tol, samples, one)
 
@@ -433,7 +429,7 @@ def identity_table(n: int, field: FieldData, samples: int = 50, seed: int = 0,
                    pool_map=map) -> list[tuple[complex, ...]]:
     """verify_localcalc's samples as rows of the identity's constituents."""
     stack = SampleStack.draw(n, field, samples, seed, pool_map)
-    return [stack.terms(k).row for k in range(samples)]
+    return [stack.row(k) for k in range(samples)]
 
 
 def verify_weyl_constancy(n: int, field: FieldData, samples: int = 100, seed: int = 0,

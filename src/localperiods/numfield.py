@@ -2,15 +2,20 @@
 
 Everything downstream reduces to products of factors 1/(1 - q^{-s} a), where q
 is a residue field cardinality and a is the value of an unramified character at
-a uniformizer.  This module owns that primitive, the quadratic-character factors
-attached to an unramified quadratic extension E/F, and the local Gross motive
-value Delta_{G_m} = prod_{r=1}^{m} L(r, chi^r).
+a uniformizer.  This module owns that primitive and the one kernel that
+multiplies lists of such factors (LFactor, factor_product): every Euler product
+of the package is a factor list evaluated here, so this module alone decides
+how a product is evaluated, where a pole stops it and which factor a PoleError
+names.  It also owns the quadratic-character factors attached to an unramified
+quadratic extension E/F, and the local Gross motive value
+Delta_{G_m} = prod_{r=1}^{m} L(r, chi^r).
 
-Euler factors are evaluated in double-precision complex, at one s or at an
-array of s, and identities are checked downstream with relative tolerances,
-never exact equality.  Rational inputs (integer s, chi = +-1) are evaluated
-exactly with Fraction and converted at the boundary.  A character value is any
-nonzero scalar, so exact values can run through the factor-list builders too.
+Euler factors are evaluated in double-precision complex, for one sample, a
+stack of samples or a point axis of s, and identities are checked downstream
+with relative tolerances, never exact equality.  Rational inputs (integer s,
+chi = +-1) are evaluated exactly with Fraction and converted at the boundary.
+A character value is any nonzero scalar, so exact values can run through the
+factor-list builders too.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,36 +128,15 @@ def euler_factor(s: complex, q: int, alpha: complex, *,
                  factor: str | None = None) -> complex:
     """1/(1 - q^{-s} alpha).
 
-    s may also be a complex array, one point per entry, with alpha a scalar or
-    an array of the same shape: q^{-s} is then np.exp(-s log q) and the
-    factor np.reciprocal of the denominator, so the values may differ from
-    the scalar path's in the last bits.
-
-    Raises PoleError when the denominator (any entry of it) is within POLE_EPS
-    of zero; samplers upstream are responsible for keeping generic data away
-    from poles.
+    Raises PoleError when the denominator is within POLE_EPS of zero; samplers
+    upstream are responsible for keeping generic data away from poles.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    try:
-        q_s = q_power(q, s)
-    except TypeError:  # an array of s is unhashable, so q_power cannot memoize it
-        return _euler_factor_array(s, q, alpha, factor)
-    den = 1.0 - q_s * alpha
+    den = 1.0 - q_power(q, s) * alpha
     if abs(den) < POLE_EPS:
         raise PoleError(f"local factor pole at s={s!r}, q={q}, alpha={alpha!r}", factor=factor)
     return 1.0 / den
-
-
-def _euler_factor_array(s: np.ndarray, q: int, alpha, factor: str | None) -> np.ndarray:
-    den = 1.0 - np.exp(-s * math.log(q)) * alpha
-    poles = np.abs(den) < POLE_EPS
-    if poles.any():
-        k = poles.argmax()  # the first pole entry
-        a = np.broadcast_to(alpha, den.shape).flat[k]
-        raise PoleError(f"local factor pole at s={complex(s.flat[k])!r}, q={q}, "
-                        f"alpha={complex(a)!r}", factor=factor)
-    return np.reciprocal(den)
 
 
 def euler_factor_inv(s: complex, q: int, alpha: complex) -> complex:
@@ -166,6 +151,112 @@ def euler_factor_inv(s: complex, q: int, alpha: complex) -> complex:
 def lfactor_chi(s: complex, field: FieldData, parity: int) -> complex:
     """L_F(s, chi_{E/F}^parity); the zeta_F factor for even parity or split kind."""
     return euler_factor(s, field.q_F, complex(field.chi_at_uniformizer ** (parity % 2)))
+
+
+class ConventionError(ArithmeticError):
+    """A factor whose evaluation convention is ambiguous was requested at a pole."""
+
+    def __init__(self, message: str, factor: str | None = None):
+        super().__init__(message)
+        self.factor = factor
+
+
+class LFactor(NamedTuple):
+    """One Euler factor of a product: 1/(1 - q^{-s} alpha), or its reciprocal
+    when inverse is set (so poles of inverted factors become zeros).  A named
+    tuple: immutable, and cheap to build for the thousands of factors a run
+    lists."""
+
+    label: str
+    s: complex  # on a point axis, an array of one point per entry
+    q: int
+    alpha: complex  # in a stacked list, an array of one value per sample
+    inverse: bool = False
+    # the quadratic-twist factor, whose value at its pole is a convention choice
+    convention_sensitive: bool = False
+
+    def value(self) -> complex:
+        if self.inverse:
+            return euler_factor_inv(self.s, self.q, self.alpha)
+        return euler_factor(self.s, self.q, self.alpha, factor=self.label)
+
+
+def factor_product(factors: list[LFactor], samples: int | None = None) -> complex | np.ndarray:
+    """The product of the factor values, in list order, as one array kernel.
+
+    A list of scalar factors gives a complex.  A stacked list, each alpha an
+    array of one value per sample (see satake.stack_data) or a scalar that
+    every sample shares, gives an array of the `samples` products, ones for
+    an empty list.  Each product multiplies the values of f.value() from 1 in
+    list order, and numpy's complex reciprocal and sequential reduction round
+    as Python's complex arithmetic does, so it is the left-to-right product
+    to the last bit (only the sign of an exactly zero part may differ).
+
+    A list may also be on a point axis: an s that is an array holds one point
+    per entry, and without `samples` the first such array's length is the
+    axis.  Its q^{-s} are np.exp(-s log q), so they may differ from q_power's
+    in the last bits.
+
+    A list stops at the first factor, in list order, that is a direct factor
+    on its pole (PoleError, naming it) or a convention-sensitive factor (the
+    quadratic twist) requested at its pole, where the evaluation convention
+    would decide between 0 and a pole (ConventionError, naming it).  A scalar
+    list raises that error; a stacked sample (a point) that stops gets a nan
+    product, and its column (see column) raises the error when evaluated
+    alone.
+    """
+    _, s, q, alpha, inverse, sensitive = zip(*factors) if factors else ((),) * 6
+    if min(q, default=2) < 2:
+        raise ValueError(f"q must be >= 2, got {min(q)}")
+    try:
+        q_s, point_axis = list(map(q_power, q, s)), False
+    except TypeError:  # an array of s is unhashable, so q_power cannot memoize it
+        q_s, point_axis = [np.exp(-x * math.log(b)) for b, x in zip(q, s)], True
+        if samples is None:
+            samples = next(len(x) for x in s if isinstance(x, np.ndarray))
+    shape = () if samples is None else (samples,)
+    per_factor = (len(factors),) + (1,) * len(shape)  # broadcasts against alpha
+
+    def rows(values):  # one row per factor; a scalar is every sample's
+        if shape:
+            values = [v if isinstance(v, np.ndarray) else np.full(shape, v, dtype=complex)
+                      for v in values]
+        return np.array(values, dtype=complex).reshape(per_factor[:1] + shape)
+
+    q_s = rows(q_s) if point_axis else np.array(q_s, dtype=complex).reshape(per_factor)
+    den = 1.0 - q_s * rows(alpha)
+    inverse = np.array(inverse, dtype=bool).reshape(per_factor)
+    # numpy's complex reciprocal is Python's 1.0/den (Smith's method); its
+    # complex division multiplies by a rounded reciprocal instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(inverse, den, np.reciprocal(den))
+    pole = (np.abs(den) < POLE_EPS) & ~inverse
+    stop = pole.copy()
+    if any(sensitive):
+        flagged = np.flatnonzero(sensitive)
+        stop[flagged] |= np.abs(values[flagged]) < POLE_EPS
+    # the factor axis last and contiguous, so that numpy multiplies each
+    # product in list order, one factor at a time, from 1
+    product = np.multiply.reduce(np.ascontiguousarray(values.T), axis=-1,
+                                 initial=1.0 + 0.0j)
+    if shape:
+        product[stop.any(axis=0)] = np.nan
+        return product
+    if stop.any():
+        f = factors[k := int(stop.argmax())]
+        if pole[k]:
+            raise PoleError(f"local factor pole at s={f.s!r}, q={f.q}, alpha={f.alpha!r}",
+                            factor=f.label)
+        raise ConventionError("quadratic-twist factor requested at its pole", factor=f.label)
+    return complex(product)
+
+
+def column(factors: list[LFactor], k: int) -> list[LFactor]:
+    """Sample k of a stacked factor list: the same factors, each alpha array
+    replaced by sample k's value (a scalar alpha is every sample's), so that
+    it can be evaluated alone."""
+    return [f._replace(alpha=f.alpha[k]) if isinstance(f.alpha, np.ndarray) else f
+            for f in factors]
 
 
 @lru_cache(maxsize=None)

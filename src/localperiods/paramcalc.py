@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .identity import FactorDiff, VerificationReport, _judge, map_samples, worst_err
-from .numfield import FieldData, euler_factor, has_zero, lfactor_chi
+from .numfield import FieldData, LFactor, factor_product, has_zero
 from .satake import SatakeDatum, adjoint_lfactor, bc_params, make_datum
 
 BC_TOL = 1e-9  # slack of _datum_from_bc on a unit eigenvalue and a pair product
@@ -52,11 +52,10 @@ class WDParam:
         return len(self.eigenvalues)
 
     def lfactor(self, s: complex, field: FieldData) -> complex:
+        """prod_z L(s, z) over the base's q; an array s is a point axis."""
         q = field.q_E if self.base is Base.OVER_E else field.q_F
-        out = 1.0 + 0.0j
-        for z in self.eigenvalues:
-            out *= euler_factor(s, q, z)
-        return out
+        return factor_product([LFactor(f"L_{self.base.value}(s, z{i})", s, q, z)
+                               for i, z in enumerate(self.eigenvalues, 1)])
 
 
 def gamma_char() -> complex:
@@ -197,9 +196,9 @@ def _on_points(items: tuple, counts: list[int]):
 
 def _sides(s, g: _Lift, field: FieldData) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of the identities at s, each (points, IDENTITIES): s and the
-    values of g are arrays on one point axis, so every factor is one array
-    evaluation."""
-    chi = lfactor_chi(s, field, 1)
+    values of g are arrays on one point axis, so every Euler product is one
+    factor_product call on that axis."""
+    chi = factor_product([LFactor("L_F(s, chi)", s, field.q_F, field.chi_at_uniformizer)])
     sigma_prime_l = g.sigma_prime.lfactor(s, field)
     sides = [
         (adjoint_lfactor(s, g.theta_pi_bar), adjoint_lfactor(s, g.pi)),

@@ -1,5 +1,5 @@
 """Satake data for unramified principal series of U(m), base-change parameters,
-and the standard-tensor / adjoint local L-factors.
+and the standard-tensor / adjoint local L-factors as factor lists.
 
 A datum for U(m) stores unramified character values at a uniformizer:
 
@@ -9,10 +9,12 @@ A datum for U(m) stores unramified character values at a uniformizer:
   parameters, laid out (theta_1, ..., theta_l, [xi_0], phi_l^{-1}, ..., phi_1^{-1});
   the middle entry exists iff m is odd and carries the E_1 = F^x character.
 
-The standard-tensor factor is transcribed case by case from the explicit Euler
-products (not generated from the parameter sets); std_tensor_lfactor_det is the
-independent determinant oracle det(I - q^{-s} A (x) B)^{-1} that audits the
-transcription.
+The standard-tensor and adjoint factors are LFactor lists (std_tensor_factors,
+adjoint_factors), transcribed case by case from the explicit Euler products
+(not generated from the parameter sets), on one datum, stacked data or a point
+axis of s; std_tensor_lfactor and adjoint_lfactor multiply them.
+std_tensor_lfactor_det is the independent determinant oracle
+det(I - q^{-s} A (x) B)^{-1} on bc_params that audits the transcription.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numfield import (CharValue, FieldData, PoleError, POLE_EPS,
-                       euler_factor, q_power)
+from .numfield import (CharValue, FieldData, LFactor, PoleError, POLE_EPS,
+                       factor_product, q_power)
 
 
 @dataclass(frozen=True)
@@ -155,45 +157,46 @@ def _check_pair(small: SatakeDatum, big: SatakeDatum) -> None:
         raise ValueError("data live over different places")
 
 
-def std_tensor_lfactor(s: complex, small: SatakeDatum, big: SatakeDatum) -> complex:
+def std_tensor_factors(s: complex, small: SatakeDatum, big: SatakeDatum) -> list[LFactor]:
     """L_E(s, BC(pi_small) (x) BC(pi_big), st) as an explicit Euler product.
 
-    Inert: two parity cases over q_E; the ordered index ranges i<j and j<=i
-    together run over every character pair once, and the unpaired product picks
-    up the forced eigenvalue 1 of the odd-size group.  Split: the product of
-    the two GL tensor factors over q_F.
+    Inert, over q_E: every pair of a small and a big character gives four
+    factors, and the unpaired product runs over the characters of the
+    even-size group, against the forced eigenvalue 1 of the odd-size one.
+    Split: the product of the two GL tensor factors over q_F.
     """
     _check_pair(small, big)
     field = small.field
-    v = 1.0 + 0.0j
+    out: list[LFactor] = []
+
+    def f(label, q, alpha):
+        out.append(LFactor(label, s, q, alpha))
+
     if field.is_split:
         q = field.q_F
-        for t in small.values():
-            for T in big.values():
-                v *= euler_factor(s, q, t * T) * euler_factor(s, q, 1.0 / (t * T))
-        return v
+        for i, t in enumerate(small.values(), 1):
+            for j, T in enumerate(big.values(), 1):
+                f(f"L_F(s, t{i}*T{j})", q, t * T)
+                f(f"L_F(s, t{i}^-1*T{j}^-1)", q, 1 / (t * T))
+        return out
     qe = field.q_E
-    x = small.values()
-    X = big.values()
-    if small.m % 2 == 0:
-        l = small.m // 2
-        for i in range(1, l + 1):
-            for j in range(1, l + 1):
-                a, b = x[i - 1], X[j - 1]
-                v *= (euler_factor(s, qe, a * b) * euler_factor(s, qe, b / a)
-                      * euler_factor(s, qe, a / b) * euler_factor(s, qe, 1.0 / (a * b)))
-        for i in range(1, l + 1):
-            v *= euler_factor(s, qe, x[i - 1]) * euler_factor(s, qe, 1.0 / x[i - 1])
-    else:
-        l = (small.m + 1) // 2
-        for i in range(1, l):
-            for j in range(1, l + 1):
-                a, b = x[i - 1], X[j - 1]
-                v *= (euler_factor(s, qe, a * b) * euler_factor(s, qe, b / a)
-                      * euler_factor(s, qe, a / b) * euler_factor(s, qe, 1.0 / (a * b)))
-        for i in range(1, l + 1):
-            v *= euler_factor(s, qe, X[i - 1]) * euler_factor(s, qe, 1.0 / X[i - 1])
-    return v
+    for i, a in enumerate(small.values(), 1):
+        for j, b in enumerate(big.values(), 1):
+            f(f"L_E(s, xi{i}*Xi{j})", qe, a * b)
+            f(f"L_E(s, xi{i}^-1*Xi{j})", qe, b / a)
+            f(f"L_E(s, xi{i}*Xi{j}^-1)", qe, a / b)
+            f(f"L_E(s, xi{i}^-1*Xi{j}^-1)", qe, 1 / (a * b))
+    # small U(2l) against the 1 of big U(2l+1), or big U(2l) against small U(2l-1)
+    name, even = ("xi", small) if small.m % 2 == 0 else ("Xi", big)
+    for i, c in enumerate(even.values(), 1):
+        f(f"L_E(s, {name}{i})", qe, c)
+        f(f"L_E(s, {name}{i}^-1)", qe, 1 / c)
+    return out
+
+
+def std_tensor_lfactor(s: complex, small: SatakeDatum, big: SatakeDatum) -> complex:
+    """The product of std_tensor_factors."""
+    return factor_product(std_tensor_factors(s, small, big))
 
 
 def std_tensor_lfactor_det(s: complex, small: SatakeDatum, big: SatakeDatum) -> complex:
@@ -224,7 +227,7 @@ def _kron_det(s: complex, q: int, avals, bvals) -> complex:
     return complex(np.prod(entries))
 
 
-def adjoint_lfactor(s: complex, datum: SatakeDatum) -> complex:
+def adjoint_factors(s: complex, datum: SatakeDatum) -> list[LFactor]:
     """L_F(s, pi, Ad) for the unramified principal series attached to the datum.
 
     The inert even/odd cases are separate transcriptions of the explicit
@@ -232,48 +235,52 @@ def adjoint_lfactor(s: complex, datum: SatakeDatum) -> complex:
     transcription serves both); split is the GL_m adjoint
     zeta_F(s)^m prod_{i != j} L_F(s, t_i/t_j).
     """
-    field = datum.field
-    if field.is_split:
-        q = field.q_F
-        t = datum.values()
-        v = euler_factor(s, q, 1.0 + 0.0j) ** datum.m
-        for i in range(datum.m):
-            for j in range(datum.m):
-                if i != j:
-                    v *= euler_factor(s, q, t[i] / t[j])
-        return v
-    if datum.m % 2 == 0:
-        return _adjoint_inert_even(s, datum.values(), field)
-    return _adjoint_inert_odd(s, datum.values(), field)
+    q, t = datum.field.q_F, datum.values()
+    if datum.field.is_inert:
+        inert = _adjoint_inert_even if datum.m % 2 == 0 else _adjoint_inert_odd
+        return inert(s, t, q)
+    return [LFactor("zeta_F(s)", s, q, 1)] * datum.m + [
+        LFactor(f"L_F(s, t{i + 1}*t{j + 1}^-1)", s, q, t[i] / t[j])
+        for i in range(datum.m) for j in range(datum.m) if i != j]
 
 
-def _adjoint_inert_even(s: complex, c, field: FieldData) -> complex:
+def _adjoint_inert_even(s: complex, c, q: int) -> list[LFactor]:
     # zeta_F(s)^l L_F(s,chi)^l prod_{i<j} L_F(2s, c_i c_j)L(2s, c_i^{-1}c_j)
     #   L(2s, c_i^{-1}c_j^{-1})L(2s, c_i c_j^{-1}) prod_i L_F(s, c_i)L_F(s, c_i^{-1})
-    q = field.q_F
     l = len(c)
-    v = (euler_factor(s, q, 1.0 + 0.0j) * euler_factor(s, q, -1.0 + 0.0j)) ** l
+    out = [LFactor("zeta_F(s)", s, q, 1)] * l + [LFactor("L_F(s, chi)", s, q, -1)] * l
     for i in range(l):
         for j in range(i + 1, l):
-            v *= (euler_factor(2 * s, q, c[i] * c[j]) * euler_factor(2 * s, q, c[j] / c[i])
-                  * euler_factor(2 * s, q, 1.0 / (c[i] * c[j])) * euler_factor(2 * s, q, c[i] / c[j]))
+            out += [LFactor(f"L_F(2s, c{i + 1}*c{j + 1})", 2 * s, q, c[i] * c[j]),
+                    LFactor(f"L_F(2s, c{i + 1}^-1*c{j + 1})", 2 * s, q, c[j] / c[i]),
+                    LFactor(f"L_F(2s, c{i + 1}^-1*c{j + 1}^-1)", 2 * s, q, 1 / (c[i] * c[j])),
+                    LFactor(f"L_F(2s, c{i + 1}*c{j + 1}^-1)", 2 * s, q, c[i] / c[j])]
     for i in range(l):
-        v *= euler_factor(s, q, c[i]) * euler_factor(s, q, 1.0 / c[i])
-    return v
+        out += [LFactor(f"L_F(s, c{i + 1})", s, q, c[i]),
+                LFactor(f"L_F(s, c{i + 1}^-1)", s, q, 1 / c[i])]
+    return out
 
 
-def _adjoint_inert_odd(s: complex, c, field: FieldData) -> complex:
+def _adjoint_inert_odd(s: complex, c, q: int) -> list[LFactor]:
     # zeta_F(s)^l L_F(s,chi)^{l+1} prod_{i<j} [four L_F(2s, ...)]
     #   prod_i L_F(s, chi c_i)L_F(s, chi c_i^{-1}) L_F(2s, c_i)L_F(2s, c_i^{-1});
     # chi c has uniformizer value -c since E/F unramified shares a uniformizer.
-    q = field.q_F
     l = len(c)
-    v = (euler_factor(s, q, 1.0 + 0.0j) ** l) * (euler_factor(s, q, -1.0 + 0.0j) ** (l + 1))
+    out = [LFactor("zeta_F(s)", s, q, 1)] * l + [LFactor("L_F(s, chi)", s, q, -1)] * (l + 1)
     for i in range(l):
         for j in range(i + 1, l):
-            v *= (euler_factor(2 * s, q, c[i] * c[j]) * euler_factor(2 * s, q, c[j] / c[i])
-                  * euler_factor(2 * s, q, 1.0 / (c[i] * c[j])) * euler_factor(2 * s, q, c[i] / c[j]))
+            out += [LFactor(f"L_F(2s, c{i + 1}*c{j + 1})", 2 * s, q, c[i] * c[j]),
+                    LFactor(f"L_F(2s, c{i + 1}^-1*c{j + 1})", 2 * s, q, c[j] / c[i]),
+                    LFactor(f"L_F(2s, c{i + 1}^-1*c{j + 1}^-1)", 2 * s, q, 1 / (c[i] * c[j])),
+                    LFactor(f"L_F(2s, c{i + 1}*c{j + 1}^-1)", 2 * s, q, c[i] / c[j])]
     for i in range(l):
-        v *= (euler_factor(s, q, -c[i]) * euler_factor(s, q, -1.0 / c[i])
-              * euler_factor(2 * s, q, c[i]) * euler_factor(2 * s, q, 1.0 / c[i]))
-    return v
+        out += [LFactor(f"L_F(s, chi*c{i + 1})", s, q, -c[i]),
+                LFactor(f"L_F(s, chi*c{i + 1}^-1)", s, q, -1 / c[i]),
+                LFactor(f"L_F(2s, c{i + 1})", 2 * s, q, c[i]),
+                LFactor(f"L_F(2s, c{i + 1}^-1)", 2 * s, q, 1 / c[i])]
+    return out
+
+
+def adjoint_lfactor(s: complex, datum: SatakeDatum) -> complex:
+    """The product of adjoint_factors; an array s is a point axis."""
+    return factor_product(adjoint_factors(s, datum))

@@ -11,17 +11,15 @@ Three independent routes are provided:
   integration oracle.
 
 Every route is an explicit list of LFactor records (zeta_closed_factors,
-zeta_recursive_factors), and factor_product is the one array kernel that
-multiplies a list: a list of scalars, or a stacked list whose alphas hold one
-value per sample, so that a report builds each route once for all its
-samples.  A scalar alpha in a stacked list, such as the 1 of zeta_F(i) in
-S(1) at split places (weylsum.s_value_split), is broadcast to every sample.
-An LFactor is a named tuple (label, s, q, alpha, inverse,
-convention_sensitive); f.value() evaluates one factor through
-numfield.euler_factor, and factor_product rounds every factor as it does.  So
-two routes can be compared factor by factor and a discrepancy
-localized to a single named factor; this is how the one mismatched index
-pairing in the odd-case split display is surfaced (never silently patched).
+zeta_recursive_factors), multiplied by numfield.factor_product, the package's
+one Euler-product kernel: a list of scalars, or a stacked list whose alphas
+hold one value per sample, so that a report builds each route once for all
+its samples.  The kernel (LFactor, ConventionError, factor_product, column)
+lives in numfield, because satake's factor lists use it too; this module
+binds its names as well.  So two routes can be compared factor by factor and
+a discrepancy localized to a single named factor; this is how the one
+mismatched index pairing in the odd-case split display is surfaced (never
+silently patched).
 
 Conventions fixed here and validated by the recursion/closed-form agreement and
 the end-to-end period identity: the inert composite of the quadratic character
@@ -32,102 +30,9 @@ times nu, second times mu); at inert places the two pairings coincide.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-import numpy as np
-
-from .numfield import (FieldData, POLE_EPS, PoleError, euler_factor, euler_factor_inv,
-                       q_power)
+from .numfield import ConventionError, FieldData, LFactor, column, factor_product
 from .satake import SatakeDatum, _check_pair, bc_params
-
-
-class ConventionError(ArithmeticError):
-    """A factor whose evaluation convention is ambiguous was requested at a pole."""
-
-    def __init__(self, message: str, factor: str | None = None):
-        super().__init__(message)
-        self.factor = factor
-
-
-class LFactor(NamedTuple):
-    """One Euler factor of a product: 1/(1 - q^{-s} alpha), or its reciprocal
-    when inverse is set (so poles of inverted factors become zeros).  A named
-    tuple: immutable, and cheap to build for the thousands of factors a run
-    lists."""
-
-    label: str
-    s: float
-    q: int
-    alpha: complex  # in a stacked list, an array of one value per sample
-    inverse: bool = False
-    # the quadratic-twist factor, whose value at its pole is a convention choice
-    convention_sensitive: bool = False
-
-    def value(self) -> complex:
-        if self.inverse:
-            return euler_factor_inv(self.s, self.q, self.alpha)
-        return euler_factor(self.s, self.q, self.alpha, factor=self.label)
-
-
-def factor_product(factors: list[LFactor], samples: int | None = None) -> complex | np.ndarray:
-    """The product of the factor values, in list order, as one array kernel.
-
-    A list of scalar factors gives a complex.  A stacked list, each alpha an
-    array of one value per sample (see stack_data) or a scalar that every
-    sample shares, gives an array of the `samples` products, ones for an
-    empty list.  Each product multiplies the values of f.value() from 1 in
-    list order, and numpy's complex reciprocal and sequential reduction round
-    as Python's complex arithmetic does, so it is the left-to-right product
-    to the last bit (only the sign of an exactly zero part may differ).
-
-    A list stops at the first factor, in list order, that is a direct factor
-    on its pole (PoleError, naming it) or a convention-sensitive factor (the
-    quadratic twist) requested at its pole, where the evaluation convention
-    would decide between 0 and a pole (ConventionError, naming it).  A scalar
-    list raises that error; a stacked sample that stops gets a nan product,
-    and its column (see column) raises the error when evaluated alone.
-    """
-    shape = () if samples is None else (samples,)
-    per_factor = (len(factors),) + (1,) * len(shape)  # broadcasts against alpha
-    _, s, q, alpha, inverse, sensitive = zip(*factors) if factors else ((),) * 6
-    if min(q, default=2) < 2:
-        raise ValueError(f"q must be >= 2, got {min(q)}")
-    if shape:  # a scalar alpha in a stacked list is every sample's alpha
-        alpha = [a if isinstance(a, np.ndarray) else np.full(shape, a, dtype=complex)
-                 for a in alpha]
-    alpha = np.array(alpha, dtype=complex).reshape(per_factor[:1] + shape)
-    inverse = np.array(inverse, dtype=bool).reshape(per_factor)
-    den = 1.0 - np.array(list(map(q_power, q, s)), dtype=complex).reshape(per_factor) * alpha
-    # numpy's complex reciprocal is Python's 1.0/den (Smith's method); its
-    # complex division multiplies by a rounded reciprocal instead
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(inverse, den, np.reciprocal(den))
-    pole = (np.abs(den) < POLE_EPS) & ~inverse
-    stop = pole.copy()
-    if any(sensitive):
-        rows = np.flatnonzero(sensitive)
-        stop[rows] |= np.abs(values[rows]) < POLE_EPS
-    # the factor axis last and contiguous, so that numpy multiplies each
-    # product in list order, one factor at a time, from 1
-    product = np.multiply.reduce(np.ascontiguousarray(values.T), axis=-1,
-                                 initial=1.0 + 0.0j)
-    if shape:
-        product[stop.any(axis=0)] = np.nan
-        return product
-    if stop.any():
-        f = factors[k := int(stop.argmax())]
-        if pole[k]:
-            raise PoleError(f"local factor pole at s={f.s!r}, q={f.q}, alpha={f.alpha!r}",
-                            factor=f.label)
-        raise ConventionError("quadratic-twist factor requested at its pole", factor=f.label)
-    return complex(product)
-
-
-def column(factors: list[LFactor], k: int) -> list[LFactor]:
-    """Sample k of a stacked factor list whose alphas are all arrays (as every
-    zeta route's are): the same factors, with sample k's alpha each, so that
-    it can be evaluated alone."""
-    return [f._replace(alpha=f.alpha[k]) for f in factors]
 
 
 # ---------------------------------------------------------------------------

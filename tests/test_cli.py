@@ -428,16 +428,16 @@ def test_format_complex():
 
 
 def nan_error_at_sample_1(monkeypatch):
-    # L(1/2)/(Ad*Ad), evaluated per sample, is nan on the second sample only,
-    # so that sample's rhs and error are nan and the others are real
+    # Delta, taken per sample, is nan on the second sample only, so that
+    # sample's rhs and error are nan and the others are real
     import localperiods.identity as identity
-    real, calls = identity.lratio, []
+    real, calls = identity.motive_delta, []
 
-    def lratio(*args):
+    def motive_delta(*args):
         calls.append(None)
         return complex("nan") if len(calls) == 2 else real(*args)
 
-    monkeypatch.setattr(identity, "lratio", lratio)
+    monkeypatch.setattr(identity, "motive_delta", motive_delta)
 
 
 def test_nan_error_after_the_first_sample_fails_identity(monkeypatch, capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from localperiods import (LFactor, PlaceKind, euler_factor,
-                          inert_place, lratio, make_datum,
+from localperiods import (LFactor, PlaceKind, adjoint_lfactor, euler_factor,
+                          inert_place, make_datum, std_tensor_lfactor,
                           SatakeDatum, split_datum, split_place, unramified_period,
                           verify_appendix, verify_basecase, verify_localcalc,
                           verify_recursion, verify_weyl_constancy,
@@ -49,7 +49,9 @@ def test_lratio_unit_characters_direct_assembly():
     ad_big = (euler_factor(1, 2, 1) * euler_factor(1, 2, -1) ** 2
               * euler_factor(1, 2, -1) ** 2 * euler_factor(2, 2, 1) ** 2)
     expected = std / (ad_big * ad_small)
-    assert lratio(0.5, small, big) == pytest.approx(expected)
+    lratio = std_tensor_lfactor(0.5, small, big) / (adjoint_lfactor(1, big)
+                                                    * adjoint_lfactor(1, small))
+    assert lratio == pytest.approx(expected)
 
 
 def test_unramified_period_rank_one_inert_is_s_value(rng):
@@ -105,9 +107,9 @@ def test_identity_table_reproduces_report(field):
 
 def test_nan_error_is_localized(monkeypatch):
     # a nan error is not within tol, so the sample is probed like any miss;
-    # L(1/2)/(Ad*Ad), evaluated per sample, makes every rhs and error nan
+    # Delta, taken per sample, makes every rhs and error nan
     import localperiods.identity as identity
-    monkeypatch.setattr(identity, "lratio", lambda *args: complex("nan"))
+    monkeypatch.setattr(identity, "motive_delta", lambda *args: complex("nan"))
     report = verify_localcalc(1, split_place(2), samples=2)
     assert not report.passed
     assert [d.factor for d in report.factor_diffs] == ["zeta*S vs Delta*L(1/2)/(Ad*Ad)"]
@@ -203,14 +205,15 @@ def test_identity_builds_each_route_once_per_report(monkeypatch):
 def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
     # every inert n = 1 sample misses tol 1e-30, and its probes compare the
     # Weyl sum and the standard-tensor value its row already computed; the
-    # zeta lists (closed, inverted closed) are built once each, and the
+    # standard-tensor list and the zeta lists (closed, inverted closed) are
+    # built once each, stacked over the samples, and the
     # localizer pairs the routes on one exact build, which leaves no factor
     # at inert places, so the stacked recursive list is never built
     import localperiods.identity as identity
     import localperiods.weylsum as weylsum
     from localperiods.cli import main
     builds = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors"])
-    calls = dict.fromkeys(["weyl_sum_A", "std_tensor_lfactor"], 0)
+    calls = dict.fromkeys(["weyl_sum_A", "std_tensor_factors"], 0)
 
     def counting(name, real):
         def counted(*args):
@@ -218,12 +221,12 @@ def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
             return real(*args)
         return counted
     for module, name in ((identity, "weyl_sum_A"), (weylsum, "weyl_sum_A"),
-                         (identity, "std_tensor_lfactor")):
+                         (identity, "std_tensor_factors")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code = main(["identity", "--n", "1", "--place", "inert", "--tol", "1e-30",
                  "--samples", "3"])
     assert code == 1 and "weyl_sum vs motive value" in capsys.readouterr().out
-    assert calls == {"weyl_sum_A": 3, "std_tensor_lfactor": 3}
+    assert calls == {"weyl_sum_A": 3, "std_tensor_factors": 1}
     assert builds == {("zeta_closed_factors", "float"): 2,
                       ("zeta_closed_factors", "exact"): 1,
                       ("zeta_recursive_factors", "exact"): 1}
@@ -495,7 +498,7 @@ def test_recursion_cli_at_the_smallest_n(capsys, n, place):
 def identity_reference(small, big):
     """One sample's identity row, evaluated alone as the check did before it
     stacked its samples: the Weyl sum, L(1/2), zeta, S, then the adjoints."""
-    from localperiods import (adjoint_lfactor, case_for, factor_product, motive_delta,
+    from localperiods import (adjoint_factors, case_for, factor_product, motive_delta,
                               s_value_split, std_tensor_lfactor, weyl_sum_A)
     n, field = big.m - 2, big.field
     weyl = None
@@ -509,8 +512,8 @@ def identity_reference(small, big):
         s_val = s_value_inert(n, field, z_inv, weyl)
     else:
         s_val = s_value_split(big.inverted().chars, small.inverted().chars, n, field)
-    delta, lr = motive_delta(big.m, field), std / (adjoint_lfactor(1.0, big)
-                                                  * adjoint_lfactor(1.0, small))
+    lr = std / factor_product(adjoint_factors(1.0, big) + adjoint_factors(1.0, small))
+    delta = motive_delta(big.m, field)
     lhs, rhs = z * s_val, delta * lr
     return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
 
@@ -565,8 +568,10 @@ def test_a_pole_in_a_stacked_identity_sample_raises_as_the_sample_loop(monkeypat
     pairs = tuned_pairs(case)
     expected = raised(lambda: [identity_reference(*pair) for pair in pairs])
     assert isinstance(expected, tuple) and expected[0] == "PoleError"
-    # L(1/2) raises ahead of the closed list, S ahead of the adjoints
-    assert expected[2] == {"weyl": "d1(X)", "s": "L_F(1, X2/X3)"}.get(case)
+    # L(1/2) raises ahead of the closed list, S ahead of the adjoints; each
+    # PoleError names its factor
+    assert expected[2] == {"weyl": "d1(X)", "std": "L_F(s, t1*T1)", "s": "L_F(1, X2/X3)",
+                           "adjoint": "L_F(s, t2*t4^-1)"}[case]
     field = pairs[0][1].field
     for run in (lambda: verify_localcalc(pairs[0][1].m - 2, field, samples=3, tol=1e-30),
                 lambda: identity_table(pairs[0][1].m - 2, field, samples=3)):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from localperiods import (CharValue, PoleError, euler_factor, euler_factor_inv,
-                          inert_place, lfactor_chi, motive_delta,
+from localperiods import (CharValue, LFactor, PoleError, euler_factor, euler_factor_inv,
+                          factor_product, inert_place, lfactor_chi, motive_delta,
                           motive_delta_exact, split_place)
 
 
@@ -108,28 +108,33 @@ def test_char_value_stacked_checks_every_entry():
         CharValue(np.array([1.0, 0.0, 1j]))
 
 
-def test_euler_factor_on_an_array_of_s_matches_the_scalar_calls(q):
-    # one array evaluation per factor: np.exp and np.reciprocal instead of
-    # cmath.exp and Python's complex division, so equal up to the last bits
+def test_factor_product_on_a_point_axis_matches_the_scalar_calls(q):
+    # an array of s is one point per entry: np.exp and np.reciprocal instead
+    # of cmath.exp and Python's complex division, so equal up to the last bits
     import numpy as np
     rng = np.random.default_rng(q)
     s = rng.uniform(0.5, 2.5, 400) + 1j * rng.uniform(-3.0, 3.0, 400)
     alpha = np.exp(2j * np.pi * rng.uniform(size=400))
     for a in (alpha, -1.0 + 0.0j):
-        values = euler_factor(s, q, a)
+        values = factor_product([LFactor("L", s, q, a)])
         scalar = [euler_factor(complex(x), q, complex(y))
                   for x, y in zip(s, np.broadcast_to(a, s.shape))]
         assert values.shape == s.shape
         assert all(abs(v - w) <= 1e-15 * abs(w) for v, w in zip(values.tolist(), scalar))
 
 
-def test_euler_factor_array_pole_names_the_factor():
+def test_factor_product_pole_on_a_point_axis_is_that_points_nan():
+    # a pole at one point stops that point's product alone; the point, alone,
+    # raises the PoleError that names the factor
     import numpy as np
     s = np.array([1.0 + 0.5j, 0.0 + 0.0j, 2.0 + 0.0j])
+    zeta = LFactor("zeta_F(s)", s, 2, 1)
+    got = factor_product([zeta])
+    assert np.isnan(got[1]) and got[[0, 2]].tolist() == pytest.approx(
+        [euler_factor(complex(x), 2, 1) for x in s[[0, 2]]], rel=1e-15)
     with pytest.raises(PoleError, match="s=0j") as err:
-        euler_factor(s, 2, 1.0 + 0.0j, factor="zeta_F(s)")
+        factor_product([zeta._replace(s=0j)])
     assert err.value.factor == "zeta_F(s)"
     # the pole may sit in the alpha array too
-    with pytest.raises(PoleError) as err:
-        euler_factor(np.full(3, 1.0 + 0j), 2, np.array([0.5, 2.0, 1.0]) + 0j, factor="L")
-    assert err.value.factor == "L"
+    got = factor_product([LFactor("L", np.full(3, 1.0 + 0j), 2, np.array([0.5, 2.0, 1.0]))])
+    assert np.isnan(got).tolist() == [False, True, False]

@@ -161,6 +161,24 @@ def test_verify_appendix_fails_on_a_nan_at_sample_1(monkeypatch):
         f"{name} at s=nan+0j" for name in ("piad", "sigmaad", "muad", "bigsig", "sigcor")]
 
 
+def test_verify_appendix_fails_on_a_pole_at_one_point(monkeypatch):
+    # s = 0 puts every adjoint's zeta_F(s) on its pole: that point's adjoint
+    # products are nan, so sample 1 fails on the three adjoint identities
+    # with a nan error, and the other samples and identities are judged
+    import localperiods.paramcalc as paramcalc
+    real, calls = paramcalc._draw_s, []
+
+    def draw_s(rng, count):
+        calls.append(None)
+        return real(rng, count) + ([0j] if len(calls) == 2 else [])
+
+    monkeypatch.setattr(paramcalc, "_draw_s", draw_s)
+    report = verify_appendix(inert_place(2), samples=3, seed=1)
+    assert not report.passed and math.isnan(report.max_rel_err)
+    assert [d.factor for d in report.factor_diffs] == [
+        f"{name} at s=0+0j" for name in ("piad", "sigmaad", "muad")]
+
+
 def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
     # the lift parameters do not depend on s, so the number of twist and
     # tensor_product calls per sample does not grow with S_POINTS

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from localperiods import (PoleError, adjoint_lfactor, bc_params, euler_factor,
-                          inert_datum, make_datum, split_datum,
+                          inert_datum, make_datum, split_datum, std_tensor_factors,
                           std_tensor_lfactor, std_tensor_lfactor_det)
 from localperiods.identity import rel_err, sample_datum
 from localperiods.numfield import inert_place, split_place
@@ -52,6 +52,28 @@ def test_bc_params_inert_inversion_symmetric(rng):
         if m % 2 == 1:
             vals.remove(next(z for z in vals if abs(z - 1) < 1e-12))
         assert as_multiset(vals) == as_multiset([1 / z for z in vals])
+
+
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+def test_std_tensor_factors_are_the_oracles_products_exactly(place):
+    # on distinct prime Fraction characters two alphas are equal exactly when
+    # they are the same Laurent monomial: the transcribed list's alphas are,
+    # as a multiset, the products the determinant oracle forms from bc_params
+    from fractions import Fraction
+    from localperiods.identity import _primes
+    field = place(2)
+    for n in range(8):
+        small_count, big_count = (m if field.is_split else m // 2 for m in (n + 1, n + 2))
+        chars = [Fraction(p) for p in _primes(small_count + big_count)]
+        small = make_datum(n + 1, field, chars[:small_count])
+        big = make_datum(n + 2, field, chars[small_count:])
+        a, b = bc_params(small), bc_params(big)
+        expected = [x * y for x in a.values for y in b.values]
+        if field.is_split:
+            expected += [x * y for x in a.dual_values for y in b.dual_values]
+        factors = std_tensor_factors(0.5, small, big)
+        assert all(type(f.alpha) is Fraction for f in factors)
+        assert Counter(f.alpha for f in factors) == Counter(expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -14,7 +14,7 @@ from localperiods import (ConventionError, LFactor, PoleError,
                           zeta_recursive_factors)
 from localperiods.identity import (SampleStack, _rng_for, match_factor_lists, rel_err,
                                    sample_datum, sample_pair)
-from localperiods.satake import stack_data
+from localperiods.satake import adjoint_factors, stack_data, std_tensor_factors
 from localperiods.zetarec import column
 from weylref import series_truncation_bound
 
@@ -388,6 +388,7 @@ def test_a_scalar_alpha_in_a_stacked_list_is_every_samples():
     got = factor_product(stacked, samples=3)
     for k in range(3):
         alone = [stacked[0]._replace(alpha=a[k]), stacked[1], stacked[2]._replace(alpha=b[k])]
+        assert column(stacked, k) == alone
         assert got[k] == factor_product(alone) == left_to_right(alone)
 
 
@@ -395,11 +396,15 @@ def test_a_scalar_alpha_in_a_stacked_list_is_every_samples():
 def test_stacked_builders_give_each_sample_its_own_list(place):
     # the stacked characters hold Python complex values, so each column of a
     # stacked list is the per-sample list exactly: labels, s, q, flags and
-    # alphas alike; the stacked product is each sample's product
+    # alphas alike (the adjoints' scalar alphas 1 and -1 included); the
+    # stacked product is each sample's product
     for n in range(0, 9):
         pairs = [sample_pair(n, place(3), _rng_for(n, k)) for k in range(3)]
         small, big = (stack_data(data) for data in zip(*pairs))
-        for build in (zeta_closed_factors, zeta_recursive_factors):
+        for build in (zeta_closed_factors, zeta_recursive_factors,
+                      lambda small, big: std_tensor_factors(0.5, small, big),
+                      lambda small, big: adjoint_factors(1.0, small),
+                      lambda small, big: adjoint_factors(1.0, big)):
             stacked = build(small, big)
             products = factor_product(stacked, samples=3)
             for k, (s_k, b_k) in enumerate(pairs):
