@@ -21,12 +21,16 @@ the step of each sample whose error is not within tol, keeps the worst error
 (worst_err: nan if any error is nan, so a nan sample fails wherever it falls)
 and the first diff per factor label in sample order, and builds the report.
 
-The checks on (small, big) pairs draw a SampleStack: its Euler-product routes
-(the zeta lists, S(1) at split places, the standard tensor at 1/2 and the
-adjoints at 1) are built once per report, when first asked for, on the
-stacked data (stack_data), and multiplied for every sample by one
-factor_product call.  A sample whose stacked product stops (nan) is
-evaluated again alone, so it raises what it would raise alone.  `table`
+The checks on (small, big) pairs draw a SampleStack: each sample's character
+values (sample_values; sample_pair returns one sample's as data) are stacked
+straight into one datum per group (stack_values).  Its routes (the zeta
+lists, S(1) at split places, the standard tensor at 1/2, the adjoints at 1
+and, at inert places, the Weyl sum) are built once per report, when first
+asked for, on the stacked data; each factor list is multiplied for every
+sample by one factor_product call, and the Weyl sum is one weyl_sum_A call.
+A sample whose stacked product stops (nan), or any sample of a Weyl sum that
+meets a pole, is evaluated again alone, so it raises what it would raise
+alone; a sample's own data are built only for that and for its probes.  `table`
 renders the same per-sample rows that verify_localcalc compares
 (SampleStack.row), and a miss's probes compare the values of its row with
 their other routes instead of recomputing them.  Which zeta factors the two routes leave unpaired depends on (n, place)
@@ -44,9 +48,9 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .numfield import (ConventionError, FieldData, LFactor, PlaceKind, column,
+from .numfield import (ConventionError, FieldData, LFactor, PlaceKind, PoleError, column,
                        factor_product, motive_delta)
-from .satake import (SatakeDatum, adjoint_factors, make_datum, stack_data,
+from .satake import (SatakeDatum, adjoint_factors, make_datum, stack_values,
                      std_tensor_factors, std_tensor_lfactor_det)
 from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
                       s_value_inert, s_value_split, weyl_sum_A)
@@ -137,31 +141,42 @@ def map_samples(one, samples: int, seed: int, pool_map=map) -> list:
     return list(pool_map(lambda k: one(_rng_for(seed, k)), range(samples)))
 
 
-def sample_datum(m: int, field: FieldData, rng: np.random.Generator) -> SatakeDatum:
+def _unit_values(m: int, field: FieldData, rng: np.random.Generator) -> list[complex]:
+    # the character values of a random unitary U(m) datum at this place
     count = m if field.is_split else m // 2
-    values = [cmath.exp(2j * cmath.pi * t) for t in rng.uniform(0.0, 1.0, size=count)]
-    return make_datum(m, field, values)
+    return [cmath.exp(2j * cmath.pi * t) for t in rng.uniform(0.0, 1.0, size=count)]
 
 
-def _generic_position_ok(n: int, small: SatakeDatum, big: SatakeDatum) -> bool:
+def sample_datum(m: int, field: FieldData, rng: np.random.Generator) -> SatakeDatum:
+    return make_datum(m, field, _unit_values(m, field, rng))
+
+
+def _generic_position_ok(n: int, small: list, big: list) -> bool:
     # The inert S value runs the Weyl sum at the inverted characters; keep every
     # translate of the consumed data away from the d1/d0 vanishing locus; at
     # unitary points |d(wX)| = |d(X)|, so the datum stands for its orbit.
     case = case_for(n + 1)
-    d1 = _d1_values(case, [c.inv().value for c in big.chars])
-    d0 = _d0_values(case, [c.inv().value for c in small.chars])
+    d1 = _d1_values(case, [1 / v for v in big])
+    d0 = _d0_values(case, [1 / v for v in small])
     return abs(d1) > GENERIC_EPS and abs(d0) > GENERIC_EPS
 
 
-def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[SatakeDatum, SatakeDatum]:
-    """Generic unitary data for the pair U(n+2) > U(n+1); inert samples are
-    redrawn while any Weyl translate degenerates the d1/d0 denominators."""
+def sample_values(n: int, field: FieldData, rng: np.random.Generator) -> tuple[list, list]:
+    """The character values (small, big) of generic unitary data for the pair
+    U(n+2) > U(n+1), the small datum's drawn first; inert samples are redrawn
+    while any Weyl translate degenerates the d1/d0 denominators."""
     for _ in range(MAX_RESAMPLE):
-        small = sample_datum(n + 1, field, rng)
-        big = sample_datum(n + 2, field, rng)
+        small, big = _unit_values(n + 1, field, rng), _unit_values(n + 2, field, rng)
         if field.is_split or _generic_position_ok(n, small, big):
             return small, big
     raise SamplerExhausted(f"no generic sample found in {MAX_RESAMPLE} draws (n={n})")
+
+
+def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[SatakeDatum, SatakeDatum]:
+    """Generic unitary data for the pair U(n+2) > U(n+1): sample_values as
+    (small, big) data."""
+    small, big = sample_values(n, field, rng)
+    return make_datum(n + 1, field, small), make_datum(n + 2, field, big)
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +184,38 @@ def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[Sat
 
 
 class SampleStack:
-    """The samples of one report, drawn first (draw) and then stacked
-    (stack_data).  Each Euler-product route is built once, when a check first
-    asks for it, and multiplied for every sample by one factor_product call:
-    the closed and recursive zeta lists, at inert places the inverted closed
-    list, at split places S(1) (s_value_split), the standard tensor at 1/2
-    and the two adjoints at 1.  The Weyl sum is evaluated on each sample's
-    own data, once."""
+    """The samples of one report: each sample's character values (small,
+    big), drawn first (draw) and stacked into one datum per group when a
+    route first needs them.  Each route is built once, on the stacked data,
+    for every sample (see the module docstring); pair(k) builds sample k's
+    own data, for a probe or a re-evaluation."""
 
-    def __init__(self, n: int, field: FieldData,
-                 pairs: list[tuple[SatakeDatum, SatakeDatum]]):
-        self.n, self.field, self.pairs = n, field, pairs
+    def __init__(self, n: int, field: FieldData, draws: list[tuple]):
+        self.n, self.field, self.draws = n, field, draws
         self._values: dict[str, list[complex]] = {}  # route -> stacked values
-        self._weyl: dict[int, complex] = {}  # sample -> Weyl sum
 
     @classmethod
     def draw(cls, n: int, field: FieldData, samples: int, seed: int,
              pool_map=map) -> "SampleStack":
-        """The samples' (small, big) pairs, drawn one by one; pool_map maps
-        only the draws."""
-        return cls(n, field, map_samples(lambda rng: sample_pair(n, field, rng), samples,
+        """The samples' character values, drawn one by one (sample_values);
+        pool_map maps only the draws."""
+        return cls(n, field, map_samples(lambda rng: sample_values(n, field, rng), samples,
                                          seed, pool_map=pool_map))
+
+    def pair(self, k: int) -> tuple[SatakeDatum, SatakeDatum]:
+        """Sample k's (small, big) data."""
+        small, big = self.draws[k]
+        return make_datum(self.n + 1, self.field, small), make_datum(self.n + 2, self.field, big)
 
     @cached_property
     def _stacked(self) -> tuple[SatakeDatum, SatakeDatum]:
-        # (small, big), stacked when a route first needs them (weyl does not)
-        return tuple(stack_data(data) for data in zip(*self.pairs))
+        # (small, big), stacked when a route first needs them
+        return tuple(stack_values(m, self.field, rows)
+                     for m, rows in zip((self.n + 1, self.n + 2), zip(*self.draws)))
+
+    @cached_property
+    def _inverted(self) -> tuple[SatakeDatum, SatakeDatum]:
+        return tuple(data.inverted() for data in self._stacked)
 
     @cached_property
     def closed(self) -> list[LFactor]:
@@ -206,7 +227,7 @@ class SampleStack:
 
     @cached_property
     def closed_inv(self) -> list[LFactor]:
-        return zeta_closed_factors(*(data.inverted() for data in self._stacked))
+        return zeta_closed_factors(*self._inverted)
 
     @cached_property
     def std(self) -> list[LFactor]:
@@ -232,21 +253,30 @@ class SampleStack:
         if route not in self._values:
             stacked = getattr(self, route)
             self._values[route] = (stacked if route == "s_split"
-                                   else factor_product(stacked, len(self.pairs)).tolist())
+                                   else factor_product(stacked, len(self.draws)).tolist())
         value = self._values[route][k]
         if not cmath.isnan(value):
             return value
         if route == "s_split":
-            return self._s_split(*self.pairs[k])
+            return self._s_split(*self.pair(k))
         return factor_product(column(getattr(self, route), k))
 
+    @cached_property
+    def _weyl(self) -> list[complex] | None:
+        small, big = self._inverted
+        try:
+            return weyl_sum_A(case_for(self.n + 1), big.chars, small.chars, self.field).tolist()
+        except PoleError:  # some sample meets a pole: each is evaluated alone
+            return None
+
     def weyl(self, k: int) -> complex:
-        """The Weyl sum A at sample k's inverted characters (inert places)."""
-        if k not in self._weyl:
-            small, big = self.pairs[k]
-            self._weyl[k] = weyl_sum_A(case_for(self.n + 1), [c.inv() for c in big.chars],
-                                       [c.inv() for c in small.chars], self.field)
-        return self._weyl[k]
+        """The Weyl sum A at sample k's inverted characters (inert places).
+        If any sample meets a pole, sample k is evaluated alone, so it raises
+        what, and where, it would raise alone."""
+        if self._weyl is not None:
+            return self._weyl[k]
+        small, big = (data.inverted() for data in self.pair(k))
+        return weyl_sum_A(case_for(self.n + 1), big.chars, small.chars, self.field)
 
     def row(self, k: int) -> tuple[complex, ...]:
         """Sample k's identity row: zeta, S, Delta, L(1/2)/(Ad*Ad), then
@@ -268,7 +298,7 @@ class SampleStack:
 
 def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
     """One sample's identity row (see SampleStack.row)."""
-    return SampleStack(big.m - 2, big.field, [(small, big)]).row(0)
+    return SampleStack(big.m - 2, big.field, [(small.values(), big.values())]).row(0)
 
 
 def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
@@ -368,7 +398,7 @@ def match_factor_lists(stack: SampleStack, k: int) -> list[FactorDiff]:
 
 def _probe_factors(stack: SampleStack, k: int, row: tuple, tol: float) -> list[FactorDiff]:
     # row is stack.row(k); the probes read the values it was built from
-    small, big = stack.pairs[k]
+    small, big = stack.pair(k)
     diffs = match_factor_lists(stack, k)
     std, v_det = stack.product("std", k), std_tensor_lfactor_det(0.5, small, big)
     if not rel_err(std, v_det) <= tol:
@@ -477,9 +507,8 @@ def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
     """Split base case: truncated series oracle against the closed form."""
     if not field.is_split:
         raise ValueError("the base-case series check runs at split places")
-    draws = map_samples(lambda rng: [cmath.exp(2j * math.pi * t)
-                                     for t in rng.uniform(0.0, 1.0, size=3)],
-                        samples, seed, pool_map=pool_map)
+    draws = map_samples(lambda rng: _unit_values(3, field, rng), samples, seed,
+                        pool_map=pool_map)
 
     def one(k):
         theta, phi, xi0 = draws[k]

@@ -114,16 +114,19 @@ def make_datum(m: int, field: FieldData, values) -> SatakeDatum:
 
 
 def stack_data(data) -> SatakeDatum:
-    """The data of one group and place as one stacked datum: each character
-    holds one value per datum, in order, in an object array (see CharValue),
-    so the factor-list builders run on it unedited and build every datum's
-    list at once."""
+    """The data of one group and place as one stacked datum (stack_values)."""
     first = data[0]
     if any((d.m, d.field) != (first.m, first.field) for d in data):
         raise ValueError("stacked data must share one group size and place")
-    chars = tuple(CharValue(np.array([c.value for c in column], dtype=object))
-                  for column in zip(*(d.chars for d in data)))
-    return SatakeDatum(first.m, first.field, chars)
+    return stack_values(first.m, first.field, [d.values() for d in data])
+
+
+def stack_values(m: int, field: FieldData, rows) -> SatakeDatum:
+    """One U(m) datum from each sample's character values (rows, in order):
+    each character holds one value per sample in an object array (see
+    CharValue), so the factor-list builders run on it unedited and build
+    every sample's list at once."""
+    return make_datum(m, field, [np.array(column, dtype=object) for column in zip(*rows)])
 
 
 class BCParams(NamedTuple):

@@ -183,6 +183,14 @@ def test_default_runs_in_calling_thread():
     assert _pool_map(1) == (map, None)
 
 
+def test_importing_the_cli_leaves_the_thread_pool_module_out():
+    # concurrent.futures, and the logging and queue modules it pulls in, load
+    # only when --threads asks for a pool
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    probe = "import sys, localperiods.cli; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
 def test_split_odd_n_small_determinant_is_not_a_pole(capsys):
     # the tensor determinant of this data is a product of 144 Euler factors per
     # GL component, far below POLE_EPS, but no single factor is near a pole
@@ -215,7 +223,8 @@ def test_non_finite_floats_render_as_strict_json(monkeypatch):
     # verify_recursion report max_rel_err = inf
     import localperiods.identity as identity
     small, big = split_datum(2, [1.0, 1.0]), split_datum(2, [2.0, 1.0, 1.0])
-    monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: (small, big))
+    monkeypatch.setattr(identity, "sample_values",
+                        lambda n, field, rng: (small.values(), big.values()))
     report = identity.verify_recursion(1, split_place(2), samples=2)
     assert report.max_rel_err == float("inf")
     parsed = json.loads(render_json(report.to_json_dict()), parse_constant=reject_constant)

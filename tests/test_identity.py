@@ -154,7 +154,8 @@ def test_verify_recursion_reports_convention_error(monkeypatch):
     # mu_1 * nu_1 = q_F puts the quadratic-twist factor on its pole
     import localperiods.identity as identity
     small, big = split_datum(2, [1.0, 1.0]), split_datum(2, [2.0, 1.0, 1.0])
-    monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: (small, big))
+    monkeypatch.setattr(identity, "sample_values",
+                        lambda n, field, rng: (small.values(), big.values()))
     report = verify_recursion(1, split_place(2), samples=2)
     assert not report.passed and report.max_rel_err == float("inf")
     assert [d.factor for d in report.factor_diffs] == [
@@ -205,8 +206,9 @@ def test_identity_builds_each_route_once_per_report(monkeypatch):
 def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
     # every inert n = 1 sample misses tol 1e-30, and its probes compare the
     # Weyl sum and the standard-tensor value its row already computed; the
-    # standard-tensor list and the zeta lists (closed, inverted closed) are
-    # built once each, stacked over the samples, and the
+    # Weyl sum is one call, the standard-tensor list and the zeta lists
+    # (closed, inverted closed) are built once each, stacked over the
+    # samples, and the
     # localizer pairs the routes on one exact build, which leaves no factor
     # at inert places, so the stacked recursive list is never built
     import localperiods.identity as identity
@@ -226,7 +228,7 @@ def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
     code = main(["identity", "--n", "1", "--place", "inert", "--tol", "1e-30",
                  "--samples", "3"])
     assert code == 1 and "weyl_sum vs motive value" in capsys.readouterr().out
-    assert calls == {"weyl_sum_A": 3, "std_tensor_factors": 1}
+    assert calls == {"weyl_sum_A": 1, "std_tensor_factors": 1}
     assert builds == {("zeta_closed_factors", "float"): 2,
                       ("zeta_closed_factors", "exact"): 1,
                       ("zeta_recursive_factors", "exact"): 1}
@@ -311,7 +313,8 @@ def test_generic_position_datum_check_matches_orbit_walk():
                 other = sample_datum(2 * n + 3 - m, field, rng)
                 near_draws.append((n, near, other) if m == n + 1 else (n, other, near))
     for batch in (draws, near_draws):
-        verdicts = [_generic_position_ok(n, small, big) for n, small, big in batch]
+        verdicts = [_generic_position_ok(n, small.values(), big.values())
+                    for n, small, big in batch]
         assert verdicts == [_orbit_walk_ok(n, small, big) for n, small, big in batch]
     assert True in verdicts and False in verdicts
 
@@ -322,6 +325,37 @@ def test_sample_reproducible_in_isolation():
     small_b, big_b = sample_pair(2, field, _rng_for(9, 4))
     assert small_a.values() == small_b.values()
     assert big_a.values() == big_b.values()
+
+
+@pytest.mark.parametrize("generic_eps", [None, 0.3], ids=["default", "redraws"])
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+def test_a_stack_draws_what_sample_pair_draws(monkeypatch, place, generic_eps):
+    # SampleStack stacks each sample's drawn values as they are; its columns
+    # and its lazily built pairs are sample_pair's data at (seed, k), exactly;
+    # at generic_eps 0.3 the inert sampler redraws a good share of its samples
+    import localperiods.identity as identity
+    from localperiods.identity import SampleStack
+    verdicts = []
+    if generic_eps is not None:
+        monkeypatch.setattr(identity, "GENERIC_EPS", generic_eps)
+        ok = identity._generic_position_ok
+
+        def counted(*args):
+            verdicts.append(ok(*args))
+            return verdicts[-1]
+        monkeypatch.setattr(identity, "_generic_position_ok", counted)
+    for n in range(7):
+        field = place(2 + n % 2)
+        stack = SampleStack.draw(n, field, 5, 31 + n)
+        stacked = stack._stacked
+        for k in range(5):
+            expected = sample_pair(n, field, _rng_for(31 + n, k))
+            assert stack.pair(k) == expected
+            for data, datum in zip(stacked, expected):
+                assert (data.m, data.field) == (datum.m, datum.field)
+                assert [c.value[k] for c in data.chars] == list(datum.values())
+    if generic_eps is not None and place is inert_place:
+        assert verdicts.count(False) > 10
 
 
 def weyl_action_on_datum(datum, rng):
@@ -382,7 +416,8 @@ def recursion_reference(pairs, tol):
         err = rel_err(z_closed, z_recursive)
         results.append((err, [] if err <= tol else
                         [d.factor for d in match_factor_lists(
-                            SampleStack(big.m - 2, big.field, [(small, big)]), 0)]))
+                            SampleStack(big.m - 2, big.field,
+                                        [(small.values(), big.values())]), 0)]))
     return results
 
 
@@ -398,7 +433,8 @@ def run_both(monkeypatch, n, pairs, tol):
     import localperiods.identity as identity
     from localperiods import PoleError
     draws = iter(pairs)
-    monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: next(draws))
+    monkeypatch.setattr(identity, "sample_values",
+                        lambda n, field, rng: tuple(d.values() for d in next(draws)))
     outcomes = []
     for run in (lambda: verify_recursion(n, pairs[0][1].field, samples=len(pairs), tol=tol),
                 lambda: recursion_reference(pairs, tol)):
@@ -576,5 +612,6 @@ def test_a_pole_in_a_stacked_identity_sample_raises_as_the_sample_loop(monkeypat
     for run in (lambda: verify_localcalc(pairs[0][1].m - 2, field, samples=3, tol=1e-30),
                 lambda: identity_table(pairs[0][1].m - 2, field, samples=3)):
         draws = iter(pairs)
-        monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: next(draws))
+        monkeypatch.setattr(identity, "sample_values",
+                            lambda n, field, rng: tuple(d.values() for d in next(draws)))
         assert raised(run) == expected

@@ -15,7 +15,7 @@ import pytest
 
 from localperiods import LFactor, make_datum, split_place, verify_recursion
 from localperiods.identity import (SampleStack, _rng_for, _unpaired, leftover_pairs,
-                                   match_factor_lists, sample_pair)
+                                   match_factor_lists, sample_pair, sample_values)
 
 
 def unpaired_reference(a_list, b_list):
@@ -49,10 +49,10 @@ def test_matching_a_stacked_column_is_matching_its_own_lists(n):
     # and values (repr, so that a nan compares) agree with the sample's own
     # one-sample stack
     field = split_place(2)
-    stack = SampleStack(n, field, [sample_pair(n, field, _rng_for(n, k)) for k in range(4)])
+    stack = SampleStack(n, field, [sample_values(n, field, _rng_for(n, k)) for k in range(4)])
     for k in range(4):
         stacked = match_factor_lists(stack, k)
-        alone = match_factor_lists(SampleStack(n, field, [stack.pairs[k]]), 0)
+        alone = match_factor_lists(SampleStack(n, field, [stack.draws[k]]), 0)
         assert stacked and list(map(repr, stacked)) == list(map(repr, alone))
 
 
@@ -66,7 +66,8 @@ def test_near_coincident_characters_do_not_hide_the_finding(monkeypatch):
     values = list(small.values())
     values[2] = 1 / (small.theta(2) * cmath.exp(5e-9j))
     small = make_datum(small.m, field, values)
-    monkeypatch.setattr(identity, "sample_pair", lambda n, field, rng: (small, big))
+    monkeypatch.setattr(identity, "sample_values",
+                        lambda n, field, rng: (small.values(), big.values()))
     report = verify_recursion(3, field, samples=1, tol=1e-9)
     assert not report.passed and report.max_rel_err < 1e-7
     assert [d.factor for d in report.factor_diffs] == [

@@ -13,7 +13,7 @@ from localperiods import (ConventionError, LFactor, PoleError,
                           zeta_base_split_series, zeta_closed_factors,
                           zeta_recursive_factors)
 from localperiods.identity import (SampleStack, _rng_for, match_factor_lists, rel_err,
-                                   sample_datum, sample_pair)
+                                   sample_datum, sample_pair, sample_values)
 from localperiods.satake import adjoint_factors, stack_data, std_tensor_factors
 from localperiods.zetarec import column
 from weylref import series_truncation_bound
@@ -144,8 +144,9 @@ ODD_SPLIT_DIFFS = {
 @pytest.mark.parametrize("n", sorted(ODD_SPLIT_DIFFS))
 def test_recursion_split_odd_n_localizes_nu_th_factors(n, q, rng):
     field = split_place(q)
-    stack = SampleStack(n, field, [sample_pair(n, field, rng) for _ in range(10)])
-    for k, (small, big) in enumerate(stack.pairs):
+    stack = SampleStack(n, field, [sample_values(n, field, rng) for _ in range(10)])
+    for k in range(10):
+        small, big = stack.pair(k)
         assert rel_err(closed(small, big), recursive(small, big)) > 1e-6
         assert [d.factor for d in match_factor_lists(stack, k)] == ODD_SPLIT_DIFFS[n]
 
