@@ -113,8 +113,8 @@ class RunConfig:
                                  "(use --force-large to override)")
         if self.command == "weyl" or (self.command in ("identity", "table")
                                       and self.place != "split"):
-            # only inert places run the Weyl sum; it enumerates the small group
-            # only, so that group's rank bounds the cost
+            # only inert places run the Weyl sum; its largest layer of states,
+            # its real cost, grows with the small group's rank, which is bounded
             rank = case_ranks(self.n + 1)[1]
             if rank > MAX_WEYL_RANK:
                 raise UsageError(f"--n {self.n} needs a Weyl group of rank {rank}, "

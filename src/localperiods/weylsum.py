@@ -1,21 +1,13 @@
 """Hyperoctahedral Weyl machinery and the two spherical-average S(1) formulas.
 
 The double Weyl average A = sum_{w', w} b(w'X, wx) / (d1(w'X) d0(wx)) over
-(Z/2)^l x S_l enumerates the small group only: a cached per-rank orbit table
-turns the small characters into their orbit as numpy columns.  The orbit lists
-the group elements with the permutations varying slowest (itertools order) and,
-within one permutation, the 2^l flip patterns in binary order, flip i inverting
-on bit l-1-i of the pattern index; so the identity comes first.  Every factor of
-b involves at most one big character and X^{-rho} d1(X) is anti-invariant, so
-the big-group sum for each small translate is one determinant (weyl_sum_A).
-weyl_sum_A takes one sample's characters, or stacked ones with a leading
-sample axis, so a report makes one call.  It sums the (sample, translate)
-pairs in blocks of at most WEYL_BLOCK, the whole orbits of several samples or
-slices of one sample's orbit, so the working arrays are sized by the block,
-not by the samples times |W_small|, and each sample's block sums are added up
-in order.  Within a block, _h_values builds each factor of b that pairs a small
-character with the big ones once and shares it among every h_i.  b, d1 and d0
-have one transcription each, for scalars, Fractions and arrays.
+(Z/2)^l x S_l is a dynamic program over positions (weyl_sum_A): b is a
+product of singles and of pair factors of one big and one small character,
+and a state is the pair of index sets placed so far, C(l_big + l_small,
+l_small) states against |W_big| |W_small| terms.  It takes one sample's
+characters, or stacked ones with a leading sample axis, so a report makes
+one call.  b, d1 and d0 have one transcription each, for scalars, Fractions
+and arrays; the program reads b's singles and pair factor from it.
 The building blocks come in two index patterns keyed by the parity of the
 smaller group:
 
@@ -47,12 +39,13 @@ import numpy as np
 from .numfield import CharValue, FieldData, POLE_EPS, PoleError, motive_delta_exact
 from .zetarec import LFactor, factor_product
 
-MAX_WEYL_RANK = 6  # 2^6 * 6! = 46080 elements
-WEYL_BLOCK = 4096  # (sample, translate) pairs per block of the alternant sum (rank 5 has 3840)
+# The largest small rank: at 6 (n + 1 = 13) the DP's largest layer holds 700
+# states and 2,800 (state, move) pairs a sample
+MAX_WEYL_RANK = 6
 
 
 class SizeError(ValueError):
-    """Requested Weyl group is larger than the enumeration guard allows."""
+    """Requested Weyl group is larger than the rank guard allows."""
 
 
 class Case(Enum):
@@ -64,45 +57,7 @@ def _check_rank(l: int) -> None:
     if l < 0:
         raise ValueError("rank must be nonnegative")
     if l > MAX_WEYL_RANK:
-        raise SizeError(f"rank {l} exceeds the enumeration guard {MAX_WEYL_RANK}")
-
-
-@lru_cache(maxsize=None)
-def _orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
-    # (|W|, l) tables: row k, entry i holds the source index perm^{-1}(i) of
-    # the k-th element and whether its flip i is -1.  Permutations vary slowest,
-    # and flip i is -1 on bit l-1-i of the mask index.
-    _check_rank(l)
-    perms = np.array(list(itertools.permutations(range(l))), dtype=np.intp)
-    masks = ((np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1).astype(bool)
-    src = np.repeat(np.argsort(perms, axis=1), 2 ** l, axis=0)
-    flip = np.tile(masks, (len(perms), 1))
-    src.setflags(write=False)
-    flip.setflags(write=False)
-    return src, flip
-
-
-def weyl_orbit(values: Sequence, rows: slice = slice(None)) -> np.ndarray:
-    """The Weyl orbit of a character tuple as an (l, |W|) complex array, or as
-    an (l, S, |W|) array when each character holds the object array of S
-    samples' values (satake.stack_data).
-
-    Row i is the i-th orbit column: entry k of it is entry i of the k-th
-    translate, the input entry perm^{-1}(i), inverted where flip i is -1; an
-    inverse is 1/v in Python's arithmetic, so a stacked sample's translates
-    are those of its own tuple.  The elements come in the module's order:
-    permutations slowest (itertools order), then flip i on bit l-1-i of the
-    flip-pattern index.  Iterating over the array yields the columns, so the
-    scalar formulas evaluate the whole orbit at once.  rows, a slice of that
-    order, keeps only those elements.
-    """
-    src, flip = _orbit_table(len(values))
-    src, flip = src[rows].T, flip[rows].T
-    vals = np.array(values, dtype=complex)
-    inv = np.array([1 / v for v in values], dtype=complex)
-    if vals.ndim == 2:  # stacked: each sample's translates along the last axis
-        src, flip = (src[:, None], np.arange(vals.shape[1])[:, None]), flip[:, None]
-    return np.where(flip, inv[src], vals[src])
+        raise SizeError(f"rank {l} exceeds the rank guard {MAX_WEYL_RANK}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,38 +71,28 @@ def _case_lengths(case: Case, n_big: int, n_small: int) -> None:
         raise ValueError(f"case B needs big length = small length + 1, got {n_big} and {n_small}")
 
 
-def _h_values(case: Case, l: int, Z, x, root) -> np.ndarray:
-    # h_0(Z; x), ..., h_{l-1}(Z; x) as one (l, ...) array: h_i is the product
-    # of the factors of b that involve the i-th big character, evaluated at Z.
-    # The three factors of each small character t_j are built once and
-    # multiply every h_i in place, h_i taking the far one for j >= i and the
-    # low one for j < i.
-    rZ = root * Z
-    start = 1 - rZ if case is Case.B else 1
-    if not len(x):
-        return np.array([start] * l)
-    for j, t in enumerate(x):
-        near, far, low = 1 - rZ * t, 1 - rZ / t, 1 - root * t / Z
-        if j == 0:
-            h = np.array([start * near] * l)
-        else:
-            h *= near
-        h[:j + 1] *= far
-        h[j + 1:] *= low
-    return h
+def _single(v, root, present: bool):
+    # the factor of b on one character alone: small ones in case A, big in B
+    return 1 - root * v if present else 1
+
+
+def _pair_factor(Z, y, root, far: bool):
+    # the factors of b pairing the big Z_i with the small y_j: near, 1 - r Z y,
+    # times far, 1 - r Z / y, for j >= i, or low, 1 - r y / Z, for j < i
+    return (1 - root * Z * y) * (1 - root * Z / y if far else 1 - root * y / Z)
 
 
 def _b_values(case: Case, X, x, root):
-    # b = c(x) prod_i h_i(X_i; x), c the small singles of case A (so an empty X
-    # gives c).  b is the reciprocal of a product of L_E(1/2, .) factors, kept
-    # as a product of (1 - q_E^{-1/2} a), so it vanishes where one has a pole.
-    # root = q_E^{-1/2}; every factor of b sits at s = 1/2.  Scalars are
-    # complex, Fraction on exact rational data, or numpy arrays.
+    # b, the product of the singles and pair factors, is the reciprocal of L_E(1/2, .)
+    # factors kept as (1 - q_E^{-1/2} a), so it vanishes at a pole; root =
+    # q_E^{-1/2}.  Scalars are complex, Fraction on exact data, or numpy arrays.
     v = 1
-    for t in x if case is Case.A else ():
-        v = v * (1 - root * t)
+    for y in x:
+        v = v * _single(y, root, case is Case.A)
     for i, Z in enumerate(X):
-        v = v * _h_values(case, len(X), Z, x, root)[i]
+        v = v * _single(Z, root, case is Case.B)
+        for j, y in enumerate(x):
+            v = v * _pair_factor(Z, y, root, far=j >= i)
     return v
 
 
@@ -188,68 +133,121 @@ def rho_big(case: Case, rank: int) -> np.ndarray:
     return column
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def _moves(size: int, placed: int, other: int, other_placed: int) -> tuple[np.ndarray, np.ndarray]:
+    # The layer placing one more of range(size) after `placed`, with
+    # `other_placed` of range(other) placed: for each new subset, member k and
+    # placed subset T of the other group (combinations order), the subset
+    # without k and the move table's flat index, row k, column range(other) - T.
+    before = {c: i for i, c in enumerate(itertools.combinations(range(size), placed))}
+    after = list(itertools.combinations(range(size), placed + 1))
+    src = [[before[c[:p] + c[p + 1:]] for p in range(placed + 1)] for c in after]
+    unplaced = [sum(1 << i for i in range(other) if i not in c)
+                for c in itertools.combinations(range(other), other_placed)]
+    return _read_only(np.array(src)), _read_only(np.array(after)[:, :, None] << other | unplaced)
+
+
+@lru_cache(maxsize=None)
+def _move_constants(case: Case, rank: int, other: int, last: int) -> tuple[np.ndarray, ...]:
+    # The exponents -2 rho_t, 2 rho_t of the roots of value_k, 1/value_k at
+    # position t (complex, as numpy's complex power takes them), the sign
+    # (-1)^k, and the position t = last - |U| a move fills for each bit mask U
+    # of the other group's unplaced indices (clipped where it is never read).
+    two_rho = np.append(rho_big(case, rank), 0).astype(complex)
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << other)])
+    return (_read_only(np.stack([-two_rho, two_rho])[:, None]),
+            _read_only(np.array([[(-1.0) ** k] for k in range(rank)])),
+            _read_only(np.clip(last - sizes, 0, rank)))
+
+
+def _move_table(roots, constants, singles, pairs) -> np.ndarray:
+    # The moves of one group, (sample, rank, 2^other): row k, column U is the
+    # sum over e = +-1 of e (-1)^k v^{-rho_t} single(v) prod_{j in U} pair(v,
+    # j), v = value_k^e; pairs holds pair(v, j) as (sample, e, k, j).
+    powers, signs, positions = constants
+    prods = np.ones(pairs.shape[:3] + (1,), dtype=complex)
+    for j in range(pairs.shape[3]):  # bit j of U is the other group's index j
+        prods = np.concatenate([prods, prods * pairs[..., j:j + 1]], axis=3)
+    terms = (roots[:, None, :, None] ** powers * signs).take(positions, axis=3)
+    terms *= singles
+    terms *= prods
+    return terms[:, 0] - terms[:, 1]
+
+
+def _place(V, table, size: int, placed: int, other: int, other_placed: int):
+    # One layer: V is (sample, placed subsets of the placing group, of the
+    # other).  Placing index k at position p of the new subset has the sign
+    # (-1)^(k - p): (-1)^k is in the table, (-1)^p in the sum, added term by
+    # term so that every sample associates alike.  The groups' axes swap.
+    src, entries = _moves(size, placed, other, other_placed)
+    terms = table.reshape(len(table), -1).take(entries, axis=1)
+    terms *= V.take(src, axis=1)
+    total = terms[:, :, 0]
+    for p in range(1, placed + 1):
+        total = total - terms[:, :, p] if p % 2 else total + terms[:, :, p]
+    return total.transpose(0, 2, 1)
+
+
 def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
                field: FieldData) -> complex | np.ndarray:
-    """Double Weyl average A of b/(d1 d0), the big-group sum as an alternant.
+    """Double Weyl average A of b/(d1 d0), by a dynamic program over positions.
 
-    For a small translate y = wx, b(., y) = c(y) prod_i h_i(X_i; y) and
-    X^{-rho} d1(X) is anti-invariant (rho = rho_big), so the sum over w' is
-    c(y) det[H_i(X_k) - H_i(1/X_k)] / (X^{-rho} d1(X)), H_i(Z) = Z^{-rho_i}
-    h_i(Z; y), with half powers from one fixed square root per character (a
-    flipped entry takes the inverse power of the same root).  Stacked
-    characters (object arrays of S samples, satake.stack_data) give a complex
-    array of each sample's A, bit-identical to its own call; scalar
-    characters are the one-sample case and give a complex.  The pairs are
-    summed in blocks (see the module docstring); d1, the pole checks and the
-    last division are each sample's own scalar arithmetic.  Raises PoleError
-    naming d1 or d0, the only divisors, if |d1(X)| or some |d0(wx)| is below
-    POLE_EPS: the first such sample's, d1 first, as calls sample by sample
-    would.
+    X^{-rho} d1(X) and x^{-rho0} d0(x) are anti-invariant (rho = rho_big of
+    the case, rho0 of the other case), so A is the signed sum of (w'X)^{-rho}
+    (wx)^{-rho0} b(w'X, wx) over both groups, divided once by the two; half
+    powers come from one square root per character.  The program fills the
+    positions Z_0, y_0, Z_1, y_1, ... in turn.  Z_i's pair factors with the
+    later y_j (j >= i, near times far) are invariant under y_j -> 1/y_j, and
+    y_j's with the later Z_i (near times low) under Z_i -> 1/Z_i, so a state
+    is the pair of placed index sets.  Placing index k has the sign
+    (-1)^(unplaced indices below k).
+
+    Stacked characters (object arrays of S samples, satake.stack_data) give a
+    complex array of each sample's A, bit-identical to its own call; scalar
+    characters give a complex.  Raises PoleError naming d1 or d0, the only
+    divisors, if |d1(X)| or |d0(x)| is below POLE_EPS (at unitary points
+    |d0(wx)| = |d0(x)|): the first such sample's, d1 first, as calls sample
+    by sample would.  Raises SizeError past the small rank MAX_WEYL_RANK.
     """
     _case_lengths(case, len(big_chars), len(small_chars))
+    _check_rank(len(small_chars))
     root = _half_root(field)
-    big, small_values = ([c.value for c in chars] for chars in (big_chars, small_chars))
-    stacked = isinstance(big[0], np.ndarray)
-    if not stacked:  # one sample
-        big, small_values = ([np.array([v], dtype=object) for v in values]
-                             for values in (big, small_values))
-    samples, l = len(big[0]), len(big)
-    d1 = [_d1_values(case, [v[k] for v in big]) for k in range(samples)]
-    first_d1 = next((k for k, d in enumerate(d1) if abs(d) < POLE_EPS), samples)
-    X = np.array(big, dtype=complex).T  # (sample, l)
-    # H_i is evaluated at X_k, then at 1/X_k; as a row per sample, so that h
-    # has a translate axis also when the small group has rank 0
-    Z = np.concatenate([X, 1 / X], axis=1)[:, None, :]
-    roots = np.sqrt(X)[:, None, :]
-    two_rho = rho_big(case, l)
-    Z_rho = np.concatenate([roots ** -two_rho, roots ** two_rho], axis=2)  # (sample, l, 2 l)
-    orbit_size = len(_orbit_table(len(small_values))[0])
-    # a block is `width` translates of one sample's orbit, or the whole orbits
-    # of `step` samples, at most WEYL_BLOCK / l pairs: h holds 2 l^2 values a
-    # pair, and at l = 5 a block of 4,096 pairs outgrew a 2 MB L2 cache
-    # (n = 8: 1.2 ms a sample, against 0.8 ms with blocks of 768 pairs)
-    width, step = min(orbit_size, WEYL_BLOCK), max(1, WEYL_BLOCK // (orbit_size * l))
-    total = np.zeros(samples, dtype=complex)
-    # the samples before the first d1 pole, so that an earlier d0 pole raises first
-    for first in range(0, first_d1, step):
-        rows = slice(first, min(first + step, first_d1))
-        chunk = [v[rows] for v in small_values]
-        for start in range(0, orbit_size, width):
-            small = weyl_orbit(chunk, slice(start, start + width))  # (l_small, sample, translate)
-            # a rank-0 small group leaves c and d0 as the scalar 1
-            d0 = _d0_values(case, small)
-            if np.any(np.abs(d0) < POLE_EPS):
-                raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
-            H = _h_values(case, l, Z[rows], small[..., None], root)  # (l, sample, translate, 2 l)
-            np.multiply(Z_rho[rows].transpose(1, 0, 2)[:, :, None, :], H, out=H)
-            alternants = np.linalg.det((H[..., :l] - H[..., l:]).transpose(1, 2, 0, 3))
-            del H  # so that the next block's h is not built while this one is alive
-            total[rows] += (_b_values(case, (), small, root) * alternants / d0).sum(axis=-1)
-    if first_d1 < samples:
-        raise PoleError("degenerate big characters in the double Weyl sum", factor="d1(X)")
-    # X^{-rho} d1(X), sample by sample
-    values = [complex(total[k] / (np.prod(Z_rho[k].diagonal()) * d1[k])) for k in range(samples)]
-    return np.array(values) if stacked else values[0]
+    big, small = ([c.value for c in chars] for chars in (big_chars, small_chars))
+    X = np.array(big, dtype=complex).reshape(len(big), -1).T  # (sample, rank)
+    samples, L, M = len(X), len(big), len(small)
+    x = np.array(small, dtype=complex).reshape(M, samples).T
+    d1, d0 = [_d1_values(case, v) for v in X.tolist()], [_d0_values(case, v) for v in x.tolist()]
+    for k in range(samples):
+        if abs(d1[k]) < POLE_EPS:
+            raise PoleError("degenerate big characters in the double Weyl sum", factor="d1(X)")
+        if abs(d0[k]) < POLE_EPS:
+            raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
+    small_case = Case.B if case is Case.A else Case.A
+    # each group's values and their inverses, (sample, e, index, 1)
+    Xe, xe = (np.concatenate([v, 1 / v], axis=1).reshape(samples, 2, -1, 1) for v in (X, x))
+    roots = np.sqrt(X), np.sqrt(x)
+    big_table = _move_table(roots[0], _move_constants(case, L, M, M),
+                            _single(Xe, root, case is Case.B),
+                            _pair_factor(Xe, x[:, None, None, :], root, far=True))
+    small_table = _move_table(roots[1], _move_constants(small_case, M, L, L - 1),
+                              _single(xe, root, case is Case.A),
+                              _pair_factor(X[:, None, None, :], xe, root, far=False))
+    V = np.ones((samples, 1, 1), dtype=complex)
+    for t in range(L):
+        V = _place(V, big_table, L, t, M, t)  # Z_t
+        if t < M:
+            V = _place(V, small_table, M, t, L, t + 1)  # y_t
+    norm = np.array(d1) * np.array(d0)  # times X^{-rho} x^{-rho0}
+    for powers in (roots[0] ** -rho_big(case, L).T, roots[1] ** -rho_big(small_case, M).T):
+        for column in powers.T:
+            norm = norm * column
+    values = V[:, 0, 0] / norm
+    return values if isinstance(big[0], np.ndarray) else complex(values[0])
 
 
 def case_for(n_plus_1: int) -> Case:

@@ -1,68 +1,34 @@
-"""The blocked alternant Weyl sum against the per-index evaluation it replaced.
+"""The dynamic-program Weyl sum against the alternant reference.
 
-weylsum.weyl_sum_A builds each factor of h once per small character and shares
-it among all h_i, and it sums the (sample, translate) pairs in blocks of at most
-WEYL_BLOCK.  The reference below evaluates each h_i on its own, as a product of
-freshly built factors in the same order, over the whole orbit at once.  Up to
-n + 1 = 9 the orbit is one block and every array is small, so the two must
-agree bit for bit.  A stacked call, one character per position holding every
-sample's value, must give each sample's own value bit for bit, however the
-blocks split the samples and translates.
+weylsum.weyl_sum_A fills the positions of both Weyl groups one at a time;
+tests/weylref.py keeps the one-sided alternant it replaced, which enumerates
+the small group's orbit and sums the big group as a determinant.  The two
+evaluate the same sum in different orders, so they agree to rounding.  A
+stacked call, one character per position holding every sample's value, must
+give each sample's own value bit for bit.
 """
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
-from localperiods import CharValue, inert_place, sample_pair, weylsum
-from localperiods.numfield import POLE_EPS, PoleError
-from localperiods.weylsum import (Case, _b_values, _d0_values, _d1_values, _half_root,
-                                  case_for, case_ranks, rho_big, weyl_orbit, weyl_sum_A)
-from weylref import assert_weyl_sum_matches_double_sum
+from localperiods import CharValue, inert_place
+from localperiods.identity import rel_err
+from localperiods.numfield import PoleError
+from localperiods.weylsum import case_for, case_ranks, weyl_sum_A
+from weylref import alternant_sum, inverted_sample
 
 
-def h_reference(case, i, Z, x, root):
-    # the factors of b that involve the i-th big character, evaluated at Z
-    v = 1 - root * Z if case is Case.B else 1
-    for j, t in enumerate(x):
-        v = v * (1 - root * Z * t) * (1 - root * Z / t if j >= i else 1 - root * t / Z)
-    return v
-
-
-def weyl_sum_reference(case, big_chars, small_chars, field):
-    root = _half_root(field)
-    values = [c.value for c in big_chars]
-    d1 = _d1_values(case, values)
-    if abs(d1) < POLE_EPS:
-        raise PoleError("degenerate big characters in the double Weyl sum", factor="d1(X)")
-    small = weyl_orbit([c.value for c in small_chars])
-    d0 = _d0_values(case, small)
-    if np.any(np.abs(d0) < POLE_EPS):
-        raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
-    l = len(values)
-    X = np.array(values, dtype=complex)
-    Z = np.concatenate([X, 1 / X])
-    roots = np.sqrt(X)
-    two_rho = rho_big(case, l)
-    Z_rho = np.concatenate([roots ** -two_rho, roots ** two_rho], axis=1)
-    H = (Z_rho[i] * h_reference(case, i, Z, small[:, :, None], root) for i in range(l))
-    alternants = np.linalg.det(np.stack([h[..., :l] - h[..., l:] for h in H], axis=-2))
-    total = (_b_values(case, (), small, root) * alternants / d0).sum()
-    return complex(total / (np.prod(Z_rho.diagonal()) * d1))
-
-
-def inverted_sample(n_plus_1, q, k):
-    small, big = sample_pair(n_plus_1 - 1, inert_place(q), np.random.default_rng([n_plus_1, q, k]))
-    return [c.inv() for c in big.chars], [c.inv() for c in small.chars]
-
-
-@pytest.mark.parametrize("n_plus_1", range(1, 10))
-def test_shared_factors_match_the_per_index_reference_bit_for_bit(n_plus_1, q):
-    field = inert_place(q)
-    case = case_for(n_plus_1)
+@pytest.mark.parametrize("n_plus_1", range(1, 11))
+def test_the_dp_matches_the_alternant_reference(n_plus_1, q):
+    # both sums lose digits on a sample near the d1/d0 vanishing locus: these
+    # samples agree to 1e-15 at best and 6e-9 at worst (n + 1 = 7, q = 2); a
+    # slip in the signs or the pair factors moves A by order 1
+    field, case = inert_place(q), case_for(n_plus_1)
     for k in range(3):
         X, x = inverted_sample(n_plus_1, q, k)
-        assert weyl_sum_A(case, X, x, field) == weyl_sum_reference(case, X, x, field)
+        assert rel_err(weyl_sum_A(case, X, x, field), alternant_sum(case, X, x, field)) < 1e-7
 
 
 def stacked(columns):
@@ -71,14 +37,8 @@ def stacked(columns):
             for column in zip(*columns)]
 
 
-@pytest.mark.parametrize("block", [None, 5], ids=["default", "block5"])
-@pytest.mark.parametrize("n_plus_1", range(1, 10))
-def test_a_stacked_call_is_each_samples_own_call_bit_for_bit(n_plus_1, q, block, monkeypatch):
-    # blocks of 5 hold two whole orbits at n + 1 = 2 (2 translates, big rank
-    # 1), so they split the samples, and slice every orbit of rank 2 and up
-    # (8 translates and more)
-    if block is not None:
-        monkeypatch.setattr(weylsum, "WEYL_BLOCK", block)
+@pytest.mark.parametrize("n_plus_1", range(1, 13))
+def test_a_stacked_call_is_each_samples_own_call_bit_for_bit(n_plus_1, q):
     field, case = inert_place(q), case_for(n_plus_1)
     samples = [inverted_sample(n_plus_1, q, k) for k in range(4)]
     values = weyl_sum_A(case, stacked([X for X, _ in samples]), stacked([x for _, x in samples]),
@@ -86,7 +46,6 @@ def test_a_stacked_call_is_each_samples_own_call_bit_for_bit(n_plus_1, q, block,
     assert values.tolist() == [weyl_sum_A(case, X, x, field) for X, x in samples]
 
 
-@pytest.mark.parametrize("block", [None, 5], ids=["default", "block5"])
 @pytest.mark.parametrize("poles, factor", [
     ({1: "d1"}, "d1(X)"),
     ({1: "d0"}, "d0(wx)"),
@@ -94,13 +53,10 @@ def test_a_stacked_call_is_each_samples_own_call_bit_for_bit(n_plus_1, q, block,
     ({1: "d1", 2: "d0"}, "d1(X)"),
     ({2: "d1 d0"}, "d1(X)"),
 ])
-def test_a_pole_in_one_stacked_sample_raises_as_the_sample_loop(poles, factor, block,
-                                                                monkeypatch):
+def test_a_pole_in_one_stacked_sample_raises_as_the_sample_loop(poles, factor):
     # the trivial character zeroes d1 (as a big character) or d0 (as a small
     # one) in case A; the stacked call raises the first error that calling
     # sample by sample meets, d1 before d0 within a sample
-    if block is not None:
-        monkeypatch.setattr(weylsum, "WEYL_BLOCK", block)
     field, case = inert_place(2), case_for(4)
     samples = []
     for k in range(4):
@@ -119,19 +75,6 @@ def test_a_pole_in_one_stacked_sample_raises_as_the_sample_loop(poles, factor, b
                                             stacked([x for _, x in samples]), field)) == factor
 
 
-def test_orbits_up_to_n_10_are_one_block():
-    assert len(weylsum._orbit_table(5)[0]) <= weylsum.WEYL_BLOCK
-
-
-@pytest.mark.parametrize("n_plus_1", [1, 4, 6])
-def test_uneven_blocks_match_the_scalar_reference(n_plus_1, q, monkeypatch):
-    # blocks of 5 split the rank-3 orbit (48 translates) into nine full blocks
-    # and one of 3, and the rank-2 orbit into 5 + 3; n + 1 = 1 is the rank-0
-    # small group, one translate
-    monkeypatch.setattr(weylsum, "WEYL_BLOCK", 5)
-    assert_weyl_sum_matches_double_sum(n_plus_1, q)
-
-
 def peak_memory(call):
     tracemalloc.start()
     try:
@@ -141,24 +84,26 @@ def peak_memory(call):
         tracemalloc.stop()
 
 
-# each h_i and every per-translate temporary is at most a block of H values,
-# WEYL_BLOCK (sample, translate) rows of 2 l_big complex entries, and at most
-# 2 l_big + 4 of them are live at once, whatever the size of the orbit or the
-# number of samples
-L_BIG = case_ranks(12)[0]
-BLOCK_BOUND = (2 * L_BIG + 4) * weylsum.WEYL_BLOCK * 2 * L_BIG * 16
+def largest_layer(n_plus_1):
+    # the most (state, move) pairs of one layer of the DP: a layer places one
+    # index of a group of size `size` after `placed`, for every placed subset
+    # of the other group
+    l_big, l_small = case_ranks(n_plus_1)
+    layers = [(l_big, t, l_small, t) for t in range(l_big)]
+    layers += [(l_small, t, l_big, t + 1) for t in range(l_small)]
+    return max(comb(size, placed + 1) * (placed + 1) * comb(other, done)
+               for size, placed, other, done in layers)
 
 
-def test_peak_memory_is_set_by_the_block():
-    field = inert_place(2)
-    X, x = inverted_sample(12, 2, 0)
-    weyl_sum_A(case_for(12), X, x, field)  # the orbit table is cached from here on
-    assert peak_memory(lambda: weyl_sum_A(case_for(12), X, x, field)) <= BLOCK_BOUND
-
-
-def test_peak_memory_of_a_stacked_call_is_set_by_the_block():
-    field = inert_place(2)
+def test_peak_memory_is_set_by_the_largest_layer():
+    # at n + 1 = 12 the largest layer holds 1,200 (state, move) pairs a sample.
+    # A layer keeps two complex arrays of that size live, the gathered moves
+    # and the gathered states multiplied into them; building a move table
+    # keeps two of 2 * 6 * 2^6 = 768 entries a sample.  The peak measured
+    # 3.4 layers' worth (4 samples)
+    field, case = inert_place(2), case_for(12)
     samples = [inverted_sample(12, 2, k) for k in range(4)]
-    weyl_sum_A(case_for(12), *samples[0], field)  # the orbit table is cached from here on
     X, x = stacked([X for X, _ in samples]), stacked([x for _, x in samples])
-    assert peak_memory(lambda: weyl_sum_A(case_for(12), X, x, field)) <= BLOCK_BOUND
+    weyl_sum_A(case, X, x, field)  # the index tables are cached from here on
+    assert largest_layer(12) == 1200
+    assert peak_memory(lambda: weyl_sum_A(case, X, x, field)) <= 8 * 4 * largest_layer(12) * 16

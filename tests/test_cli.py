@@ -103,8 +103,9 @@ def test_usage_error_large_n(capsys):
 
 
 def test_weyl_rank_guard(capsys):
-    # the Weyl sum enumerates only the small group: n = 12 (rank 6) runs,
-    # n = 13 (rank 7) is a usage error before any output
+    # the guard bounds the small group's rank, which sets the Weyl sum's
+    # largest layer of states: n = 12 (rank 6) runs, n = 13 (rank 7) is a
+    # usage error before any output
     code, out, _ = run_cli(capsys, "weyl", "--n", "12", "--q", "2", "--samples", "1")
     assert code == 0 and json.loads(out)["pass"] is True
     RunConfig(command="identity", n=12, place="inert", q=(2,), samples=1, seed=0,

@@ -34,18 +34,19 @@ def test_enumerate_weyl_guard():
 
 @pytest.mark.parametrize("l", range(7))
 def test_orbit_table_matches_enumerate_weyl(l):
-    # the numpy tables are built without WeylElement objects; they must list
-    # the elements' source indices and flips in enumerate_weyl order
+    # the alternant reference's numpy tables are built without WeylElement
+    # objects; they must list the elements' source indices and flips in
+    # enumerate_weyl order
     import numpy as np
-    from localperiods.weylsum import _orbit_table
+    from weylref import orbit_table
     elements = enumerate_weyl(l)
-    src, flip = _orbit_table(l)
+    src, flip = orbit_table(l)
     assert src.shape == flip.shape == (len(elements), l)
     assert src.dtype == np.intp and flip.dtype == bool
     assert src.tolist() == [list(w.inverse_perm()) for w in elements]
     assert flip.tolist() == [[f == -1 for f in w.flips] for w in elements]
     with pytest.raises(SizeError):
-        _orbit_table(7)
+        orbit_table(7)
 
 
 def test_act_identity_and_flip(rng):
@@ -277,7 +278,7 @@ def test_split_coordinates_are_indexed_from_one(m):
 
 
 def test_weyl_sum_pole_error():
-    # the alternant divides by d1 at the big datum and by d0 on the small orbit
+    # the sum divides once by d1 at the big datum and d0 at the small one
     from localperiods import PoleError
     field = inert_place(2)
     X = [CharValue(1.0)]  # d1 vanishes identically at the trivial character
@@ -292,20 +293,21 @@ def test_weyl_sum_pole_error():
     assert err.value.factor == "d0(wx)"
 
 
-@pytest.mark.parametrize("n_plus_1", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_plus_1", [1, 2, 3, 4, 5, 6])
 def test_weyl_sum_matches_scalar_reference(n_plus_1, q):
     # covers both cases and, at n + 1 = 1, the rank-0 small group; the
     # reference carries its own rounding, so it bounds the difference
     assert_weyl_sum_matches_double_sum(n_plus_1, q)
 
 
-# names that left the library: the group reference now lives in tests/weylref.py,
-# and the wrappers around the transcriptions are gone
+# names that left the library: the group reference and the alternant now live
+# in tests/weylref.py, and the wrappers around the transcriptions are gone
 REMOVED_NAMES = ("WeylElement", "_perm_sign", "enumerate_weyl", "act", "_act_values",
                  "act_exact", "b_factor", "d1_factor", "d0_factor",
                  "special_vectors_exact", "b_factor_exact", "RhoVector", "rho_small",
                  "rho_monomial", "LengthType", "long_length", "_two_rho_big",
-                 "induce_preservation_defect", "series_truncation_bound")
+                 "induce_preservation_defect", "series_truncation_bound",
+                 "_orbit_table", "weyl_orbit", "_h_values", "WEYL_BLOCK")
 
 
 def test_package_exports_no_module_and_no_removed_name():

@@ -1,10 +1,12 @@
-"""Test references, built without the library's orbit table (not collected).
+"""Test references, built without the library's dynamic program (not collected).
 
 The hyperoctahedral group (Z/2)^l x| S_l element by element, its action on
-character values, the Weyl vectors and the special vectors, against which the
-tests check weylsum's orbit table, alternant and alternating-sign structure.
-Two more references with no caller in the library live here too: the induction
-defect of the parameter calculus and the split series truncation bound.
+character values, the Weyl vectors and the special vectors, and two
+references for weylsum.weyl_sum_A: the defining double sum, term by term, and
+the one-sided alternant, which enumerates the small group's orbit and sums the
+big group as one determinant per small translate.  Two more references with
+no caller in the library live here too: the induction defect of the parameter
+calculus and the split series truncation bound.
 """
 import cmath
 import itertools
@@ -17,9 +19,10 @@ import numpy as np
 
 from localperiods import inert_place, sample_pair
 from localperiods.identity import map_samples, rel_err, worst_err
+from localperiods.numfield import POLE_EPS, PoleError
 from localperiods.paramcalc import Base, WDParam, _draw_s, induce
 from localperiods.weylsum import (Case, _b_values, _check_rank, _d0_values,
-                                  _d1_values, _half_root, case_for, weyl_sum_A)
+                                  _d1_values, _half_root, case_for, rho_big, weyl_sum_A)
 
 
 @dataclass(frozen=True)
@@ -156,15 +159,82 @@ def double_sum(case: Case, X, x, root) -> tuple[complex, float]:
     return total, (terms + ops) * UNIT_ROUNDOFF * magnitude
 
 
+@lru_cache(maxsize=None)
+def orbit_table(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|W|, l) tables in enumerate_weyl order, built without WeylElement
+    objects: row k, entry i holds the source index perm^{-1}(i) of the k-th
+    element and whether its flip i is -1.  Permutations vary slowest, and flip
+    i is -1 on bit l-1-i of the flip-pattern index."""
+    _check_rank(l)
+    perms = np.array(list(itertools.permutations(range(l))), dtype=np.intp)
+    masks = ((np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1).astype(bool)
+    src = np.repeat(np.argsort(perms, axis=1), 2 ** l, axis=0)
+    flip = np.tile(masks, (len(perms), 1))
+    src.setflags(write=False)
+    flip.setflags(write=False)
+    return src, flip
+
+
+def weyl_orbit(values) -> np.ndarray:
+    """The Weyl orbit of a character tuple as an (l, |W|) complex array: row i
+    holds entry i of every translate, in orbit_table order, so iterating over
+    it yields the columns the scalar formulas evaluate the orbit on."""
+    src, flip = orbit_table(len(values))
+    vals = np.array(values, dtype=complex)
+    inv = np.array([1 / v for v in values], dtype=complex)
+    return np.where(flip.T, inv[src.T], vals[src.T])
+
+
+def h_reference(case: Case, i: int, Z, x, root):
+    """The factors of b that involve the i-th big character, evaluated at Z
+    (written out from the definition of b, not from weylsum's pair factor)."""
+    v = 1 - root * Z if case is Case.B else 1
+    for j, t in enumerate(x):
+        v = v * (1 - root * Z * t) * (1 - root * Z / t if j >= i else 1 - root * t / Z)
+    return v
+
+
+def alternant_sum(case: Case, big_chars, small_chars, field) -> complex:
+    """The double Weyl sum of one sample as a one-sided alternant.  For a small
+    translate y = wx, b(., y) = c(y) prod_i h_i(X_i; y) and X^{-rho} d1(X) is
+    anti-invariant, so the big-group sum is c(y) det[H_i(X_k) - H_i(1/X_k)] /
+    (X^{-rho} d1(X)), H_i(Z) = Z^{-rho_i} h_i(Z; y).  Raises PoleError on
+    d1(X) or on d0 anywhere on the small orbit."""
+    root = _half_root(field)
+    values = [c.value for c in big_chars]
+    d1 = _d1_values(case, values)
+    if abs(d1) < POLE_EPS:
+        raise PoleError("degenerate big characters in the double Weyl sum", factor="d1(X)")
+    small = weyl_orbit([c.value for c in small_chars])
+    d0 = _d0_values(case, small)
+    if np.any(np.abs(d0) < POLE_EPS):
+        raise PoleError("degenerate small orbit in the double Weyl sum", factor="d0(wx)")
+    l = len(values)
+    X = np.array(values, dtype=complex)
+    Z = np.concatenate([X, 1 / X])
+    roots = np.sqrt(X)
+    two_rho = rho_big(case, l)
+    Z_rho = np.concatenate([roots ** -two_rho, roots ** two_rho], axis=1)
+    H = (Z_rho[i] * h_reference(case, i, Z, small[:, :, None], root) for i in range(l))
+    alternants = np.linalg.det(np.stack([h[..., :l] - h[..., l:] for h in H], axis=-2))
+    total = (_b_values(case, (), small, root) * alternants / d0).sum()
+    return complex(total / (np.prod(Z_rho.diagonal()) * d1))
+
+
+def inverted_sample(n_plus_1: int, q: int, k: int) -> tuple[list, list]:
+    """Sample k of the seeded inert test data for U(n+2) > U(n+1), as the
+    inverted (big, small) characters that the inert S value sums over."""
+    small, big = sample_pair(n_plus_1 - 1, inert_place(q), np.random.default_rng([n_plus_1, q, k]))
+    return [c.inv() for c in big.chars], [c.inv() for c in small.chars]
+
+
 def assert_weyl_sum_matches_double_sum(n_plus_1: int, q: int) -> None:
     """weyl_sum_A on three sampled inverted pairs lies within the double sum's
     own rounding bound of it."""
     field = inert_place(q)
     case = case_for(n_plus_1)
     for k in range(3):
-        small, big = sample_pair(n_plus_1 - 1, field, np.random.default_rng([n_plus_1, q, k]))
-        X = [c.inv() for c in big.chars]
-        x = [c.inv() for c in small.chars]
+        X, x = inverted_sample(n_plus_1, q, k)
         reference, bound = double_sum(case, [c.value for c in X], [c.value for c in x],
                                       _half_root(field))
         assert abs(weyl_sum_A(case, X, x, field) - reference) <= bound
