@@ -37,15 +37,23 @@ def stacked(columns):
             for column in zip(*columns)]
 
 
+# a stack of the default 4 samples, and a block of 5: numpy can associate a
+# reduction differently for another number of samples, which is how a stacked
+# call can drift from the sample's own call
+STACKS = pytest.mark.parametrize("count", [4, 5], ids=["default", "block5"])
+
+
+@STACKS
 @pytest.mark.parametrize("n_plus_1", range(1, 13))
-def test_a_stacked_call_is_each_samples_own_call_bit_for_bit(n_plus_1, q):
+def test_a_stacked_call_is_each_samples_own_call_bit_for_bit(n_plus_1, q, count):
     field, case = inert_place(q), case_for(n_plus_1)
-    samples = [inverted_sample(n_plus_1, q, k) for k in range(4)]
+    samples = [inverted_sample(n_plus_1, q, k) for k in range(count)]
     values = weyl_sum_A(case, stacked([X for X, _ in samples]), stacked([x for _, x in samples]),
                         field)
     assert values.tolist() == [weyl_sum_A(case, X, x, field) for X, x in samples]
 
 
+@STACKS
 @pytest.mark.parametrize("poles, factor", [
     ({1: "d1"}, "d1(X)"),
     ({1: "d0"}, "d0(wx)"),
@@ -53,13 +61,13 @@ def test_a_stacked_call_is_each_samples_own_call_bit_for_bit(n_plus_1, q):
     ({1: "d1", 2: "d0"}, "d1(X)"),
     ({2: "d1 d0"}, "d1(X)"),
 ])
-def test_a_pole_in_one_stacked_sample_raises_as_the_sample_loop(poles, factor):
+def test_a_pole_in_one_stacked_sample_raises_as_the_sample_loop(poles, factor, count):
     # the trivial character zeroes d1 (as a big character) or d0 (as a small
     # one) in case A; the stacked call raises the first error that calling
     # sample by sample meets, d1 before d0 within a sample
     field, case = inert_place(2), case_for(4)
     samples = []
-    for k in range(4):
+    for k in range(count):
         X, x = inverted_sample(4, 2, k)
         spots = poles.get(k, "")
         samples.append(([CharValue(1.0)] + X[1:] if "d1" in spots else X,
