@@ -13,7 +13,9 @@ with sorted keys, and the optional worker pool (--threads N, `table` included)
 maps only the draws of each sample's random inputs; every subcommand then
 judges its samples in index order in the calling thread.  Samples are drawn
 in the calling thread by default: the per-sample work holds the GIL, so a
-thread pool makes runs slower, not faster.
+thread pool makes runs slower, not faster.  A draw reads the place's kind but
+never q, so run() draws each place's samples once and shares them with every
+--q of the command (identity.shared_draws); nothing drawn outlives run().
 
 The argument parser is built once, when the module is imported, and every
 main() call parses with it: building it costs about 15 parses, so in-process
@@ -32,7 +34,7 @@ from typing import Callable, NamedTuple
 
 # sample_pair is unused here, but bench/test_bench.py traces cli.sample_pair
 from .identity import (SamplerExhausted, VerificationReport, identity_table,
-                       sample_pair, verify_basecase, verify_localcalc,
+                       sample_pair, shared_draws, verify_basecase, verify_localcalc,
                        verify_recursion, verify_weyl_constancy, worst_err)
 from .numfield import FieldData, PlaceKind, inert_place, split_place
 from .paramcalc import verify_appendix
@@ -284,12 +286,13 @@ def run(config: RunConfig) -> int:
     pool_map, executor = _pool_map(config.threads)
     call = CHECKS[config.command].call
     try:
-        results = (call(config, field, samples=config.samples, seed=config.seed,
-                        tol=config.tol, pool_map=pool_map)
-                   for field in config.fields())
-        if config.command == "table":
-            return emit_table(results, config.tol, sys.stdout)
-        reports = list(results)
+        with shared_draws():  # each place's draws serve every --q
+            results = (call(config, field, samples=config.samples, seed=config.seed,
+                            tol=config.tol, pool_map=pool_map)
+                       for field in config.fields())
+            if config.command == "table":
+                return emit_table(results, config.tol, sys.stdout)
+            reports = list(results)
     finally:
         if executor is not None:
             executor.shutdown()

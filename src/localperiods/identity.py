@@ -15,11 +15,16 @@ through its factor list and factor_product.
 
 Every check is one pipeline.  It draws each sample's random inputs through
 map_samples, which alone turns sample index k into an rng seeded from
-(seed, k), so pool_map maps only the draws.  Then _judge judges the samples
-by index, one(k) -> (relative error, localize): it calls localize() within
-the step of each sample whose error is not within tol, keeps the worst error
-(worst_err: nan if any error is nan, so a nan sample fails wherever it falls)
-and the first diff per factor label in sample order, and builds the report.
+(seed, k), so pool_map maps only the draws.  A draw reads the place's kind,
+never q (q enters only through the L-factors), so within shared_draws(),
+which the CLI opens for one command, a draw keyed by all it reads (the pair,
+basecase or appendix draw, n, kind, samples and seed) is made once per place
+and shared by every q; a driver called outside it draws afresh.  Then _judge
+judges the samples by index, one(k) -> (relative error, localize): it calls
+localize() within the step of each sample whose error is not within tol,
+keeps the worst error (worst_err: nan if any error is nan, so a nan sample
+fails wherever it falls) and the first diff per factor label in sample order,
+and builds the report.
 
 The checks on (small, big) pairs draw a SampleStack: each sample's character
 values (sample_values; sample_pair returns one sample's as data) are stacked
@@ -41,6 +46,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -133,12 +140,38 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def map_samples(one, samples: int, seed: int, pool_map=map) -> list:
+# key -> draws, for the block of shared_draws() running in this context; None
+# outside one, where every map_samples call draws
+_SHARED_DRAWS: ContextVar[dict | None] = ContextVar("shared_draws", default=None)
+
+
+@contextmanager
+def shared_draws():
+    """Within the block, map_samples calls that pass the same key, samples and
+    seed draw once and return the same list; the draws are dropped when the
+    block ends."""
+    token = _SHARED_DRAWS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_DRAWS.reset(token)
+
+
+def map_samples(one, samples: int, seed: int, pool_map=map, key: tuple | None = None) -> list:
     """[one(rng_k) for k in range(samples)], rng_k seeded from (seed, k) alone,
-    so a sample does not depend on the others or on how pool_map runs them."""
+    so a sample does not depend on the others or on how pool_map runs them.
+    key names all that one reads besides rng_k; within shared_draws() a call
+    with a key already drawn returns those draws (the caller must not change
+    them)."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    return list(pool_map(lambda k: one(_rng_for(seed, k)), range(samples)))
+    store = _SHARED_DRAWS.get()
+    if key is None or store is None:
+        store = {}  # this call's own
+    key = (key, samples, seed)
+    if key not in store:
+        store[key] = list(pool_map(lambda k: one(_rng_for(seed, k)), range(samples)))
+    return store[key]
 
 
 def _unit_values(m: int, field: FieldData, rng: np.random.Generator) -> list[complex]:
@@ -197,10 +230,12 @@ class SampleStack:
     @classmethod
     def draw(cls, n: int, field: FieldData, samples: int, seed: int,
              pool_map=map) -> "SampleStack":
-        """The samples' character values, drawn one by one (sample_values);
-        pool_map maps only the draws."""
+        """The samples' character values (sample_values, one rng per sample);
+        pool_map maps only the draws.  They depend on the place's kind, not
+        on q, so within shared_draws() every q of a kind shares them."""
         return cls(n, field, map_samples(lambda rng: sample_values(n, field, rng), samples,
-                                         seed, pool_map=pool_map))
+                                         seed, pool_map=pool_map,
+                                         key=("pair", n, field.kind)))
 
     def pair(self, k: int) -> tuple[SatakeDatum, SatakeDatum]:
         """Sample k's (small, big) data."""
@@ -508,7 +543,7 @@ def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
     if not field.is_split:
         raise ValueError("the base-case series check runs at split places")
     draws = map_samples(lambda rng: _unit_values(3, field, rng), samples, seed,
-                        pool_map=pool_map)
+                        pool_map=pool_map, key=("basecase", field.kind))
 
     def one(k):
         theta, phi, xi0 = draws[k]

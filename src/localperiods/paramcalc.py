@@ -233,7 +233,7 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         z_sigma, z_pi = (cmath.exp(2j * cmath.pi * rng.uniform()) for _ in range(2))
         return z_sigma, z_pi, _draw_s(rng, S_POINTS)
 
-    draws = map_samples(draw, samples, seed, pool_map=pool_map)
+    draws = map_samples(draw, samples, seed, pool_map=pool_map, key=("appendix",))
     counts = [len(s_values) for _, _, s_values in draws]
     s = np.array([p for _, _, s_values in draws for p in s_values], dtype=complex)
     lifts = [_lift(field, z_sigma, z_pi) for z_sigma, z_pi, _ in draws]

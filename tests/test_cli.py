@@ -63,6 +63,75 @@ def test_threads_do_not_change_output(capsys, argv, code):
     assert run1 == run4 and run1[0] == code
 
 
+MULTI_Q_CASES = {
+    "identity": ("--n", "2"), "table": ("--n", "2"), "weyl": ("--n", "2"),
+    "recursion": ("--n", "3"),  # fails at split places, so reports carry diffs
+    "basecase": (), "appendix": (),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(MULTI_Q_CASES))
+def test_a_multi_q_run_prints_the_single_q_runs(capsys, command, threads):
+    # a command draws each place's samples once and shares them with every
+    # --q, so it prints what one run per q prints, blocks in (place, q) order
+    base = (command, *MULTI_Q_CASES[command], "--place", "both", "--samples", "4",
+            "--seed", "3", "--threads", threads)
+    # table: a header, then 4 rows per (place, q) block; the others: a report
+    header, size = (1, 4) if command == "table" else (0, 1)
+    singles = {}
+    for q in ("2", "3"):
+        code, out, _ = run_cli(capsys, *base, "--q", q)
+        lines = out.splitlines()[header:]
+        singles[q] = code, [lines[i:i + size] for i in range(0, len(lines), size)]
+    code, out, _ = run_cli(capsys, *base, "--q", "2", "--q", "3")
+    places = len(singles["2"][1])
+    expected = [line for p in range(places) for q in ("2", "3") for line in singles[q][1][p]]
+    assert out.splitlines()[header:] == expected
+    assert code == max(singles["2"][0], singles["3"][0])
+    assert places == (1 if command in ("weyl", "basecase", "appendix") else 2)
+
+
+def count_generators(monkeypatch):
+    import localperiods.identity as identity
+    built, rng_for = [], identity._rng_for
+
+    def counted(*args):
+        built.append(args)
+        return rng_for(*args)
+
+    monkeypatch.setattr(identity, "_rng_for", counted)
+    return built
+
+
+@pytest.mark.parametrize("command, places", [
+    ("identity", 2), ("table", 2), ("recursion", 2), ("weyl", 1), ("basecase", 1),
+    ("appendix", 1)])
+def test_a_command_draws_once_per_place(monkeypatch, capsys, command, places):
+    # one generator per sample and place, whatever the number of --q; the
+    # draws do not outlive main(), so a repeated command draws them again
+    built = count_generators(monkeypatch)
+    argv = (command, "--place", "both", "--q", "2", "--q", "3", "--q", "5", "--samples", "3")
+    first = run_cli(capsys, *argv)
+    assert len(built) == 3 * places and sorted(set(built)) == [(0, k) for k in range(3)]
+    assert run_cli(capsys, *argv) == first and len(built) == 2 * 3 * places
+
+
+def test_a_direct_driver_call_draws_its_own_samples(monkeypatch):
+    from localperiods.identity import verify_localcalc
+    from localperiods.numfield import inert_place
+    built = count_generators(monkeypatch)
+    for q in (2, 3):
+        verify_localcalc(1, inert_place(q), samples=4)
+    assert len(built) == 2 * 4
+
+
+def test_zero_samples_fail_before_any_draw(monkeypatch, capsys):
+    built = count_generators(monkeypatch)
+    code, out, err = run_cli(capsys, "identity", "--q", "2", "--q", "3", "--samples", "0")
+    assert (code, out, err) == (2, "", "error: --samples must be >= 1\n") and built == []
+
+
 def test_table_maps_samples_with_the_run_pool(monkeypatch, capsys):
     original = cli.identity_table
     pools = []

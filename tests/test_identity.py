@@ -10,7 +10,8 @@ from localperiods import (LFactor, PlaceKind, adjoint_lfactor, euler_factor,
                           verify_recursion, verify_weyl_constancy,
                           zeta_closed_factors, zeta_recursive_factors)
 from localperiods.identity import (FactorDiff, VerificationReport, identity_row,
-                                   identity_table, rel_err, sample_pair, _rng_for)
+                                   identity_table, rel_err, sample_pair, sample_values,
+                                   _rng_for)
 
 RHS = 5  # identity_row index of Delta * L(1/2)/(Ad*Ad)
 from localperiods.weylsum import case_for, s_value_inert, weyl_sum_A
@@ -325,6 +326,31 @@ def test_sample_reproducible_in_isolation():
     small_b, big_b = sample_pair(2, field, _rng_for(9, 4))
     assert small_a.values() == small_b.values()
     assert big_a.values() == big_b.values()
+
+
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_draw_does_not_depend_on_q(place, n):
+    # q enters the identity only through the L-factors, so a command may share
+    # a place's draws across its --q values (shared_draws)
+    for k in range(5):
+        assert (sample_values(n, place(2), _rng_for(11 + n, k))
+                == sample_values(n, place(3), _rng_for(11 + n, k)))
+
+
+def test_shared_draws_serve_every_q_of_a_kind_within_the_block():
+    import localperiods.identity as identity
+    from localperiods.identity import SampleStack, shared_draws
+    with shared_draws():
+        inert = [SampleStack.draw(2, inert_place(q), 3, 5).draws for q in (2, 3)]
+        split = SampleStack.draw(2, split_place(2), 3, 5).draws
+        other = [SampleStack.draw(2, inert_place(2), *args).draws for args in ((4, 5), (3, 6))]
+        other.append(SampleStack.draw(1, inert_place(2), 3, 5).draws)
+    assert inert[0] is inert[1]
+    assert all(draws is not inert[0] for draws in [split, *other])
+    assert identity._SHARED_DRAWS.get() is None
+    outside = [SampleStack.draw(2, inert_place(q), 3, 5).draws for q in (2, 3)]
+    assert outside[0] is not outside[1] and outside[0] == outside[1] == inert[0]
 
 
 @pytest.mark.parametrize("generic_eps", [None, 0.3], ids=["default", "redraws"])
