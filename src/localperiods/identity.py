@@ -28,11 +28,14 @@ and builds the report.
 
 The checks on (small, big) pairs draw a SampleStack: each sample's character
 values (sample_values; sample_pair returns one sample's as data) are stacked
-straight into one datum per group (stack_values).  Its routes (the zeta
-lists, S(1) at split places, the standard tensor at 1/2, the adjoints at 1
-and, at inert places, the Weyl sum) are built once per report, when first
-asked for, on the stacked data; each factor list is multiplied for every
-sample by one factor_product call, and the Weyl sum is one weyl_sum_A call.
+straight into one datum per group (stack_values).  Characters hold no field,
+so within shared_draws() the stacked characters and their inverses are also
+made once per place, and each q tags them with its own field.  Its routes
+(the zeta lists, S(1) at split places, the standard tensor at 1/2, the
+adjoints at 1 and, at inert places, the Weyl sum) are built once per report,
+when first asked for, on the stacked data; each factor list is multiplied
+for every sample by one factor_product call, and the Weyl sum is one
+weyl_sum_A call.
 A sample whose stacked product stops (nan), or any sample of a Weyl sum that
 meets a pole, is evaluated again alone, so it raises what it would raise
 alone; a sample's own data are built only for that and for its probes.  `table`
@@ -140,21 +143,33 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-# key -> draws, for the block of shared_draws() running in this context; None
-# outside one, where every map_samples call draws
+# key -> draws or stacked characters, for the block of shared_draws() running
+# in this context; None outside one, where every map_samples call draws
 _SHARED_DRAWS: ContextVar[dict | None] = ContextVar("shared_draws", default=None)
 
 
 @contextmanager
 def shared_draws():
     """Within the block, map_samples calls that pass the same key, samples and
-    seed draw once and return the same list; the draws are dropped when the
-    block ends."""
+    seed draw once and return the same list, and the SampleStacks drawn by
+    them share their stacked characters; all is dropped when the block ends."""
     token = _SHARED_DRAWS.set({})
     try:
         yield
     finally:
         _SHARED_DRAWS.reset(token)
+
+
+def _shared(key: tuple | None, make):
+    # make(), or within shared_draws() what make() returned first for key (the
+    # caller must not change it); a None key is never shared
+    store = _SHARED_DRAWS.get()
+    if key is None or store is None:
+        return make()
+    made = store.get(key)
+    if made is None:
+        made = store[key] = make()
+    return made
 
 
 def map_samples(one, samples: int, seed: int, pool_map=map, key: tuple | None = None) -> list:
@@ -165,13 +180,8 @@ def map_samples(one, samples: int, seed: int, pool_map=map, key: tuple | None = 
     them)."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    store = _SHARED_DRAWS.get()
-    if key is None or store is None:
-        store = {}  # this call's own
-    key = (key, samples, seed)
-    if key not in store:
-        store[key] = list(pool_map(lambda k: one(_rng_for(seed, k)), range(samples)))
-    return store[key]
+    return _shared(None if key is None else (key, samples, seed),
+                   lambda: list(pool_map(lambda k: one(_rng_for(seed, k)), range(samples))))
 
 
 def _unit_values(m: int, field: FieldData, rng: np.random.Generator) -> list[complex]:
@@ -223,8 +233,9 @@ class SampleStack:
     for every sample (see the module docstring); pair(k) builds sample k's
     own data, for a probe or a re-evaluation."""
 
-    def __init__(self, n: int, field: FieldData, draws: list[tuple]):
-        self.n, self.field, self.draws = n, field, draws
+    def __init__(self, n: int, field: FieldData, draws: list[tuple], key: tuple | None = None):
+        # key names the draws within shared_draws(); None: this stack's own
+        self.n, self.field, self.draws, self.key = n, field, draws, key
         self._values: dict[str, list[complex]] = {}  # route -> stacked values
 
     @classmethod
@@ -232,25 +243,36 @@ class SampleStack:
              pool_map=map) -> "SampleStack":
         """The samples' character values (sample_values, one rng per sample);
         pool_map maps only the draws.  They depend on the place's kind, not
-        on q, so within shared_draws() every q of a kind shares them."""
+        on q, so within shared_draws() every q of a kind shares them and
+        their stacked characters."""
+        key = ("pair", n, field.kind)
         return cls(n, field, map_samples(lambda rng: sample_values(n, field, rng), samples,
-                                         seed, pool_map=pool_map,
-                                         key=("pair", n, field.kind)))
+                                         seed, pool_map=pool_map, key=key),
+                   key=(key, samples, seed))
 
     def pair(self, k: int) -> tuple[SatakeDatum, SatakeDatum]:
         """Sample k's (small, big) data."""
         small, big = self.draws[k]
         return make_datum(self.n + 1, self.field, small), make_datum(self.n + 2, self.field, big)
 
+    def _data(self, name: str, make) -> tuple[SatakeDatum, SatakeDatum]:
+        # the (small, big) data make() builds; characters hold no field, so
+        # every q of a kind shares them, each q's data carrying its own field
+        data = _shared(None if self.key is None else (self.key, name), make)
+        if data[0].field is self.field:
+            return data
+        return tuple(SatakeDatum(d.m, self.field, d.chars) for d in data)
+
     @cached_property
     def _stacked(self) -> tuple[SatakeDatum, SatakeDatum]:
         # (small, big), stacked when a route first needs them
-        return tuple(stack_values(m, self.field, rows)
-                     for m, rows in zip((self.n + 1, self.n + 2), zip(*self.draws)))
+        return self._data("stacked", lambda: tuple(
+            stack_values(m, self.field, rows)
+            for m, rows in zip((self.n + 1, self.n + 2), zip(*self.draws))))
 
     @cached_property
     def _inverted(self) -> tuple[SatakeDatum, SatakeDatum]:
-        return tuple(data.inverted() for data in self._stacked)
+        return self._data("inverted", lambda: tuple(data.inverted() for data in self._stacked))
 
     @cached_property
     def closed(self) -> list[LFactor]:
@@ -275,10 +297,10 @@ class SampleStack:
 
     @cached_property
     def s_split(self) -> list[complex]:
-        return self._s_split(*self._stacked).tolist()
+        return self._s_split(*self._inverted).tolist()
 
-    def _s_split(self, small: SatakeDatum, big: SatakeDatum):
-        return s_value_split(big.inverted().chars, small.inverted().chars, self.n, self.field)
+    def _s_split(self, small_inv: SatakeDatum, big_inv: SatakeDatum):
+        return s_value_split(big_inv.chars, small_inv.chars, self.n, self.field)
 
     def product(self, route: str, k: int) -> complex:
         """Sample k's value of a route: "s_split", or the product of one of
@@ -293,7 +315,7 @@ class SampleStack:
         if not cmath.isnan(value):
             return value
         if route == "s_split":
-            return self._s_split(*self.pair(k))
+            return self._s_split(*(data.inverted() for data in self.pair(k)))
         return factor_product(column(getattr(self, route), k))
 
     @cached_property

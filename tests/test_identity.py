@@ -353,6 +353,20 @@ def test_shared_draws_serve_every_q_of_a_kind_within_the_block():
     assert outside[0] is not outside[1] and outside[0] == outside[1] == inert[0]
 
 
+@pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
+def test_shared_stacks_share_characters_but_not_the_place(place):
+    # stacked and inverted characters hold no field, so within the block every
+    # q of a kind shares them, while each q's data carry its own place
+    from localperiods.identity import SampleStack, shared_draws
+    with shared_draws():
+        stacks = [SampleStack.draw(2, place(q), 3, 5) for q in (2, 3)]
+        shared = [s._stacked + s._inverted for s in stacks]
+    for a, b in zip(*shared):
+        assert a.chars is b.chars and (a.field.q_F, b.field.q_F) == (2, 3)
+    alone = SampleStack(2, place(3), stacks[1].draws)
+    assert [stacks[1].row(k) for k in range(3)] == [alone.row(k) for k in range(3)]
+
+
 @pytest.mark.parametrize("generic_eps", [None, 0.3], ids=["default", "redraws"])
 @pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
 def test_a_stack_draws_what_sample_pair_draws(monkeypatch, place, generic_eps):
