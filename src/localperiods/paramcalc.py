@@ -5,13 +5,16 @@ F (all data in scope are unramified, so there is no monodromy operator).
 Direct sum is multiset union, twisting multiplies every eigenvalue, induction
 E -> F sends an eigenvalue z to the pair {+sqrt(z), -sqrt(z)} (the sign pair
 makes the branch choice immaterial to any L-factor), and the GL adjoint takes
-all ordered ratios.
+all ordered ratios.  An eigenvalue may also be an array of one value per point
+of a point axis: every operation, and _datum_from_bc's recovery of a datum,
+then acts on all points at once.
 
 verify_appendix checks the theta-lift L-factor identities on random unramified
 data: the adjoint comparisons evaluate their U(2)/U(3) sides through
 satake.adjoint_lfactor, so the parameter calculus and the explicit adjoint
-transcriptions audit each other.  The unramified character gamma extending the
-quadratic class-field character is pinned to uniformizer value -1 (E/F
+transcriptions audit each other; it runs the calculus once per report, on one
+axis of every sample's s points.  The unramified character gamma extending
+the quadratic class-field character is pinned to uniformizer value -1 (E/F
 unramified shares a uniformizer).
 """
 from __future__ import annotations
@@ -87,7 +90,7 @@ def induce(a: WDParam) -> WDParam:
         raise ValueError("induction starts from a parameter over E")
     out: list[complex] = []
     for z in a.eigenvalues:
-        r = cmath.sqrt(z)
+        r = np.sqrt(np.asarray(z, dtype=complex))  # a scalar z gives a scalar r
         out.extend((r, -r))
     return WDParam(Base.OVER_F, tuple(out))
 
@@ -119,16 +122,20 @@ def bc_param(datum: SatakeDatum) -> WDParam:
 
 
 def _datum_from_bc(m: int, param: WDParam, field: FieldData) -> SatakeDatum:
-    """Recover the U(2)/U(3) Satake datum whose base change matches the multiset."""
-    values = list(param.eigenvalues)
+    """Recover the U(2)/U(3) Satake datum whose base change matches the multiset,
+    at every point when the eigenvalues are arrays on a point axis."""
+    values = np.stack(np.broadcast_arrays(*param.eigenvalues), axis=-1)  # (*points, eigenvalue)
     if m == 3:
-        one_idx = min(range(len(values)), key=lambda i: abs(values[i] - 1.0))
-        if abs(values[one_idx] - 1.0) > BC_TOL:
+        dist = np.abs(values - 1.0)
+        if (dist.min(axis=-1) > BC_TOL).any():
             raise ValueError(f"no unit eigenvalue in a U(3) parameter: {values}")
-        values.pop(one_idx)
-    if len(values) != 2 or abs(values[0] * values[1] - 1.0) > BC_TOL:
+        # drop each point's first eigenvalue nearest 1; the other two keep their order
+        unit = np.arange(values.shape[-1]) == dist.argmin(axis=-1)[..., None]
+        values = values[~unit].reshape(unit.shape[:-1] + (-1,))
+    pair = np.moveaxis(values, -1, 0)
+    if len(pair) != 2 or (np.abs(pair[0] * pair[1] - 1.0) > BC_TOL).any():
         raise ValueError(f"not an inversion-symmetric pair: {values}")
-    return make_datum(m, field, [values[0]])
+    return make_datum(m, field, [pair[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +145,8 @@ IDENTITIES = ("piad", "sigmaad", "muad", "bigsig", "sigcor")  # in comparison or
 
 
 class _Lift(NamedTuple):
-    """A sample's data and lift parameters, none of which depends on s; or,
-    stacked by _on_points, those of every point."""
+    """The data and lift parameters of one sample, or of every point of a point
+    axis (each value an array of one entry per point); none depends on s."""
 
     sigma: SatakeDatum
     pi: SatakeDatum
@@ -155,8 +162,9 @@ class _Lift(NamedTuple):
 
 
 def _lift(field: FieldData, z_sigma: complex, z_pi: complex) -> _Lift:
-    """Build one sample's U(2) data sigma and pi, the trivial U(1) character mu,
-    and their lift parameters with the parameter calculus."""
+    """Build the U(2) data sigma and pi, the trivial U(1) character mu, and their
+    lift parameters with the parameter calculus, for one sample or, on arrays
+    of sigma's and pi's characters, for every point at once."""
     gamma = gamma_char()
     sigma = make_datum(2, field, [z_sigma])
     pi = make_datum(2, field, [z_pi])
@@ -181,23 +189,10 @@ def _lift(field: FieldData, z_sigma: complex, z_pi: complex) -> _Lift:
         sigcor_rhs=tensor_product(bc_param(theta_sigma_bar), m_pi))
 
 
-def _on_points(items: tuple, counts: list[int]):
-    """The samples' data (or parameters) of one slot as one datum (parameter)
-    on the point axis: each value becomes a complex array that holds sample
-    k's value counts[k] times."""
-    def stacked(columns):
-        return [np.repeat(np.array(c, dtype=complex), counts) for c in columns]
-
-    first = items[0]
-    if isinstance(first, SatakeDatum):
-        return make_datum(first.m, first.field, stacked(zip(*(d.values() for d in items))))
-    return WDParam(first.base, tuple(stacked(zip(*(p.eigenvalues for p in items)))))
-
-
 def _sides(s, g: _Lift, field: FieldData) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of the identities at s, each (points, IDENTITIES): s and the
-    values of g are arrays on one point axis, so every Euler product is one
-    factor_product call on that axis."""
+    values of g are arrays on one point axis (or scalars that every point
+    shares), so every Euler product is one factor_product call on that axis."""
     chi = factor_product([LFactor("L_F(s, chi)", s, field.q_F, field.chi_at_uniformizer)])
     sigma_prime_l = g.sigma_prime.lfactor(s, field)
     sides = [
@@ -222,9 +217,11 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
     """Check the five theta-lift L-factor identities on random unramified data.
 
     For each sample, U(2) data sigma and pi and the trivial U(1) character mu
-    are drawn, the lift parameters are built with the parameter calculus, and
-    each identity is compared at S_POINTS random s values.  The comparisons
-    of all samples run at once, on one axis of (sample, s) points.
+    are drawn, and each identity is compared at S_POINTS random s values.  All
+    of it runs in one pass on one axis of (sample, s) points, sample k's being
+    k*S_POINTS .. (k+1)*S_POINTS - 1: sigma's and pi's characters are repeated
+    once per point, the parameter calculus builds every point's lift
+    parameters at once, and each Euler product is one array evaluation.
     """
     if not field.is_inert:
         raise ValueError("the lift identities live over a genuine quadratic extension")
@@ -234,20 +231,18 @@ def verify_appendix(field: FieldData, samples: int = 20, seed: int = 0,
         return z_sigma, z_pi, _draw_s(rng, S_POINTS)
 
     draws = map_samples(draw, samples, seed, pool_map=pool_map, key=("appendix",))
-    counts = [len(s_values) for _, _, s_values in draws]
-    s = np.array([p for _, _, s_values in draws for p in s_values], dtype=complex)
-    lifts = [_lift(field, z_sigma, z_pi) for z_sigma, z_pi, _ in draws]
-    grid = _Lift(*(_on_points(slot, counts) for slot in zip(*lifts)))
+    z_sigma, z_pi, s_values = zip(*draws)
+    s = np.array(s_values, dtype=complex).ravel()
+    grid = _lift(field, *np.repeat(np.array([z_sigma, z_pi]), S_POINTS, axis=1))
     # a nan point fails its sample through its error, as in Python's complex
     # arithmetic; numpy would also warn on the floating-point flags it raises
     with np.errstate(all="ignore"):
         lhs, rhs = _sides(s, grid, field)
         # rel_err entry by entry (numpy's abs is hypot, as Python's)
         errs = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    bounds = np.cumsum([0, *counts])
 
     def one(k):
-        seg = slice(bounds[k], bounds[k + 1])
+        seg = slice(k * S_POINTS, (k + 1) * S_POINTS)
         return (worst_err(errs[seg].ravel().tolist()),
                 lambda: _first_misses(s[seg], lhs[seg], rhs[seg], errs[seg], tol))
 

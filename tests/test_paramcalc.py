@@ -13,8 +13,8 @@ from localperiods import (Base, WDParam, adjoint_gl, bc_param,
                           tensor_product, theta_param_2to3, twist, verify_appendix)
 from localperiods.identity import rel_err
 from localperiods.numfield import lfactor_chi
-from localperiods.paramcalc import IDENTITIES, S_POINTS
-from localperiods.satake import adjoint_lfactor
+from localperiods.paramcalc import IDENTITIES, S_POINTS, _datum_from_bc, _lift
+from localperiods.satake import SatakeDatum, adjoint_lfactor
 from weylref import induce_preservation_defect
 
 
@@ -145,14 +145,15 @@ def test_induce_preservation_defect_small(q):
 
 
 def test_verify_appendix_fails_on_a_nan_at_sample_1(monkeypatch):
-    # sample 1 gets one extra s point, nan, after its real ones: every identity's
-    # error there is nan, behind finite errors of the same sample
+    # sample 1's last s point becomes nan: every identity's error there is
+    # nan, behind finite errors of the same sample
     import localperiods.paramcalc as paramcalc
     real, calls = paramcalc._draw_s, []
 
     def draw_s(rng, count):
         calls.append(None)
-        return real(rng, count) + ([complex("nan")] if len(calls) == 2 else [])
+        values = real(rng, count)
+        return values[:-1] + [complex("nan")] if len(calls) == 2 else values
 
     monkeypatch.setattr(paramcalc, "_draw_s", draw_s)
     report = verify_appendix(inert_place(2), samples=3, seed=1)
@@ -162,15 +163,17 @@ def test_verify_appendix_fails_on_a_nan_at_sample_1(monkeypatch):
 
 
 def test_verify_appendix_fails_on_a_pole_at_one_point(monkeypatch):
-    # s = 0 puts every adjoint's zeta_F(s) on its pole: that point's adjoint
-    # products are nan, so sample 1 fails on the three adjoint identities
-    # with a nan error, and the other samples and identities are judged
+    # sample 1's last s point becomes 0, which puts every adjoint's zeta_F(s)
+    # on its pole: that point's adjoint products are nan, so sample 1 fails on
+    # the three adjoint identities with a nan error, and the other samples and
+    # identities are judged
     import localperiods.paramcalc as paramcalc
     real, calls = paramcalc._draw_s, []
 
     def draw_s(rng, count):
         calls.append(None)
-        return real(rng, count) + ([0j] if len(calls) == 2 else [])
+        values = real(rng, count)
+        return values[:-1] + [0j] if len(calls) == 2 else values
 
     monkeypatch.setattr(paramcalc, "_draw_s", draw_s)
     report = verify_appendix(inert_place(2), samples=3, seed=1)
@@ -179,9 +182,9 @@ def test_verify_appendix_fails_on_a_pole_at_one_point(monkeypatch):
         f"{name} at s=0+0j" for name in ("piad", "sigmaad", "muad")]
 
 
-def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
-    # the lift parameters do not depend on s, so the number of twist and
-    # tensor_product calls per sample does not grow with S_POINTS
+def test_appendix_builds_its_parameters_once_per_report(monkeypatch):
+    # the calculus runs once on the point axis, so the number of twist and
+    # tensor_product calls grows neither with the samples nor with S_POINTS
     import localperiods.paramcalc as paramcalc
     calls = Counter()
     for name in ("twist", "tensor_product"):
@@ -190,12 +193,77 @@ def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
             return real(*args)
         monkeypatch.setattr(paramcalc, name, counted)
     per_run = []
-    for s_points in (1, 5):
+    for samples, s_points in ((1, 1), (1, 5), (4, 1), (4, 5)):
         calls.clear()
         monkeypatch.setattr(paramcalc, "S_POINTS", s_points)
-        assert verify_appendix(inert_place(2), samples=2, seed=1).passed
+        assert verify_appendix(inert_place(2), samples=samples, seed=1).passed
         per_run.append(dict(calls))
-    assert per_run[0] == per_run[1] and set(per_run[0]) == {"twist", "tensor_product"}
+    assert all(run == per_run[0] for run in per_run)
+    assert set(per_run[0]) == {"twist", "tensor_product"}
+
+
+# ---------------------------------------------------------------------------
+# the parameter calculus on a point axis, against each point's own scalars
+
+
+def test_induce_takes_every_scalar_and_arrays():
+    # each root is cmath.sqrt's to rounding, and an array gives every entry's
+    # scalar root bit for bit
+    scalars = (Fraction(1, 4), Fraction(-9, 4), 4, -1.0, 1j, complex(-4, -0.0))
+    roots = []
+    for z in scalars:
+        r, minus_r = induce(WDParam(Base.OVER_E, (z,))).eigenvalues
+        assert np.ndim(r) == 0 and rel_err(r, cmath.sqrt(z)) <= 1e-15 and minus_r == -r
+        roots.append(r)
+    r, minus_r = induce(WDParam(Base.OVER_E, (np.array(scalars, dtype=complex),))).eigenvalues
+    assert r.tolist() == roots and (minus_r == -r).all()
+
+
+def points_param(columns):
+    # one eigenvalue array per position, from each point's eigenvalue tuple
+    return WDParam(Base.OVER_E, tuple(np.array(c, dtype=complex) for c in zip(*columns)))
+
+
+def test_datum_from_bc_finds_each_points_unit_eigenvalue(rng):
+    field = inert_place(2)
+    c = unit_values(rng, 3)
+    columns = [(c[0], 1 / c[0], 1.0), (1.0, c[1], 1 / c[1]), (c[2], 1.0, 1 / c[2])]
+    datum = _datum_from_bc(3, points_param(columns), field)
+    assert (datum.m, datum.field) == (3, field)
+    assert datum.chars[0].value.tolist() == c
+    for p, column in enumerate(columns):
+        alone = _datum_from_bc(3, WDParam(Base.OVER_E, column), field)
+        assert np.ndim(alone.chars[0].value) == 0 and alone.chars[0].value == c[p]
+    pairs = _datum_from_bc(2, points_param([(z, 1 / z) for z in c]), field)
+    assert pairs.chars[0].value.tolist() == c
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda z: (2.0, 0.5, -1.0), "no unit eigenvalue"),
+    (lambda z: (z, 2 / z, 1.0), "not an inversion-symmetric pair"),
+], ids=["no-unit", "not-inverse"])
+def test_datum_from_bc_refuses_one_bad_point(rng, bad, message):
+    c = unit_values(rng, 3)
+    columns = [(z, 1 / z, 1.0) for z in c]
+    columns[1] = bad(c[1])
+    with pytest.raises(ValueError, match=message):
+        _datum_from_bc(3, points_param(columns), inert_place(2))
+
+
+def slot_values(item):
+    return item.values() if isinstance(item, SatakeDatum) else item.eigenvalues
+
+
+def test_lift_on_a_point_axis_is_each_points_own_lift(rng, q):
+    field = inert_place(q)
+    z_sigma, z_pi = unit_values(rng, 7), unit_values(rng, 7)
+    grid = _lift(field, np.array(z_sigma), np.array(z_pi))
+    for p in range(7):
+        alone = _lift(field, z_sigma[p], z_pi[p])
+        for stacked, own in zip(grid, alone):
+            assert len(slot_values(stacked)) == len(slot_values(own))
+            for v, ref in zip(slot_values(stacked), slot_values(own)):
+                assert rel_err(complex(np.broadcast_to(v, (7,))[p]), ref) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +271,8 @@ def test_appendix_builds_its_parameters_once_per_sample(monkeypatch):
 
 
 def scalar_sides(s, lift, field):
-    # the five identities at one s on one sample's lift, as a loop over the
-    # (sample, s) points evaluates them, in Python's complex arithmetic
+    # the five identities at one s on one sample's own scalar lift, as a loop
+    # over the (sample, s) points evaluates them, apart from the grid
     chi = lfactor_chi(s, field, 1)
     sigma_prime_l = lift.sigma_prime.lfactor(s, field)
     return [
@@ -233,22 +301,23 @@ def first_miss_labels(points, tol):
 
 
 def recorded_appendix(monkeypatch, field, samples, seed, tol):
-    """verify_appendix's report, with each sample's lift and s points and the
-    grid's (lhs, rhs) arrays, recorded as it runs."""
+    """verify_appendix's report, each sample's own scalar lift (built from its
+    recorded draws) and s points, and the grid's (lhs, rhs) arrays."""
     import localperiods.paramcalc as paramcalc
-    seen = {"lifts": [], "s": [], "grid": []}
-    real_lift, real_draw_s, real_sides = paramcalc._lift, paramcalc._draw_s, paramcalc._sides
+    seen = {"draws": [], "grid": []}
+    real_map, real_sides = paramcalc.map_samples, paramcalc._sides
 
     def record(key, value):
         seen[key].append(value)
         return value
 
-    monkeypatch.setattr(paramcalc, "_lift", lambda *a: record("lifts", real_lift(*a)))
-    monkeypatch.setattr(paramcalc, "_draw_s", lambda *a: record("s", real_draw_s(*a)))
+    monkeypatch.setattr(paramcalc, "map_samples",
+                        lambda *a, **kw: record("draws", real_map(*a, **kw)))
     monkeypatch.setattr(paramcalc, "_sides", lambda *a: record("grid", real_sides(*a)))
     report = verify_appendix(field, samples=samples, seed=seed, tol=tol)
-    (grid,) = seen["grid"]
-    return report, seen["lifts"], seen["s"], grid
+    (draws,), (grid,) = seen["draws"], seen["grid"]
+    lifts = [paramcalc._lift(field, z_sigma, z_pi) for z_sigma, z_pi, _ in draws]
+    return report, lifts, [s_values for _, _, s_values in draws], grid
 
 
 def test_appendix_grid_matches_the_per_point_scalar_loop(monkeypatch, q):
