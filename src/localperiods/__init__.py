@@ -7,12 +7,11 @@ identities."""
 from types import ModuleType as _ModuleType
 
 from .numfield import (CharValue, ConventionError, FieldData, LFactor, PlaceKind,
-                       PoleError, euler_factor, euler_factor_inv, factor_product,
-                       inert_place, lfactor_chi, motive_delta, motive_delta_exact,
-                       split_place)
+                       PoleError, euler_factor, factor_product, inert_place,
+                       motive_delta, motive_delta_exact, split_place)
 from .satake import (BCParams, SatakeDatum, adjoint_factors, adjoint_lfactor,
-                     bc_params, inert_datum, make_datum, split_datum,
-                     std_tensor_factors, std_tensor_lfactor, std_tensor_lfactor_det)
+                     bc_params, make_datum, std_tensor_factors, std_tensor_lfactor,
+                     std_tensor_lfactor_det)
 from .weylsum import (Case, SizeError, case_for, case_ranks, iwahori_volume,
                       iwahori_volume_gl, motive_A_value, rho_big, s_value_inert,
                       s_value_split, weyl_sum_A)
@@ -22,9 +21,9 @@ from .identity import (FactorDiff, SamplerExhausted, VerificationReport,
                        rel_err, sample_datum, sample_pair, unramified_period,
                        verify_basecase, verify_localcalc, verify_recursion,
                        verify_weyl_constancy)
-from .paramcalc import (Base, WDParam, adjoint_gl, bc_param, direct_sum,
-                        gamma_char, induce, tensor_product, theta_param_1to2,
-                        theta_param_2to3, twist, verify_appendix)
+from .paramcalc import (Base, WDParam, bc_param, direct_sum, gamma_char, induce,
+                        tensor_product, theta_param_1to2, theta_param_2to3, twist,
+                        verify_appendix)
 
 __version__ = "0.1.0"
 

@@ -32,10 +32,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-# sample_pair is unused here, but bench/test_bench.py traces cli.sample_pair
-from .identity import (SamplerExhausted, VerificationReport, identity_table,
-                       sample_pair, shared_draws, verify_basecase, verify_localcalc,
-                       verify_recursion, verify_weyl_constancy, worst_err)
+from .identity import (SamplerExhausted, VerificationReport, identity_table, shared_draws,
+                       verify_basecase, verify_localcalc, verify_recursion,
+                       verify_weyl_constancy, worst_err)
 from .numfield import FieldData, PlaceKind, inert_place, split_place
 from .paramcalc import verify_appendix
 from .weylsum import MAX_WEYL_RANK, SizeError, case_ranks
@@ -63,8 +62,7 @@ CHECKS = {
     "identity": Check(None, 1e-7, lambda c, f, **kw: verify_localcalc(c.n, f, **kw)),
     "weyl": Check(PlaceKind.INERT, 1e-6, lambda c, f, **kw: verify_weyl_constancy(c.n, f, **kw)),
     "recursion": Check(None, 1e-9, lambda c, f, **kw: verify_recursion(c.n, f, **kw)),
-    "basecase": Check(PlaceKind.SPLIT, 1e-8,
-                      lambda c, f, **kw: verify_basecase(f, terms=c.terms, **kw)),
+    "basecase": Check(PlaceKind.SPLIT, 1e-8, lambda c, f, **kw: verify_basecase(f, **kw)),
     "appendix": Check(PlaceKind.INERT, 1e-9, lambda c, f, **kw: verify_appendix(f, **kw)),
     "table": Check(None, 1e-7, lambda c, f, tol, **kw: identity_table(c.n, f, **kw)),
 }
@@ -84,7 +82,6 @@ class RunConfig:
     tol: float
     format: str                 # json | csv | text
     threads: int = 1
-    terms: int = 200
     force_large: bool = False
 
     def __post_init__(self):
@@ -98,8 +95,6 @@ class RunConfig:
             raise UsageError("--tol must be positive and finite")
         if self.seed < 0:
             raise UsageError("--seed must be nonnegative")
-        if self.terms < 1:
-            raise UsageError("--terms must be >= 1")
         if self.threads < 1:
             raise UsageError("--threads must be >= 1")
         if not self.q:
@@ -148,7 +143,6 @@ def config_from_args(args) -> RunConfig:
         tol=args.tol if args.tol is not None else CHECKS[args.command].tol,
         format=getattr(args, "format", "csv"),
         threads=args.threads,
-        terms=getattr(args, "terms", 200),
         force_large=getattr(args, "force_large", False),
     )
 
@@ -186,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("basecase", help="split base case: series oracle vs closed form")
     common(p, with_n=False)
-    p.add_argument("--terms", type=int, default=200)
     p = sub.add_parser("appendix", help="theta-lift L-factor identities (inert)")
     common(p, with_n=False)
     p = sub.add_parser("table", help="per-sample value table for the identity check (CSV)")

@@ -69,6 +69,7 @@ from .zetarec import (zeta_base_split_closed, zeta_base_split_series,
 
 GENERIC_EPS = 1e-6
 MAX_RESAMPLE = 100
+SERIES_TERMS = 200  # terms of the base-case series oracle
 
 
 class SamplerExhausted(RuntimeError):
@@ -353,15 +354,10 @@ class SampleStack:
         return z, s_val, delta, lr, lhs, rhs, rel_err(lhs, rhs)
 
 
-def identity_row(small: SatakeDatum, big: SatakeDatum) -> tuple[complex, ...]:
-    """One sample's identity row (see SampleStack.row)."""
-    return SampleStack(big.m - 2, big.field, [(small.values(), big.values())]).row(0)
-
-
 def unramified_period(small: SatakeDatum, big: SatakeDatum) -> complex:
     """zeta(X, x) times the spherical average S at the inverted characters:
-    the lhs of the sample's identity row."""
-    return identity_row(small, big)[4]
+    the lhs of the sample's identity row (SampleStack.row)."""
+    return SampleStack(big.m - 2, big.field, [(small.values(), big.values())]).row(0)[4]
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +555,7 @@ def verify_recursion(n: int, field: FieldData, samples: int = 50, seed: int = 0,
 
 
 def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
-                    tol: float = 1e-8, terms: int = 200,
-                    pool_map=map) -> VerificationReport:
+                    tol: float = 1e-8, pool_map=map) -> VerificationReport:
     """Split base case: truncated series oracle against the closed form."""
     if not field.is_split:
         raise ValueError("the base-case series check runs at split places")
@@ -570,8 +565,8 @@ def verify_basecase(field: FieldData, samples: int = 20, seed: int = 0,
     def one(k):
         theta, phi, xi0 = draws[k]
         closed = zeta_base_split_closed(theta, phi, xi0, field)
-        series = zeta_base_split_series(theta, phi, xi0, field, terms)
+        series = zeta_base_split_series(theta, phi, xi0, field, SERIES_TERMS)
         return rel_err(closed, series), lambda: [
-            FactorDiff(f"series({terms} terms) vs closed form", series, closed)]
+            FactorDiff(f"series({SERIES_TERMS} terms) vs closed form", series, closed)]
 
     return _judge("basecase", 0, field, seed, tol, samples, one)

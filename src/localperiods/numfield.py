@@ -101,7 +101,7 @@ class CharValue:
     a monomial), kept as given.
 
     The value may also be a 1-D array, one value per sample of a stacked
-    report (see satake.stack_data).  It is an object array of the samples'
+    report (see satake.stack_values).  It is an object array of the samples'
     own scalars: arithmetic on it then rounds each entry exactly as on that
     sample alone (numpy's complex multiply may fuse, and its division scales
     differently), so every sample's column of a stacked computation is
@@ -139,20 +139,6 @@ def euler_factor(s: complex, q: int, alpha: complex, *,
     return 1.0 / den
 
 
-def euler_factor_inv(s: complex, q: int, alpha: complex) -> complex:
-    """1 - q^{-s} alpha, the reciprocal of euler_factor.
-
-    Inverse factors are multiplied in this form so a pole of the direct factor
-    becomes a zero of the product (a ZeroFactor outcome) instead of an error.
-    """
-    return 1.0 - q_power(q, s) * alpha
-
-
-def lfactor_chi(s: complex, field: FieldData, parity: int) -> complex:
-    """L_F(s, chi_{E/F}^parity); the zeta_F factor for even parity or split kind."""
-    return euler_factor(s, field.q_F, complex(field.chi_at_uniformizer ** (parity % 2)))
-
-
 class ConventionError(ArithmeticError):
     """A factor whose evaluation convention is ambiguous was requested at a pole."""
 
@@ -177,7 +163,7 @@ class LFactor(NamedTuple):
 
     def value(self) -> complex:
         if self.inverse:
-            return euler_factor_inv(self.s, self.q, self.alpha)
+            return 1.0 - q_power(self.q, self.s) * self.alpha
         return euler_factor(self.s, self.q, self.alpha, factor=self.label)
 
 
@@ -185,7 +171,7 @@ def factor_product(factors: list[LFactor], samples: int | None = None) -> comple
     """The product of the factor values, in list order, as one array kernel.
 
     A list of scalar factors gives a complex.  A stacked list, each alpha an
-    array of one value per sample (see satake.stack_data) or a scalar that
+    array of one value per sample (see satake.stack_values) or a scalar that
     every sample shares, gives an array of the `samples` products, ones for
     an empty list.  Each product multiplies the values of f.value() from 1 in
     list order, and numpy's complex reciprocal and sequential reduction round

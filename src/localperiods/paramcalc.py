@@ -4,10 +4,9 @@ A parameter is a bare multiset of nonzero Frobenius eigenvalues over E or over
 F (all data in scope are unramified, so there is no monodromy operator).
 Direct sum is multiset union, twisting multiplies every eigenvalue, induction
 E -> F sends an eigenvalue z to the pair {+sqrt(z), -sqrt(z)} (the sign pair
-makes the branch choice immaterial to any L-factor), and the GL adjoint takes
-all ordered ratios.  An eigenvalue may also be an array of one value per point
-of a point axis: every operation, and _datum_from_bc's recovery of a datum,
-then acts on all points at once.
+makes the branch choice immaterial to any L-factor).  An eigenvalue may also
+be an array of one value per point of a point axis: every operation, and
+_datum_from_bc's recovery of a datum, then acts on all points at once.
 
 verify_appendix checks the theta-lift L-factor identities on random unramified
 data: the adjoint comparisons evaluate their U(2)/U(3) sides through
@@ -93,11 +92,6 @@ def induce(a: WDParam) -> WDParam:
         r = np.sqrt(np.asarray(z, dtype=complex))  # a scalar z gives a scalar r
         out.extend((r, -r))
     return WDParam(Base.OVER_F, tuple(out))
-
-
-def adjoint_gl(a: WDParam) -> WDParam:
-    """All ordered eigenvalue ratios (size m^2 for input size m)."""
-    return WDParam(a.base, tuple(z / w for z in a.eigenvalues for w in a.eigenvalues))
 
 
 def theta_param_2to3(m_param: WDParam, gamma: complex) -> WDParam:

@@ -96,29 +96,8 @@ def _as_chars(values) -> tuple[CharValue, ...]:
     return tuple(v if isinstance(v, CharValue) else CharValue(v) for v in values)
 
 
-def inert_datum(q_F: int, m: int, values) -> SatakeDatum:
-    """Inert U(m) datum from floor(m/2) character values."""
-    from .numfield import inert_place
-    return SatakeDatum(m=m, field=inert_place(q_F), chars=_as_chars(values))
-
-
-def split_datum(q_F: int, values) -> SatakeDatum:
-    """Split U(m) datum from the full GL_m(F) Satake tuple."""
-    from .numfield import split_place
-    chars = _as_chars(values)
-    return SatakeDatum(m=len(chars), field=split_place(q_F), chars=chars)
-
-
 def make_datum(m: int, field: FieldData, values) -> SatakeDatum:
     return SatakeDatum(m=m, field=field, chars=_as_chars(values))
-
-
-def stack_data(data) -> SatakeDatum:
-    """The data of one group and place as one stacked datum (stack_values)."""
-    first = data[0]
-    if any((d.m, d.field) != (first.m, first.field) for d in data):
-        raise ValueError("stacked data must share one group size and place")
-    return stack_values(first.m, first.field, [d.values() for d in data])
 
 
 def stack_values(m: int, field: FieldData, rows) -> SatakeDatum:

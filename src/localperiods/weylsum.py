@@ -6,8 +6,9 @@ product of singles and of pair factors of one big and one small character,
 and a state is the pair of index sets placed so far, C(l_big + l_small,
 l_small) states against |W_big| |W_small| terms.  It takes one sample's
 characters, or stacked ones with a leading sample axis, so a report makes
-one call.  b, d1 and d0 have one transcription each, for scalars, Fractions
-and arrays; the program reads b's singles and pair factor from it.
+one call.  d1, d0 and b's singles and pair factor have one transcription
+each, for scalars, Fractions and arrays; b, their product, is transcribed in
+tests/weylref.py as the program's reference.
 The building blocks come in two index patterns keyed by the parity of the
 smaller group:
 
@@ -19,7 +20,7 @@ smaller group:
 The inert S(1) is A times the character-free normalizations (Iwahori volumes
 and a q-power); the split S(1) is the GL_{n+1} x GL_{n+2} double average in
 closed form, a numerator and a denominator factor list that
-zetarec.factor_product multiplies, so it takes stacked characters too.
+numfield.factor_product multiplies, so it takes stacked characters too.
 Conventions the verified formulas leave open (q-length of the long Weyl
 element, tuple coordinate order, measure normalization) are fixed here to the
 unique choices under which the end-to-end period identity closes; see the
@@ -36,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numfield import CharValue, FieldData, POLE_EPS, PoleError, motive_delta_exact
-from .zetarec import LFactor, factor_product
+from .numfield import (CharValue, FieldData, LFactor, POLE_EPS, PoleError, factor_product,
+                       motive_delta_exact)
 
 # The largest small rank: at 6 (n + 1 = 13) the DP's largest layer holds 700
 # states and 2,800 (state, move) pairs a sample
@@ -80,20 +81,6 @@ def _pair_factor(Z, y, root, far: bool):
     # the factors of b pairing the big Z_i with the small y_j: near, 1 - r Z y,
     # times far, 1 - r Z / y, for j >= i, or low, 1 - r y / Z, for j < i
     return (1 - root * Z * y) * (1 - root * Z / y if far else 1 - root * y / Z)
-
-
-def _b_values(case: Case, X, x, root):
-    # b, the product of the singles and pair factors, is the reciprocal of L_E(1/2, .)
-    # factors kept as (1 - q_E^{-1/2} a), so it vanishes at a pole; root =
-    # q_E^{-1/2}.  Scalars are complex, Fraction on exact data, or numpy arrays.
-    v = 1
-    for y in x:
-        v = v * _single(y, root, case is Case.A)
-    for i, Z in enumerate(X):
-        v = v * _single(Z, root, case is Case.B)
-        for j, y in enumerate(x):
-            v = v * _pair_factor(Z, y, root, far=j >= i)
-    return v
 
 
 def _d1_values(case: Case, X):
@@ -207,7 +194,7 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
     is the pair of placed index sets.  Placing index k has the sign
     (-1)^(unplaced indices below k).
 
-    Stacked characters (object arrays of S samples, satake.stack_data) give a
+    Stacked characters (object arrays of S samples, satake.stack_values) give a
     complex array of each sample's A, bit-identical to its own call; scalar
     characters give a complex.  Raises PoleError naming d1 or d0, the only
     divisors, if |d1(X)| or |d0(x)| is below POLE_EPS (at unitary points
@@ -357,7 +344,7 @@ def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
 
     The numerator and denominator are factor lists, each multiplied from 1
     in list order by factor_product.  Stacked characters (see
-    satake.stack_data) give an object array of one value per sample, each
+    satake.stack_values) give an object array of one value per sample, each
     bit-identical to that sample's own value; a sample that meets a pole is
     nan there and raises PoleError, naming the factor, when evaluated alone.
     """

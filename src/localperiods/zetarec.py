@@ -15,11 +15,10 @@ zeta_recursive_factors), multiplied by numfield.factor_product, the package's
 one Euler-product kernel: a list of scalars, or a stacked list whose alphas
 hold one value per sample, so that a report builds each route once for all
 its samples.  The kernel (LFactor, ConventionError, factor_product, column)
-lives in numfield, because satake's factor lists use it too; this module
-binds its names as well.  So two routes can be compared factor by factor and
-a discrepancy localized to a single named factor; this is how the one
-mismatched index pairing in the odd-case split display is surfaced (never
-silently patched).
+lives in numfield, because satake's factor lists use it too.  So two routes
+can be compared factor by factor and a discrepancy localized to a single
+named factor; this is how the one mismatched index pairing in the odd-case
+split display is surfaced (never silently patched).
 
 Conventions fixed here and validated by the recursion/closed-form agreement and
 the end-to-end period identity: the inert composite of the quadratic character
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .numfield import ConventionError, FieldData, LFactor, column, factor_product
+from .numfield import FieldData, LFactor, factor_product
 from .satake import SatakeDatum, _check_pair, bc_params
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import unit_chars, unit_values
 from localperiods import (Case, case_for, case_ranks, factor_product,
-                          inert_datum, inert_place, motive_A_value, rho_big,
+                          inert_place, make_datum, motive_A_value, rho_big,
                           split_place, std_tensor_lfactor,
                           std_tensor_lfactor_det, verify_localcalc,
                           verify_recursion, weyl_sum_A, zeta_base_split_closed,
@@ -23,9 +23,9 @@ from localperiods import (Case, case_for, case_ranks, factor_product,
                           zeta_recursive_factors)
 from localperiods.identity import rel_err, sample_datum, sample_pair, _rng_for
 from localperiods.paramcalc import verify_appendix
-from localperiods.weylsum import _b_values, _d0_values, _d1_values
-from weylref import (WeylElement, act, enumerate_weyl, induce_preservation_defect,
-                     rho_monomial, rho_small, special_vectors)
+from localperiods.weylsum import _d0_values, _d1_values
+from weylref import (WeylElement, _b_values, act, enumerate_weyl,
+                     induce_preservation_defect, rho_monomial, rho_small, special_vectors)
 
 # The one place where a transcribed closed form disagrees with the recursion
 # and the end-to-end identity: the odd-case split product pairs nu_i with
@@ -57,8 +57,8 @@ def test_criterion_1_inert_base_case():
         worst = 0.0
         for _ in range(20):
             (Xi1,) = unit_chars(rng, 1)
-            small = inert_datum(2, 1, [])
-            big = inert_datum(2, 2, [Xi1])
+            small = make_datum(1, field, [])
+            big = make_datum(2, field, [Xi1])
             worst = max(worst, abs(factor_product(zeta_closed_factors(small, big)) - 1.0),
                         abs(factor_product(zeta_recursive_factors(small, big)) - 1.0))
     ok = worst == 0.0

@@ -53,10 +53,6 @@ def test_drivers_take_pool_map_by_keyword():
         assert inspect.signature(fn).parameters["pool_map"].kind in keyword, fn.__name__
 
 
-def test_cli_binds_sample_pair():
-    assert cli.sample_pair is identity.sample_pair
-
-
 def test_sample_chars_answer_the_rounding_oracles_reads():
     # bench/rounding.py inverts each character of sample_pair's data with
     # .inv(), reads .inv().value, and hands the inverted characters to

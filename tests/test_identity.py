@@ -5,15 +5,14 @@ import pytest
 
 from localperiods import (LFactor, PlaceKind, adjoint_lfactor, euler_factor,
                           inert_place, make_datum, std_tensor_lfactor,
-                          SatakeDatum, split_datum, split_place, unramified_period,
+                          SatakeDatum, split_place, unramified_period,
                           verify_appendix, verify_basecase, verify_localcalc,
                           verify_recursion, verify_weyl_constancy,
                           zeta_closed_factors, zeta_recursive_factors)
-from localperiods.identity import (FactorDiff, VerificationReport, identity_row,
-                                   identity_table, rel_err, sample_pair, sample_values,
-                                   _rng_for)
+from localperiods.identity import (FactorDiff, VerificationReport, identity_table,
+                                   rel_err, sample_pair, sample_values, _rng_for)
 
-RHS = 5  # identity_row index of Delta * L(1/2)/(Ad*Ad)
+RHS = 5  # identity row index of Delta * L(1/2)/(Ad*Ad)
 from localperiods.weylsum import case_for, s_value_inert, weyl_sum_A
 
 
@@ -67,13 +66,13 @@ def test_unramified_period_rank_one_inert_is_s_value(rng):
 
 def test_unramified_period_rank_one_split_regression():
     field = split_place(2)
-    small = split_datum(2, [1.0])
-    big = split_datum(2, [1.0, 1.0])
+    small = make_datum(1, field, [1.0])
+    big = make_datum(2, field, [1.0, 1.0])
     value = unramified_period(small, big)
     assert abs(value.imag) < 1e-12
     assert value.real > 0
     # frozen after first computation; the identity check pins it independently
-    assert value == pytest.approx(identity_row(small, big)[RHS])
+    assert value == pytest.approx(identity_reference(small, big)[RHS])
 
 
 @pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
@@ -83,7 +82,7 @@ def test_unramified_period_is_the_identity_row_lhs(place, n):
     for q in (2, 3):
         for k in range(3):
             small, big = sample_pair(n, place(q), _rng_for(17, k))
-            assert unramified_period(small, big) == identity_row(small, big)[RHS - 1]
+            assert unramified_period(small, big) == identity_reference(small, big)[RHS - 1]
 
 
 @pytest.mark.parametrize("kind", ["inert", "split"])
@@ -154,7 +153,8 @@ def test_verify_guards_zero_samples(driver, args):
 def test_verify_recursion_reports_convention_error(monkeypatch):
     # mu_1 * nu_1 = q_F puts the quadratic-twist factor on its pole
     import localperiods.identity as identity
-    small, big = split_datum(2, [1.0, 1.0]), split_datum(2, [2.0, 1.0, 1.0])
+    small = make_datum(2, split_place(2), [1.0, 1.0])
+    big = make_datum(3, split_place(2), [2.0, 1.0, 1.0])
     monkeypatch.setattr(identity, "sample_values",
                         lambda n, field, rng: (small.values(), big.values()))
     report = verify_recursion(1, split_place(2), samples=2)
@@ -416,12 +416,12 @@ def test_both_sides_weyl_invariant(n, kind, rng):
     field = inert_place(2) if kind == "inert" else split_place(2)
     small, big = sample_pair(n, field, _rng_for(17, n))
     lhs = unramified_period(small, big)
-    rhs = identity_row(small, big)[RHS]
+    rhs = identity_reference(small, big)[RHS]
     for _ in range(4):
         small_w = weyl_action_on_datum(small, rng)
         big_w = weyl_action_on_datum(big, rng)
         assert rel_err(unramified_period(small_w, big_w), lhs) < 1e-10
-        assert rel_err(identity_row(small_w, big_w)[RHS], rhs) < 1e-10
+        assert rel_err(identity_reference(small_w, big_w)[RHS], rhs) < 1e-10
 
 
 def test_period_conjugation_symmetry():

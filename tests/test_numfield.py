@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from localperiods import (CharValue, LFactor, PoleError, euler_factor, euler_factor_inv,
-                          factor_product, inert_place, lfactor_chi, motive_delta,
-                          motive_delta_exact, split_place)
+from localperiods import (CharValue, LFactor, PoleError, euler_factor, factor_product,
+                          inert_place, motive_delta, motive_delta_exact, split_place)
 
 
 def test_euler_factor_zero_parameter_is_one():
@@ -38,20 +37,8 @@ def test_euler_factor_trivial_parameter(s, q):
        t=unit_angle)
 def test_euler_factor_times_inverse_is_one(s, q, t):
     alpha = cmath.exp(2j * cmath.pi * t)
-    prod = euler_factor(s, q, alpha) * euler_factor_inv(s, q, alpha)
+    prod = euler_factor(s, q, alpha) * LFactor("inverse", s, q, alpha, inverse=True).value()
     assert abs(prod - 1.0) < 1e-12
-
-
-def test_lfactor_chi_values():
-    assert lfactor_chi(1.0, inert_place(2), 1) == pytest.approx(2.0 / 3.0)
-    assert lfactor_chi(2.0, inert_place(2), 2) == pytest.approx(4.0 / 3.0)
-    assert lfactor_chi(1.0, split_place(3), 1) == pytest.approx(3.0 / 2.0)
-
-
-def test_lfactor_chi_split_parity_independent():
-    field = split_place(5)
-    vals = {lfactor_chi(1.3, field, p) for p in range(4)}
-    assert len(vals) == 1
 
 
 def test_motive_delta_values():
@@ -74,7 +61,7 @@ def test_motive_delta_exact_is_rational():
 def test_motive_delta_recursion(m, q):
     for field in (inert_place(q), split_place(q)):
         assert motive_delta(m, field) == pytest.approx(
-            motive_delta(m - 1, field) * lfactor_chi(m, field, m))
+            motive_delta(m - 1, field) * euler_factor(m, field.q_F, field.chi_at_uniformizer ** m))
 
 
 def test_field_data_derived_quantities():

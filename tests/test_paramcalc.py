@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import unit_values
-from localperiods import (Base, WDParam, adjoint_gl, bc_param,
-                          direct_sum, gamma_char, induce, inert_place,
+from localperiods import (Base, WDParam, bc_param, direct_sum,
+                          euler_factor, gamma_char, induce, inert_place,
                           make_datum, split_place, theta_param_1to2,
                           tensor_product, theta_param_2to3, twist, verify_appendix)
 from localperiods.identity import rel_err
-from localperiods.numfield import lfactor_chi
 from localperiods.paramcalc import IDENTITIES, S_POINTS, _datum_from_bc, _lift
 from localperiods.satake import SatakeDatum, adjoint_lfactor
-from weylref import induce_preservation_defect
+from weylref import adjoint_gl, induce_preservation_defect
 
 
 def ms(values, digits=9):
@@ -273,7 +272,7 @@ def test_lift_on_a_point_axis_is_each_points_own_lift(rng, q):
 def scalar_sides(s, lift, field):
     # the five identities at one s on one sample's own scalar lift, as a loop
     # over the (sample, s) points evaluates them, apart from the grid
-    chi = lfactor_chi(s, field, 1)
+    chi = euler_factor(s, field.q_F, field.chi_at_uniformizer)
     sigma_prime_l = lift.sigma_prime.lfactor(s, field)
     return [
         (adjoint_lfactor(s, lift.theta_pi_bar), adjoint_lfactor(s, lift.pi)),

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import unit_chars, unit_values
-from localperiods import (Case, CharValue, SizeError, case_for, case_ranks,
-                          euler_factor_inv, inert_place, iwahori_volume,
+from localperiods import (Case, CharValue, LFactor, SizeError, case_for, case_ranks,
+                          factor_product, inert_place, iwahori_volume,
                           iwahori_volume_gl, motive_A_value, rho_big,
                           s_value_inert, s_value_split, split_place, weyl_sum_A)
 from localperiods.identity import rel_err
-from localperiods.weylsum import _b_values, _d0_values, _d1_values, _half_root
-from weylref import (WeylElement, act, assert_weyl_sum_matches_double_sum,
+from localperiods.weylsum import _d0_values, _d1_values, _half_root
+from weylref import (WeylElement, _b_values, act, assert_weyl_sum_matches_double_sum,
                      enumerate_weyl, rho_monomial, rho_small, special_vectors)
 
 
@@ -96,9 +96,8 @@ def test_b_factor_case_a_rank_one_structure(rng):
     (X,) = unit_values(rng, 1)
     (x,) = unit_values(rng, 1)
     qe = field.q_E
-    expected = (euler_factor_inv(0.5, qe, x)
-                * euler_factor_inv(0.5, qe, X * x)
-                * euler_factor_inv(0.5, qe, X / x))
+    expected = factor_product([LFactor(label, 0.5, qe, alpha, inverse=True)
+                               for label, alpha in (("x", x), ("Xx", X * x), ("X/x", X / x))])
     assert _b_values(Case.A, [X], [x], _half_root(field)) == pytest.approx(expected)
 
 
@@ -253,9 +252,11 @@ def test_stacked_s_value_split_is_each_samples_value(n):
     # S's two lists, built once on stacked characters, give each sample's
     # own value to the last bit
     from localperiods.identity import _rng_for, sample_pair
-    from localperiods.satake import stack_data
-    pairs = [sample_pair(n, split_place(2 + n % 2), _rng_for(n, k)) for k in range(3)]
-    small, big = (stack_data(data) for data in zip(*pairs))
+    from localperiods.satake import stack_values
+    field = split_place(2 + n % 2)
+    pairs = [sample_pair(n, field, _rng_for(n, k)) for k in range(3)]
+    small, big = (stack_values(m, field, [d.values() for d in data])
+                  for m, data in zip((n + 1, n + 2), zip(*pairs)))
     stacked = s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
     assert stacked.tolist() == [s_value_split(b.inverted().chars, s.inverted().chars, n, b.field)
                                 for s, b in pairs]
@@ -300,24 +301,29 @@ def test_weyl_sum_matches_scalar_reference(n_plus_1, q):
     assert_weyl_sum_matches_double_sum(n_plus_1, q)
 
 
-# names that left the library: the group reference and the alternant now live
-# in tests/weylref.py, and the wrappers around the transcriptions are gone
+# names that left the library: the group reference, the alternant, b and the
+# GL adjoint now live in tests/weylref.py, and the wrappers that only tests
+# called are gone (each call site uses the public builder that makes its value)
 REMOVED_NAMES = ("WeylElement", "_perm_sign", "enumerate_weyl", "act", "_act_values",
                  "act_exact", "b_factor", "d1_factor", "d0_factor",
                  "special_vectors_exact", "b_factor_exact", "RhoVector", "rho_small",
                  "rho_monomial", "LengthType", "long_length", "_two_rho_big",
                  "induce_preservation_defect", "series_truncation_bound",
-                 "_orbit_table", "weyl_orbit", "_h_values", "WEYL_BLOCK")
+                 "_orbit_table", "weyl_orbit", "_h_values", "WEYL_BLOCK",
+                 "_b_values", "adjoint_gl", "inert_datum", "split_datum", "stack_data",
+                 "identity_row", "lfactor_chi", "euler_factor_inv")
 
 
 def test_package_exports_no_module_and_no_removed_name():
     import types
 
     import localperiods
-    from localperiods import paramcalc, weylsum, zetarec
+    from localperiods import cli, identity, numfield, paramcalc, satake, weylsum, zetarec
     exported = set(localperiods.__all__)
     assert not [name for name in exported
                 if isinstance(getattr(localperiods, name), types.ModuleType)]
     assert not exported & set(REMOVED_NAMES)
-    for module in (localperiods, weylsum, paramcalc, zetarec):
+    for module in (localperiods, weylsum, paramcalc, zetarec, satake, numfield, identity):
         assert not [name for name in REMOVED_NAMES if hasattr(module, name)]
+    # the CLI draws through sample_values and no longer binds sample_pair
+    assert not hasattr(cli, "sample_pair")

@@ -14,8 +14,8 @@ from localperiods import (ConventionError, LFactor, PoleError,
                           zeta_recursive_factors)
 from localperiods.identity import (SampleStack, _rng_for, match_factor_lists, rel_err,
                                    sample_datum, sample_pair, sample_values)
-from localperiods.satake import adjoint_factors, stack_data, std_tensor_factors
-from localperiods.zetarec import column
+from localperiods.numfield import column
+from localperiods.satake import adjoint_factors, stack_values, std_tensor_factors
 from weylref import series_truncation_bound
 
 
@@ -210,9 +210,8 @@ def test_exact_characters_compare_the_zeta_routes_as_multisets(place, n, q):
 def test_recursion_convention_error_at_twist_pole():
     # mu_1 * nu_1 = q_F puts the convention-sensitive quadratic-twist factor on
     # its pole: the cross-check must stop with the factor named, not guess
-    from localperiods import ConventionError, split_datum
-    big = split_datum(2, [2.0, 1.0, 1.0])
-    small = split_datum(2, [1.0, 1.0])
+    big = make_datum(3, split_place(2), [2.0, 1.0, 1.0])
+    small = make_datum(2, split_place(2), [1.0, 1.0])
     with pytest.raises(ConventionError) as exc:
         recursive(small, big)
     assert "chi^1*mu1*nu1" in exc.value.factor
@@ -221,9 +220,8 @@ def test_recursion_convention_error_at_twist_pole():
 def test_factor_product_raises_only_on_a_flagged_pole():
     # the pole-tuned data above: the flagged factor's value is 0, so the product
     # stops there; the same list with the flag cleared multiplies through to 0
-    from localperiods import ConventionError, split_datum
-    big = split_datum(2, [2.0, 1.0, 1.0])
-    small = split_datum(2, [1.0, 1.0])
+    big = make_datum(3, split_place(2), [2.0, 1.0, 1.0])
+    small = make_datum(2, split_place(2), [1.0, 1.0])
     factors = zeta_recursive_factors(small, big)
     with pytest.raises(ConventionError):
         factor_product(factors)
@@ -273,12 +271,11 @@ def test_zeta_conjugation_symmetry(rng):
 
 def test_closed_inert_n1_explicit_display(rng):
     # n = 1: L(1/2, x X) L(1/2, X/x) / (L_E(1/2, chi X) L_E(1, X))
-    from localperiods import inert_datum
     field = inert_place(2)
     (x,) = unit_chars(rng, 1)
     (X,) = unit_chars(rng, 1)
-    small = inert_datum(2, 2, [x])
-    big = inert_datum(2, 3, [X])
+    small = make_datum(2, field, [x])
+    big = make_datum(3, field, [X])
     qe = field.q_E
     expected = (euler_factor(0.5, qe, x.value * X.value)
                 * euler_factor(0.5, qe, X.value / x.value)
@@ -401,7 +398,8 @@ def test_stacked_builders_give_each_sample_its_own_list(place):
     # stacked product is each sample's product
     for n in range(0, 9):
         pairs = [sample_pair(n, place(3), _rng_for(n, k)) for k in range(3)]
-        small, big = (stack_data(data) for data in zip(*pairs))
+        small, big = (stack_values(m, place(3), [d.values() for d in data])
+                      for m, data in zip((n + 1, n + 2), zip(*pairs)))
         for build in (zeta_closed_factors, zeta_recursive_factors,
                       lambda small, big: std_tensor_factors(0.5, small, big),
                       lambda small, big: adjoint_factors(1.0, small),
@@ -416,11 +414,7 @@ def test_stacked_builders_give_each_sample_its_own_list(place):
 
 def test_stack_data_keeps_one_group_and_place(rng):
     a = sample_datum(3, split_place(2), rng)
-    with pytest.raises(ValueError, match="share"):
-        stack_data([a, sample_datum(3, split_place(3), rng)])
-    with pytest.raises(ValueError, match="share"):
-        stack_data([a, sample_datum(2, split_place(2), rng)])
-    stacked = stack_data([a, a.inverted()])
+    stacked = stack_values(3, split_place(2), [a.values(), a.inverted().values()])
     assert [c.value.tolist() for c in stacked.chars] == [
         [c.value, 1.0 / c.value] for c in a.chars]
 

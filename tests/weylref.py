@@ -4,9 +4,11 @@ The hyperoctahedral group (Z/2)^l x| S_l element by element, its action on
 character values, the Weyl vectors and the special vectors, and two
 references for weylsum.weyl_sum_A: the defining double sum, term by term, and
 the one-sided alternant, which enumerates the small group's orbit and sums the
-big group as one determinant per small translate.  Two more references with
-no caller in the library live here too: the induction defect of the parameter
-calculus and the split series truncation bound.
+big group as one determinant per small translate.  Both sum b, whose one
+transcription (_b_values) lives here, built from the library's singles and
+pair factors.  More references with no caller in the library live here too:
+the GL adjoint and the induction defect of the parameter calculus, and the
+split series truncation bound.
 """
 import cmath
 import itertools
@@ -21,8 +23,23 @@ from localperiods import inert_place, sample_pair
 from localperiods.identity import map_samples, rel_err, worst_err
 from localperiods.numfield import POLE_EPS, PoleError
 from localperiods.paramcalc import Base, WDParam, _draw_s, induce
-from localperiods.weylsum import (Case, _b_values, _check_rank, _d0_values,
-                                  _d1_values, _half_root, case_for, rho_big, weyl_sum_A)
+from localperiods.weylsum import (Case, _check_rank, _d0_values, _d1_values,
+                                  _half_root, _pair_factor, _single, case_for, rho_big,
+                                  weyl_sum_A)
+
+
+def _b_values(case: Case, X, x, root):
+    # b, the product of the singles and pair factors, is the reciprocal of L_E(1/2, .)
+    # factors kept as (1 - q_E^{-1/2} a), so it vanishes at a pole; root =
+    # q_E^{-1/2}.  Scalars are complex, Fraction on exact data, or numpy arrays.
+    v = 1
+    for y in x:
+        v = v * _single(y, root, case is Case.A)
+    for i, Z in enumerate(X):
+        v = v * _single(Z, root, case is Case.B)
+        for j, y in enumerate(x):
+            v = v * _pair_factor(Z, y, root, far=j >= i)
+    return v
 
 
 @dataclass(frozen=True)
@@ -238,6 +255,11 @@ def assert_weyl_sum_matches_double_sum(n_plus_1: int, q: int) -> None:
         reference, bound = double_sum(case, [c.value for c in X], [c.value for c in x],
                                       _half_root(field))
         assert abs(weyl_sum_A(case, X, x, field) - reference) <= bound
+
+
+def adjoint_gl(a: WDParam) -> WDParam:
+    """All ordered eigenvalue ratios (size m^2 for input size m)."""
+    return WDParam(a.base, tuple(z / w for z in a.eigenvalues for w in a.eigenvalues))
 
 
 def induce_preservation_defect(field, samples: int = 20, seed: int = 0,
