@@ -13,8 +13,8 @@ from .satake import (BCParams, SatakeDatum, adjoint_factors, adjoint_lfactor,
                      bc_params, make_datum, std_tensor_factors, std_tensor_lfactor,
                      std_tensor_lfactor_det)
 from .weylsum import (Case, SizeError, case_for, case_ranks, iwahori_volume,
-                      iwahori_volume_gl, motive_A_value, rho_big, s_value_inert,
-                      s_value_split, weyl_sum_A)
+                      iwahori_volume_gl, motive_A_value, rho_big, s_split_factors,
+                      s_value_inert, s_value_split, weyl_sum_A)
 from .zetarec import (zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
 from .identity import (FactorDiff, SamplerExhausted, VerificationReport,

@@ -11,7 +11,8 @@ independent routes (closed form vs recursion, transcription vs determinant,
 Weyl sum vs motive value) and the first diverging constituent formula is
 reported factor by factor.  Every Euler product of the identity (zeta, S(1)
 at split places, the standard tensor and the adjoints) is evaluated only
-through its factor list and factor_product.
+through its factor list, traced into a factor plan, and the one Euler-product
+kernel.
 
 Every check is one pipeline.  It draws each sample's random inputs through
 map_samples, which alone turns sample index k into an rng seeded from
@@ -27,23 +28,25 @@ fails wherever it falls) and the first diff per factor label in sample order,
 and builds the report.
 
 The checks on (small, big) pairs draw a SampleStack: each sample's character
-values (sample_values; sample_pair returns one sample's as data) are stacked
-straight into one datum per group (stack_values).  Characters hold no field,
-so within shared_draws() the stacked characters and their inverses are also
-made once per place, and each q tags them with its own field.  Its routes
-(the zeta lists, S(1) at split places, the standard tensor at 1/2, the
-adjoints at 1 and, at inert places, the Weyl sum) are built once per report,
-when first asked for, on the stacked data; each factor list is multiplied
-for every sample by one factor_product call, and the Weyl sum is one
-weyl_sum_A call.
-A sample whose stacked product stops (nan), or any sample of a Weyl sum that
-meets a pole, is evaluated again alone, so it raises what it would raise
-alone; a sample's own data are built only for that and for its probes.  `table`
-renders the same per-sample rows that verify_localcalc compares
-(SampleStack.row), and a miss's probes compare the values of its row with
-their other routes instead of recomputing them.  Which zeta factors the two routes leave unpaired depends on (n, place)
-alone: leftover_pairs finds them once, by exact keys on prime Fraction
-characters, and match_factor_lists evaluates only those at a missed sample.
+values (sample_values; sample_pair returns one sample's as data) are held as
+one complex matrix per group, with its reciprocal.  Each route (the closed
+and recursive zeta lists, the closed list at the inverted characters, S(1)'s
+numerator and denominator at split places, the standard tensor at 1/2 and
+the adjoints at 1) is its builder's FactorPlan, traced once per (builder, n,
+kind) and evaluated once per report, when first asked for, for every sample
+at once; FactorPlan.product multiplies it at the report's q.  At inert places
+the Weyl sum is one weyl_sum_A call on the reciprocal matrices.  Matrices and
+alphas hold no field, so within shared_draws() every q of a place shares
+them.  A sample whose product stops (nan), or any sample of a Weyl sum that
+meets a pole, is evaluated again alone, on its own data, so it raises what it
+would raise alone; a sample's own data are built only for that and for its
+probes.  `table` renders the same per-sample rows that verify_localcalc
+compares (SampleStack.row), and a miss's probes compare the values of its
+row with their other routes instead of recomputing them.  Which zeta factors
+the two routes leave unpaired depends on n and the place's kind alone:
+leftover_pairs finds them once, by exact keys on prime Fraction characters,
+and match_factor_lists rebuilds only those, from the plans' rows, at a
+missed sample.
 """
 from __future__ import annotations
 
@@ -58,12 +61,12 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .numfield import (ConventionError, FieldData, LFactor, PlaceKind, PoleError, column,
-                       factor_product, motive_delta)
-from .satake import (SatakeDatum, adjoint_factors, make_datum, stack_values,
-                     std_tensor_factors, std_tensor_lfactor_det)
-from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value,
-                      s_value_inert, s_value_split, weyl_sum_A)
+from .numfield import (ConventionError, FactorPlan, FieldData, LFactor, PlaceKind, PoleError,
+                       factor_product, has_zero, motive_delta, trace_factors)
+from .satake import (SatakeDatum, adjoint_factors, make_datum, std_tensor_factors,
+                     std_tensor_lfactor_det)
+from .weylsum import (case_for, _d0_values, _d1_values, motive_A_value, _s_split_ratio,
+                      s_split_factors, s_value_inert, weyl_sum_A)
 from .zetarec import (zeta_base_split_closed, zeta_base_split_series,
                       zeta_closed_factors, zeta_recursive_factors)
 
@@ -227,25 +230,76 @@ def sample_pair(n: int, field: FieldData, rng: np.random.Generator) -> tuple[Sat
 # the two sides of the identity
 
 
+def _character_counts(n: int, field: FieldData) -> tuple[int, int]:
+    # the (small, big) numbers of characters for the pair (n+1, n+2)
+    return tuple(m if field.is_split else m // 2 for m in (n + 1, n + 2))
+
+
+def _pair_route(build, small, big):
+    return build(small, big)
+
+
+def _std_route(build, small, big):
+    return build(0.5, small, big)
+
+
+def _adjoint_route(build, small, big):  # L(1, Ad) of the big datum, then the small
+    return build(1.0, big) + build(1.0, small)
+
+
+def _s_route(build, small, big):  # S(1)'s numerator and denominator lists
+    return build(big.chars, small.chars, big.m - 2, big.field)
+
+
+# route -> (its builder's name in this module, looked up when the route is
+# evaluated, so a rebound builder is honoured; how the route calls it on
+# (small, big) data; whether on the inverted characters)
+_ROUTES = {
+    "closed": ("zeta_closed_factors", _pair_route, False),
+    "recursive": ("zeta_recursive_factors", _pair_route, False),
+    "closed_inv": ("zeta_closed_factors", _pair_route, True),
+    "std": ("std_tensor_factors", _std_route, False),
+    "adjoints": ("adjoint_factors", _adjoint_route, False),
+    "s_split": ("s_split_factors", _s_route, True),
+}
+
+
+@lru_cache(maxsize=256)
+def _route_plan(build, call, n: int, kind: PlaceKind) -> FactorPlan:
+    """The FactorPlan of call(build, small, big) for the pair (n+1, n+2) at a
+    place of this kind: the builder runs once, unedited, on traced
+    characters (the small datum's first), at q = 2, since a plan holds q
+    only as the role q_F or q_E.  A rebound builder is a new key."""
+    field = FieldData(2, kind)
+    small_count, big_count = _character_counts(n, field)
+
+    def run(chars):
+        return call(build, make_datum(n + 1, field, chars[:small_count]),
+                    make_datum(n + 2, field, chars[small_count:]))
+    return trace_factors(run, small_count + big_count, field)
+
+
 class SampleStack:
     """The samples of one report: each sample's character values (small,
-    big), drawn first (draw) and stacked into one datum per group when a
-    route first needs them.  Each route is built once, on the stacked data,
-    for every sample (see the module docstring); pair(k) builds sample k's
-    own data, for a probe or a re-evaluation."""
+    big), drawn first (draw) and held as one complex matrix per group, one
+    row per character and one column per sample, with its reciprocal.  Each
+    route is its builder's FactorPlan, evaluated on those matrices for every
+    sample at once (see the module docstring); pair(k) builds sample k's own
+    data, for a probe or a re-evaluation."""
 
     def __init__(self, n: int, field: FieldData, draws: list[tuple], key: tuple | None = None):
         # key names the draws within shared_draws(); None: this stack's own
         self.n, self.field, self.draws, self.key = n, field, draws, key
-        self._values: dict[str, list[complex]] = {}  # route -> stacked values
+        self._routes: dict[str, tuple] = {}  # route -> (plan, values, complex alphas)
+        self._values: dict[str, list[complex]] = {}  # route -> this q's values
 
     @classmethod
     def draw(cls, n: int, field: FieldData, samples: int, seed: int,
              pool_map=map) -> "SampleStack":
         """The samples' character values (sample_values, one rng per sample);
         pool_map maps only the draws.  They depend on the place's kind, not
-        on q, so within shared_draws() every q of a kind shares them and
-        their stacked characters."""
+        on q, so within shared_draws() every q of a kind shares them, their
+        matrices and the routes' alphas."""
         key = ("pair", n, field.kind)
         return cls(n, field, map_samples(lambda rng: sample_values(n, field, rng), samples,
                                          seed, pool_map=pool_map, key=key),
@@ -256,74 +310,70 @@ class SampleStack:
         small, big = self.draws[k]
         return make_datum(self.n + 1, self.field, small), make_datum(self.n + 2, self.field, big)
 
-    def _data(self, name: str, make) -> tuple[SatakeDatum, SatakeDatum]:
-        # the (small, big) data make() builds; characters hold no field, so
-        # every q of a kind shares them, each q's data carrying its own field
-        data = _shared(None if self.key is None else (self.key, name), make)
-        if data[0].field is self.field:
-            return data
-        return tuple(SatakeDatum(d.m, self.field, d.chars) for d in data)
-
     @cached_property
-    def _stacked(self) -> tuple[SatakeDatum, SatakeDatum]:
-        # (small, big), stacked when a route first needs them
-        return self._data("stacked", lambda: tuple(
-            stack_values(m, self.field, rows)
-            for m, rows in zip((self.n + 1, self.n + 2), zip(*self.draws))))
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """(small, big, 1/small, 1/big), each (character, sample) complex;
+        np.reciprocal is Python's 1/x to the last bit (Smith's method).  They
+        hold no field, so within shared_draws() every q of a kind shares them."""
+        def make():
+            small, big = (np.array(rows, dtype=complex).T for rows in zip(*self.draws))
+            if has_zero(small) or has_zero(big):
+                raise ValueError("character value at the uniformizer must be nonzero")
+            with np.errstate(invalid="ignore"):  # a nan character, as 1/x gives it
+                return small, big, np.reciprocal(small), np.reciprocal(big)
+        return _shared(None if self.key is None else (self.key, "matrices"), make)
 
-    @cached_property
-    def _inverted(self) -> tuple[SatakeDatum, SatakeDatum]:
-        return self._data("inverted", lambda: tuple(data.inverted() for data in self._stacked))
+    def _route(self, route: str) -> tuple[FactorPlan, np.ndarray, np.ndarray]:
+        # the route's plan, its values and its alphas as a complex (factor,
+        # sample) array, which depend on the kind, not on q: within
+        # shared_draws() every q of a kind evaluates them once
+        if route not in self._routes:
+            name, call, inverted = _ROUTES[route]
+            build = globals()[name]
+            plan = _route_plan(build, call, self.n, self.field.kind)
 
-    @cached_property
-    def closed(self) -> list[LFactor]:
-        return zeta_closed_factors(*self._stacked)
+            def make():
+                small, big, small_inv, big_inv = self.matrices
+                values = plan.values(np.concatenate((small_inv, big_inv) if inverted
+                                                    else (small, big)))
+                return values, values.astype(complex)[plan.alpha_rows]
+            key = None if self.key is None else (self.key, route, build)
+            self._routes[route] = (plan, *_shared(key, make))
+        return self._routes[route]
 
-    @cached_property
-    def recursive(self) -> list[LFactor]:
-        return zeta_recursive_factors(*self._stacked)
-
-    @cached_property
-    def closed_inv(self) -> list[LFactor]:
-        return zeta_closed_factors(*self._inverted)
-
-    @cached_property
-    def std(self) -> list[LFactor]:
-        return std_tensor_factors(0.5, *self._stacked)
-
-    @cached_property
-    def adjoints(self) -> list[LFactor]:  # L(1, Ad) of the big datum, then the small
-        small, big = self._stacked
-        return adjoint_factors(1.0, big) + adjoint_factors(1.0, small)
-
-    @cached_property
-    def s_split(self) -> list[complex]:
-        return self._s_split(*self._inverted).tolist()
-
-    def _s_split(self, small_inv: SatakeDatum, big_inv: SatakeDatum):
-        return s_value_split(big_inv.chars, small_inv.chars, self.n, self.field)
+    def factor(self, route: str, pos: int, k: int) -> LFactor:
+        """Factor pos of a route's list, at sample k."""
+        plan, values, _ = self._route(route)
+        return plan.factor(pos, values, k, self.field)
 
     def product(self, route: str, k: int) -> complex:
         """Sample k's value of a route: "s_split", or the product of one of
-        the factor lists above ("closed", "std", "adjoints", ...).  A sample
-        whose stacked value stopped (nan) is evaluated again alone, so it
-        raises what, and where, it would raise alone."""
+        the factor lists ("closed", "std", "adjoints", ...; see _ROUTES).  A
+        sample whose stacked value stopped (nan) is evaluated again alone,
+        on its own data, so it raises what, and where, it would raise alone."""
         if route not in self._values:
-            stacked = getattr(self, route)
-            self._values[route] = (stacked if route == "s_split"
-                                   else factor_product(stacked, len(self.draws)).tolist())
+            plan, _, alphas = self._route(route)
+            products = [plan.product(alphas, self.field, part)
+                        for part in range(len(plan.bounds) - 1)]
+            self._values[route] = (_s_split_ratio(*products, self.n, self.field)
+                                   if route == "s_split" else products[0]).tolist()
         value = self._values[route][k]
         if not cmath.isnan(value):
             return value
+        name, call, inverted = _ROUTES[route]
+        small, big = self.pair(k)
+        if inverted:
+            small, big = small.inverted(), big.inverted()
+        lists = call(globals()[name], small, big)
         if route == "s_split":
-            return self._s_split(*(data.inverted() for data in self.pair(k)))
-        return factor_product(column(getattr(self, route), k))
+            return _s_split_ratio(*map(factor_product, lists), self.n, self.field)
+        return factor_product(lists)
 
     @cached_property
     def _weyl(self) -> list[complex] | None:
-        small, big = self._inverted
+        _, _, small_inv, big_inv = self.matrices
         try:
-            return weyl_sum_A(case_for(self.n + 1), big.chars, small.chars, self.field).tolist()
+            return weyl_sum_A(case_for(self.n + 1), big_inv, small_inv, self.field).tolist()
         except PoleError:  # some sample meets a pole: each is evaluated alone
             return None
 
@@ -390,7 +440,6 @@ def _unpaired(a: list[tuple], b: list[tuple]) -> tuple[list[tuple], list[tuple]]
     return a_left, [entry for entry in b if entry in free[entry[0]]]
 
 
-@lru_cache(maxsize=64)
 def leftover_pairs(n: int, field: FieldData, closed, recursive) -> tuple[tuple, ...]:
     """The (closed, recursive) positions of the factors that the two zeta
     builders leave unpaired for the pair (n+1, n+2) at this place, in report
@@ -404,9 +453,16 @@ def leftover_pairs(n: int, field: FieldData, closed, recursive) -> tuple[tuple, 
     factor pairs with the first unpaired recursive factor of the same key, in
     list order.  The leftovers are listed by (exponent, inverse) group, each
     group's in list order, the i-th closed one against the i-th recursive
-    one.  Which factors are left depends on (n, field) alone, so this runs
-    once for each; a rebound builder is a new key."""
-    small_count, big_count = (m if field.is_split else m // 2 for m in (n + 1, n + 2))
+    one.  Which factors are left depends on n and the place's kind alone, not
+    on q, so this runs once for each, at q = 2; a rebound builder is a new
+    key."""
+    return _leftover_pairs(n, field.kind, closed, recursive)
+
+
+@lru_cache(maxsize=64)
+def _leftover_pairs(n: int, kind: PlaceKind, closed, recursive) -> tuple[tuple, ...]:
+    field = FieldData(2, kind)
+    small_count, big_count = _character_counts(n, field)
     chars = [Fraction(p) for p in _primes(small_count + big_count)]
     small = make_datum(n + 1, field, chars[:small_count])
     big = make_datum(n + 2, field, chars[small_count:])
@@ -431,15 +487,15 @@ def leftover_pairs(n: int, field: FieldData, closed, recursive) -> tuple[tuple, 
 
 def match_factor_lists(stack: SampleStack, k: int) -> list[FactorDiff]:
     """Sample k's diffs between the closed and the recursive zeta lists: the
-    factors leftover_pairs leaves, evaluated at column k of the stack's lists
-    and labelled by the left (closed-form) side."""
-    def factor(side: list[LFactor], pos: int | None) -> LFactor | None:
-        return None if pos is None else side[pos]._replace(alpha=side[pos].alpha[k])
+    factors leftover_pairs leaves, each rebuilt from its plan's row at
+    sample k and labelled by the left (closed-form) side."""
+    def factor(route: str, pos: int | None) -> LFactor | None:
+        return None if pos is None else stack.factor(route, pos, k)
 
     diffs: list[FactorDiff] = []
     for a_pos, b_pos in leftover_pairs(stack.n, stack.field, zeta_closed_factors,
                                        zeta_recursive_factors):
-        a, b = factor(stack.closed, a_pos), factor(stack.recursive, b_pos)
+        a, b = factor("closed", a_pos), factor("recursive", b_pos)
         if b is None:
             diffs.append(FactorDiff(f"{a.label} [unmatched]", a.value(), cmath.nan))
         elif a is None:

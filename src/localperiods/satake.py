@@ -11,8 +11,10 @@ A datum for U(m) stores unramified character values at a uniformizer:
 
 The standard-tensor and adjoint factors are LFactor lists (std_tensor_factors,
 adjoint_factors), transcribed case by case from the explicit Euler products
-(not generated from the parameter sets), on one datum, stacked data or a point
-axis of s; std_tensor_lfactor and adjoint_lfactor multiply them.
+(not generated from the parameter sets), on one datum, on traced characters
+(a report traces each list once into a numfield.FactorPlan and evaluates it
+for all its samples) or on a point axis of s; std_tensor_lfactor and
+adjoint_lfactor multiply them.
 std_tensor_lfactor_det is the independent determinant oracle
 det(I - q^{-s} A (x) B)^{-1} on bc_params that audits the transcription.
 """
@@ -98,14 +100,6 @@ def _as_chars(values) -> tuple[CharValue, ...]:
 
 def make_datum(m: int, field: FieldData, values) -> SatakeDatum:
     return SatakeDatum(m=m, field=field, chars=_as_chars(values))
-
-
-def stack_values(m: int, field: FieldData, rows) -> SatakeDatum:
-    """One U(m) datum from each sample's character values (rows, in order):
-    each character holds one value per sample in an object array (see
-    CharValue), so the factor-list builders run on it unedited and build
-    every sample's list at once."""
-    return make_datum(m, field, [np.array(column, dtype=object) for column in zip(*rows)])
 
 
 class BCParams(NamedTuple):

@@ -5,10 +5,11 @@ The double Weyl average A = sum_{w', w} b(w'X, wx) / (d1(w'X) d0(wx)) over
 product of singles and of pair factors of one big and one small character,
 and a state is the pair of index sets placed so far, C(l_big + l_small,
 l_small) states against |W_big| |W_small| terms.  It takes one sample's
-characters, or stacked ones with a leading sample axis, so a report makes
-one call.  d1, d0 and b's singles and pair factor have one transcription
-each, for scalars, Fractions and arrays; b, their product, is transcribed in
-tests/weylref.py as the program's reference.
+characters, or stacked ones (a report passes each group's values as one
+(rank, sample) complex array), so a report makes one call.  d1, d0 and b's
+singles and pair factor have one transcription each, for scalars, Fractions
+and arrays; b, their product, is transcribed in tests/weylref.py as the
+program's reference.
 The building blocks come in two index patterns keyed by the parity of the
 smaller group:
 
@@ -19,8 +20,9 @@ smaller group:
 
 The inert S(1) is A times the character-free normalizations (Iwahori volumes
 and a q-power); the split S(1) is the GL_{n+1} x GL_{n+2} double average in
-closed form, a numerator and a denominator factor list that
-numfield.factor_product multiplies, so it takes stacked characters too.
+closed form, a numerator and a denominator factor list (s_split_factors)
+that numfield.factor_product multiplies, or that a report traces once into a
+numfield.FactorPlan and evaluates for all its samples.
 Conventions the verified formulas leave open (q-length of the long Weyl
 element, tuple coordinate order, measure normalization) are fixed here to the
 unique choices under which the end-to-end period identity closes; see the
@@ -194,9 +196,10 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
     is the pair of placed index sets.  Placing index k has the sign
     (-1)^(unplaced indices below k).
 
-    Stacked characters (object arrays of S samples, satake.stack_values) give a
-    complex array of each sample's A, bit-identical to its own call; scalar
-    characters give a complex.  Raises PoleError naming d1 or d0, the only
+    Stacked characters (each holding an array of S samples), or their values
+    as one (rank, sample) complex array for each group, give a complex array
+    of each sample's A, bit-identical to its own call; scalar characters give
+    a complex.  Raises PoleError naming d1 or d0, the only
     divisors, if |d1(X)| or |d0(x)| is below POLE_EPS (at unitary points
     |d0(wx)| = |d0(x)|): the first such sample's, d1 first, as calls sample
     by sample would.  Raises SizeError past the small rank MAX_WEYL_RANK.
@@ -204,7 +207,8 @@ def weyl_sum_A(case: Case, big_chars: Sequence[CharValue], small_chars: Sequence
     _case_lengths(case, len(big_chars), len(small_chars))
     _check_rank(len(small_chars))
     root = _half_root(field)
-    big, small = ([c.value for c in chars] for chars in (big_chars, small_chars))
+    big, small = (chars if isinstance(chars, np.ndarray) else [c.value for c in chars]
+                  for chars in (big_chars, small_chars))
     X = np.array(big, dtype=complex).reshape(len(big), -1).T  # (sample, rank)
     samples, L, M = len(X), len(big), len(small)
     x = np.array(small, dtype=complex).reshape(M, samples).T
@@ -330,23 +334,16 @@ def _half_reversed(values: Sequence[complex]) -> tuple:
     return tuple(out)
 
 
-def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
-                  n: int, field: FieldData) -> complex:
-    """Spherical double average S_{X,x}(1) for GL_{n+2} x GL_{n+1}, split place.
+def s_split_factors(big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
+                    n: int, field: FieldData) -> tuple[list[LFactor], list[LFactor]]:
+    """The numerator and denominator factor lists of S_{X,x}(1) for
+    GL_{n+2} x GL_{n+1} at a split place (see s_value_split), over q_F.
 
-    The closed form is the staircase product over q_F: numerator pattern
-    L(1/2, x_i X_{n-j+3}) over 1<=i<j<=n+2 and its inverse-complement over
-    1<=j<=i<n+2, divided by zeta_F(1..n+1) and the one-sided L(1, ratio)
-    blocks.  Two conventions are fixed by the end-to-end identity: the tuple
-    coordinates are half-block reversed, and the value is normalized by the GL
-    Iwahori volumes of both groups (the closed form is Iwahori-measure native,
-    while hyperspecial volume 1 is needed here).
-
-    The numerator and denominator are factor lists, each multiplied from 1
-    in list order by factor_product.  Stacked characters (see
-    satake.stack_values) give an object array of one value per sample, each
-    bit-identical to that sample's own value; a sample that meets a pole is
-    nan there and raises PoleError, naming the factor, when evaluated alone.
+    Numerator: L(1/2, x_i X_{n-j+3}) over 1<=i<j<=n+2 and its
+    inverse-complement over 1<=j<=i<n+2.  Denominator: zeta_F(1..n+1) and
+    the one-sided L(1, ratio) blocks of each group.  The tuple coordinates
+    are half-block reversed (see _half_reversed).  Reciprocals are written
+    1 / z and the zeta_F alphas 1, so Fraction characters give exact alphas.
     """
     if not field.is_split:
         raise ValueError("split formula requested at an inert place")
@@ -363,21 +360,51 @@ def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValu
     for i in range(1, n + 2):
         for j in range(1, i + 1):
             num.append(LFactor(f"L_F(1/2, (x{i}*X{n - j + 3})^-1)", 0.5, q,
-                               1.0 / (x[i] * X[n - j + 3])))
+                               1 / (x[i] * X[n - j + 3])))
     den: list[LFactor] = []
     for i in range(1, n + 2):
-        den.append(LFactor(f"zeta_F({i})", i, q, 1.0 + 0.0j))
+        den.append(LFactor(f"zeta_F({i})", i, q, 1))
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
             den.append(LFactor(f"L_F(1, x{i}/x{j})", 1.0, q, x[i] / x[j]))
     for i in range(1, n + 3):
         for j in range(i + 1, n + 3):
             den.append(LFactor(f"L_F(1, X{i}/X{j})", 1.0, q, X[i] / X[j]))
-    samples = len(X[1]) if isinstance(X[1], np.ndarray) else None
-    num_v, den_v = factor_product(num, samples), factor_product(den, samples)
-    if samples is None:
-        return float(_s_scale(n, field)) * num_v / den_v
-    # the last two operations in Python's complex arithmetic, on each sample;
-    # numpy would warn on the floating-point flags a nan sample raises there
+    return num, den
+
+
+def _s_split_ratio(num, den, n: int, field: FieldData):
+    """S(1) from the products of its numerator and denominator lists: the
+    scale times num, over den, in Python's complex arithmetic on each sample
+    (num and den are complex, or arrays of one product per sample)."""
+    scale = float(_s_scale(n, field))
+    if not isinstance(num, np.ndarray):
+        return scale * num / den
+    # numpy would warn on the floating-point flags a nan sample raises here
     with np.errstate(all="ignore"):
-        return float(_s_scale(n, field)) * num_v.astype(object) / den_v.astype(object)
+        return scale * num.astype(object) / den.astype(object)
+
+
+def s_value_split(big_chars: Sequence[CharValue], small_chars: Sequence[CharValue],
+                  n: int, field: FieldData) -> complex:
+    """Spherical double average S_{X,x}(1) for GL_{n+2} x GL_{n+1}, split place.
+
+    The closed form is the staircase product over q_F of s_split_factors:
+    its numerator list over its denominator list.  Two conventions are fixed
+    by the end-to-end identity: the tuple coordinates are half-block
+    reversed, and the value is normalized by the GL Iwahori volumes of both
+    groups (the closed form is Iwahori-measure native, while hyperspecial
+    volume 1 is needed here).
+
+    The numerator and denominator are each multiplied from 1 in list order
+    by factor_product.  Stacked characters (each an object array of one value
+    per sample) give an object array of one value per sample, each
+    bit-identical to that sample's own value; a sample that meets a pole is
+    nan there and raises PoleError, naming the factor, when evaluated alone.
+    A report does not call this: it traces s_split_factors into a FactorPlan
+    and takes S from the plan's two products (_s_split_ratio).
+    """
+    num, den = s_split_factors(big_chars, small_chars, n, field)
+    first = big_chars[0].value
+    samples = len(first) if isinstance(first, np.ndarray) else None
+    return _s_split_ratio(factor_product(num, samples), factor_product(den, samples), n, field)

@@ -11,11 +11,12 @@ Three independent routes are provided:
   integration oracle.
 
 Every route is an explicit list of LFactor records (zeta_closed_factors,
-zeta_recursive_factors), multiplied by numfield.factor_product, the package's
-one Euler-product kernel: a list of scalars, or a stacked list whose alphas
-hold one value per sample, so that a report builds each route once for all
-its samples.  The kernel (LFactor, ConventionError, factor_product, column)
-lives in numfield, because satake's factor lists use it too.  So two routes
+zeta_recursive_factors), multiplied by the package's one Euler-product
+kernel: factor_product on a list, or, in a report, FactorPlan.product on the
+list's plan, traced once per (n, place kind) on symbolic characters and
+evaluated for all the report's samples at once.  The kernel (LFactor,
+ConventionError, factor_product, FactorPlan) lives in numfield, because
+satake's and weylsum's factor lists use it too.  So two routes
 can be compared factor by factor and a discrepancy localized to a single
 named factor; this is how the one mismatched index pairing in the odd-case
 split display is surfaced (never silently patched).

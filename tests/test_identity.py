@@ -164,58 +164,101 @@ def test_verify_recursion_reports_convention_error(monkeypatch):
 
 
 def count_builds(monkeypatch, names):
-    """Rebind each identity.<name> to count its calls by the data it gets:
-    "exact" for leftover_pairs' Fraction characters, else "float"."""
+    """Rebind each identity.<name> to count its calls by the characters it
+    gets: "trace" for a plan's traced characters, "exact" for
+    leftover_pairs' Fraction characters, else "float" (a sample alone)."""
     import localperiods.identity as identity
+    from localperiods.numfield import _Traced
     calls = Counter()
+
+    def kind(args):
+        chars = [c for a in args for c in (a.chars if isinstance(a, SatakeDatum) else
+                                           a if isinstance(a, tuple) else ())]
+        if any(isinstance(c.value, _Traced) for c in chars):
+            return "trace"
+        return "exact" if any(isinstance(c.value, Fraction) for c in chars) else "float"
     for name in names:
         def counted(*args, real=getattr(identity, name), name=name):
-            exact = any(isinstance(c.value, Fraction) for data in args
-                        if isinstance(data, SatakeDatum) for c in data.chars)
-            calls[name, "exact" if exact else "float"] += 1
+            calls[name, kind(args)] += 1
             return real(*args)
         monkeypatch.setattr(identity, name, counted)
     return calls
 
 
+def count_evaluations(monkeypatch):
+    """Count FactorPlan.values calls, one per evaluation of a route's plan."""
+    from localperiods.numfield import FactorPlan
+    calls = Counter()
+    real = FactorPlan.values
+
+    def counted(plan, chars):
+        calls["values"] += 1
+        return real(plan, chars)
+    monkeypatch.setattr(FactorPlan, "values", counted)
+    return calls
+
+
 def test_recursion_builds_each_factor_list_once_per_report(monkeypatch):
-    # split n = 3 misses on every sample; each report builds each route once,
-    # stacked over its samples, and its localizer evaluates columns of those
-    # lists; the exact build that pairs the routes runs once per (n, place)
+    # split n = 3 misses on every sample.  Each builder is traced once per
+    # (builder, n, kind) and never runs on a sample's values; each report
+    # evaluates the two plans once, stacked over its samples, and its
+    # localizer reads their rows; the exact build that pairs the routes runs
+    # once per (n, kind), whatever q
     calls = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors"])
+    evaluations = count_evaluations(monkeypatch)
     for q in (2, 2, 3):
         assert not verify_recursion(3, split_place(q), samples=2).passed
-    assert calls == {(name, kind): 3 if kind == "float" else 2
-                     for name in ("zeta_closed_factors", "zeta_recursive_factors")
-                     for kind in ("float", "exact")}
+    assert calls == {(name, kind): 1 for name in ("zeta_closed_factors", "zeta_recursive_factors")
+                     for kind in ("trace", "exact")}
+    assert evaluations == {"values": 6}
+
+
+def test_a_command_evaluates_each_route_once_per_place(monkeypatch, capsys):
+    # within one command every q of a place shares the draws, so it shares
+    # each route's evaluated alphas too: two plans, evaluated once for both q
+    from localperiods.cli import main
+    calls = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors"])
+    evaluations = count_evaluations(monkeypatch)
+    assert main(["recursion", "--n", "3", "--place", "split", "--q", "2", "--q", "3",
+                 "--samples", "2"]) == 1
+    assert capsys.readouterr().out.count('"pass":false') == 2
+    assert calls == {(name, kind): 1 for name in ("zeta_closed_factors", "zeta_recursive_factors")
+                     for kind in ("trace", "exact")}
+    assert evaluations == {"values": 2}
 
 
 def test_identity_builds_each_route_once_per_report(monkeypatch):
-    # split n = 3 misses on every sample; the report builds the closed list
-    # and S once, stacked over its samples, the recursive list once, at the
-    # first miss, and its localizer evaluates columns of those lists
+    # split n = 3 misses on every sample; the report evaluates the closed
+    # list, S's two lists, the standard tensor and the adjoints once, stacked
+    # over its samples, and the recursive list once, at the first miss; each
+    # builder is traced once, and its localizer reads the plans' rows
     calls = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors",
-                                       "s_value_split"])
+                                       "s_split_factors", "std_tensor_factors",
+                                       "adjoint_factors"])
+    evaluations = count_evaluations(monkeypatch)
     report = verify_localcalc(3, split_place(2), samples=3)
     assert not report.passed
-    assert calls == {("zeta_closed_factors", "float"): 1,
-                     ("zeta_recursive_factors", "float"): 1, ("s_value_split", "float"): 1,
+    assert calls == {("zeta_closed_factors", "trace"): 1,
+                     ("zeta_recursive_factors", "trace"): 1, ("s_split_factors", "trace"): 1,
+                     ("std_tensor_factors", "trace"): 1, ("adjoint_factors", "trace"): 2,
                      ("zeta_closed_factors", "exact"): 1,
                      ("zeta_recursive_factors", "exact"): 1}
+    assert evaluations == {"values": 5}
 
 
 def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
     # every inert n = 1 sample misses tol 1e-30, and its probes compare the
     # Weyl sum and the standard-tensor value its row already computed; the
-    # Weyl sum is one call, the standard-tensor list and the zeta lists
-    # (closed, inverted closed) are built once each, stacked over the
-    # samples, and the
-    # localizer pairs the routes on one exact build, which leaves no factor
-    # at inert places, so the stacked recursive list is never built
+    # Weyl sum is one call, the closed plan (traced once) is evaluated at the
+    # characters and at their inverses, the standard tensor and the adjoints
+    # once each, stacked over the samples, and the localizer pairs the routes
+    # on one exact build, which leaves no factor at inert places, so the
+    # recursive plan is never evaluated
     import localperiods.identity as identity
     import localperiods.weylsum as weylsum
     from localperiods.cli import main
     builds = count_builds(monkeypatch, ["zeta_closed_factors", "zeta_recursive_factors"])
+    evaluations = count_evaluations(monkeypatch)
     calls = dict.fromkeys(["weyl_sum_A", "std_tensor_factors"], 0)
 
     def counting(name, real):
@@ -230,9 +273,10 @@ def test_an_identity_miss_reads_its_sample_values_again(monkeypatch, capsys):
                  "--samples", "3"])
     assert code == 1 and "weyl_sum vs motive value" in capsys.readouterr().out
     assert calls == {"weyl_sum_A": 1, "std_tensor_factors": 1}
-    assert builds == {("zeta_closed_factors", "float"): 2,
+    assert builds == {("zeta_closed_factors", "trace"): 1,
                       ("zeta_closed_factors", "exact"): 1,
                       ("zeta_recursive_factors", "exact"): 1}
+    assert evaluations == {"values": 4}
 
 
 def test_a_missed_sample_is_localized_within_its_own_step():
@@ -355,23 +399,29 @@ def test_shared_draws_serve_every_q_of_a_kind_within_the_block():
 
 @pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
 def test_shared_stacks_share_characters_but_not_the_place(place):
-    # stacked and inverted characters hold no field, so within the block every
-    # q of a kind shares them, while each q's data carry its own place
+    # the stacked characters, their reciprocals and the routes' alphas hold
+    # no field, so within the block every q of a kind shares them, while each
+    # q's values are its own
     from localperiods.identity import SampleStack, shared_draws
     with shared_draws():
         stacks = [SampleStack.draw(2, place(q), 3, 5) for q in (2, 3)]
-        shared = [s._stacked + s._inverted for s in stacks]
-    for a, b in zip(*shared):
-        assert a.chars is b.chars and (a.field.q_F, b.field.q_F) == (2, 3)
+        rows = [[s.row(k) for k in range(3)] for s in stacks]
+        matrices = [s.matrices for s in stacks]
+    for a, b in zip(*matrices):
+        assert a is b
+    for route in ("closed", "std", "adjoints"):
+        assert stacks[0]._route(route)[1] is stacks[1]._route(route)[1]
+    assert [s.field.q_F for s in stacks] == [2, 3] and rows[0] != rows[1]
     alone = SampleStack(2, place(3), stacks[1].draws)
-    assert [stacks[1].row(k) for k in range(3)] == [alone.row(k) for k in range(3)]
+    assert rows[1] == [alone.row(k) for k in range(3)]
 
 
 @pytest.mark.parametrize("generic_eps", [None, 0.3], ids=["default", "redraws"])
 @pytest.mark.parametrize("place", [inert_place, split_place], ids=["inert", "split"])
 def test_a_stack_draws_what_sample_pair_draws(monkeypatch, place, generic_eps):
-    # SampleStack stacks each sample's drawn values as they are; its columns
-    # and its lazily built pairs are sample_pair's data at (seed, k), exactly;
+    # SampleStack stacks each sample's drawn values as they are, and their
+    # reciprocals as Python's 1/x; its columns and its lazily built pairs are
+    # sample_pair's data at (seed, k), exactly;
     # at generic_eps 0.3 the inert sampler redraws a good share of its samples
     import localperiods.identity as identity
     from localperiods.identity import SampleStack
@@ -387,13 +437,14 @@ def test_a_stack_draws_what_sample_pair_draws(monkeypatch, place, generic_eps):
     for n in range(7):
         field = place(2 + n % 2)
         stack = SampleStack.draw(n, field, 5, 31 + n)
-        stacked = stack._stacked
+        small, big, small_inv, big_inv = stack.matrices
         for k in range(5):
             expected = sample_pair(n, field, _rng_for(31 + n, k))
             assert stack.pair(k) == expected
-            for data, datum in zip(stacked, expected):
-                assert (data.m, data.field) == (datum.m, datum.field)
-                assert [c.value[k] for c in data.chars] == list(datum.values())
+            for values, inverses, datum in zip((small, big), (small_inv, big_inv), expected):
+                assert values.shape == inverses.shape == (len(datum.chars), 5)
+                assert values[:, k].tolist() == list(datum.values())
+                assert inverses[:, k].tolist() == list(datum.inverted().values())
     if generic_eps is not None and place is inert_place:
         assert verdicts.count(False) > 10
 

@@ -113,3 +113,13 @@ def test_primes_are_generated_for_any_split_n(n):
     l1 = (n + 1) // 2
     assert len(pairs) == l1 * (l1 - 1) // 2
     assert all(a is not None and b is not None for a, b in pairs)
+
+
+def test_leftovers_are_found_once_per_kind_whatever_q():
+    # the positions depend on n and the place's kind, not on q, so every q
+    # of a kind reads the same exact build
+    from localperiods import inert_place, zeta_closed_factors, zeta_recursive_factors
+    for place in (split_place, inert_place):
+        pairs = [leftover_pairs(3, place(q), zeta_closed_factors, zeta_recursive_factors)
+                 for q in (2, 3, 5)]
+        assert pairs[0] is pairs[1] is pairs[2]

@@ -252,7 +252,7 @@ def test_stacked_s_value_split_is_each_samples_value(n):
     # S's two lists, built once on stacked characters, give each sample's
     # own value to the last bit
     from localperiods.identity import _rng_for, sample_pair
-    from localperiods.satake import stack_values
+    from weylref import stack_values
     field = split_place(2 + n % 2)
     pairs = [sample_pair(n, field, _rng_for(n, k)) for k in range(3)]
     small, big = (stack_values(m, field, [d.values() for d in data])
@@ -260,6 +260,27 @@ def test_stacked_s_value_split_is_each_samples_value(n):
     stacked = s_value_split(big.inverted().chars, small.inverted().chars, n, big.field)
     assert stacked.tolist() == [s_value_split(b.inverted().chars, s.inverted().chars, n, b.field)
                                 for s, b in pairs]
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_s_split_factors_are_exact_on_fractions(n):
+    # the reciprocals are written 1 / z and the zeta_F alphas 1, so Fraction
+    # characters give exact alphas, and the lists' float products are
+    # s_value_split's own numerator and denominator
+    from localperiods import factor_product, s_split_factors
+    from localperiods.weylsum import _s_scale
+    field = split_place(2 + n % 2)
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    big, small = (tuple(CharValue(Fraction(p, 101)) for p in part)
+                  for part in (primes[:n + 2], primes[n + 2:2 * n + 3]))
+    num, den = s_split_factors(big, small, n, field)
+    assert all(type(f.alpha) is Fraction for f in num)
+    assert [type(f.alpha) for f in den] == [int] * (n + 1) + [Fraction] * (len(den) - n - 1)
+    floats = tuple(CharValue(complex(c.value)) for c in big), tuple(
+        CharValue(complex(c.value)) for c in small)
+    num_f, den_f = s_split_factors(*floats, n, field)
+    assert s_value_split(*floats, n, field) == (
+        float(_s_scale(n, field)) * factor_product(num_f) / factor_product(den_f))
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -311,7 +332,8 @@ REMOVED_NAMES = ("WeylElement", "_perm_sign", "enumerate_weyl", "act", "_act_val
                  "induce_preservation_defect", "series_truncation_bound",
                  "_orbit_table", "weyl_orbit", "_h_values", "WEYL_BLOCK",
                  "_b_values", "adjoint_gl", "inert_datum", "split_datum", "stack_data",
-                 "identity_row", "lfactor_chi", "euler_factor_inv")
+                 "identity_row", "lfactor_chi", "euler_factor_inv", "stack_values",
+                 "column")
 
 
 def test_package_exports_no_module_and_no_removed_name():

@@ -14,9 +14,8 @@ from localperiods import (ConventionError, LFactor, PoleError,
                           zeta_recursive_factors)
 from localperiods.identity import (SampleStack, _rng_for, match_factor_lists, rel_err,
                                    sample_datum, sample_pair, sample_values)
-from localperiods.numfield import column
-from localperiods.satake import adjoint_factors, stack_values, std_tensor_factors
-from weylref import series_truncation_bound
+from localperiods.satake import adjoint_factors, std_tensor_factors
+from weylref import column, series_truncation_bound, stack_values
 
 
 def closed(small, big):

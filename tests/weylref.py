@@ -7,8 +7,9 @@ the one-sided alternant, which enumerates the small group's orbit and sums the
 big group as one determinant per small translate.  Both sum b, whose one
 transcription (_b_values) lives here, built from the library's singles and
 pair factors.  More references with no caller in the library live here too:
-the GL adjoint and the induction defect of the parameter calculus, and the
-split series truncation bound.
+the GL adjoint and the induction defect of the parameter calculus, the split
+series truncation bound, and the stacked data and their columns that the
+factor-list builders take per sample (stack_values, column).
 """
 import cmath
 import itertools
@@ -19,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from localperiods import inert_place, sample_pair
+from localperiods import LFactor, SatakeDatum, inert_place, make_datum, sample_pair
 from localperiods.identity import map_samples, rel_err, worst_err
-from localperiods.numfield import POLE_EPS, PoleError
+from localperiods.numfield import POLE_EPS, FieldData, PoleError
 from localperiods.paramcalc import Base, WDParam, _draw_s, induce
 from localperiods.weylsum import (Case, _check_rank, _d0_values, _d1_values,
                                   _half_root, _pair_factor, _single, case_for, rho_big,
@@ -279,3 +280,19 @@ def series_truncation_bound(field, terms: int) -> float:
     characters: 2 q^{-(terms+1)/2} / (1 - q^{-1/2})."""
     root = 1.0 / math.sqrt(field.q_F)
     return 2.0 * root ** (terms + 1) / (1.0 - root)
+
+
+def stack_values(m: int, field: FieldData, rows) -> SatakeDatum:
+    """One U(m) datum from each sample's character values (rows, in order):
+    each character holds one value per sample in an object array (see
+    CharValue), so the factor-list builders run on it unedited and build
+    every sample's list at once."""
+    return make_datum(m, field, [np.array(column, dtype=object) for column in zip(*rows)])
+
+
+def column(factors: list[LFactor], k: int) -> list[LFactor]:
+    """Sample k of a stacked factor list: the same factors, each alpha array
+    replaced by sample k's value (a scalar alpha is every sample's), so that
+    it can be evaluated alone."""
+    return [f._replace(alpha=f.alpha[k]) if isinstance(f.alpha, np.ndarray) else f
+            for f in factors]
