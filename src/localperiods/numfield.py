@@ -15,8 +15,8 @@ stops it and which factor a PoleError names.  The kernel has two front ends:
 A plan is a factor-list builder traced once (trace_factors): the builder runs
 unedited on traced characters, which record the arithmetic done on them
 (*, /, 1/x, unary minus, int, float, complex and Fraction constants) and
-refuse anything else (+, -, abs, ordering, bool, conversions) with
-TraceError.  The plan keeps each factor's label, s, q role (q_F or q_E) and
+refuse anything else (+, -, abs, ordering, bool, conversions) with a
+TypeError (TraceError where a plain object would not refuse).  The plan keeps each factor's label, s, q role (q_F or q_E) and
 flags, which hold for every sample, and the alphas' arithmetic as a program
 of a few array steps; it evaluates that program on object arrays, so every
 alpha is Python's own value, the one the builder computes on that sample.
@@ -347,8 +347,9 @@ class _Traced:
     """A value in a trace, node `number` of it: a character, a constant, or
     the product or quotient of two values or the negation of one (1/x is the
     quotient of the constant 1 by x).  Equality is identity, so a traced
-    character passes CharValue's nonzero check; +, -, abs, ordering, bool
-    and conversions raise TraceError."""
+    character passes CharValue's nonzero check; bool and an operand that is
+    not a traced value or constant raise TraceError, and +, -, abs, ordering
+    and conversions TypeError, as on any object that lacks them."""
 
     __slots__ = ("trace", "number", "depth")
     __array_ufunc__ = None  # so that an ndarray operand reaches the refusal below
@@ -362,17 +363,8 @@ class _Traced:
     def __neg__(self):
         return self.trace.node((_NEG, self.number), _NEG, self.number, -1, self.depth + 1)
 
-
-def _refuse(name):
-    def refuse(self, *args):
-        raise TraceError(f"a traced character does not support {name}")
-    return refuse
-
-
-for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__pow__", "__rpow__",
-              "__pos__", "__abs__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__",
-              "__complex__", "__float__", "__int__", "__index__"):
-    setattr(_Traced, _name, _refuse(_name))
+    def __bool__(self):  # a branch on a value would trace one sample's path
+        raise TraceError("a traced character has no truth value")
 
 
 def trace_factors(build, leaves: int, field: FieldData) -> "FactorPlan":
@@ -380,7 +372,7 @@ def trace_factors(build, leaves: int, field: FieldData) -> "FactorPlan":
     `leaves` traced characters and returns a factor list, or a tuple of
     them (the plan's parts).  Every factor must be over q_F or q_E of field,
     and its alpha a traced value or a constant; any other arithmetic on a
-    traced character raises TraceError."""
+    traced character raises a TypeError."""
     # A trace makes one node per operation, all alive until the plan is
     # compiled; the cyclic collector would only walk them over and over (a
     # fifth of a trace's time), so it pauses, and close() leaves no cycle.
