@@ -16,10 +16,11 @@ A plan is a factor-list builder traced once (trace_factors): the builder runs
 unedited on traced characters, which record the arithmetic done on them
 (*, /, 1/x, unary minus, int, float, complex and Fraction constants) and
 refuse anything else (+, -, abs, ordering, bool, conversions) with a
-TypeError (TraceError where a plain object would not refuse).  The plan keeps each factor's label, s, q role (q_F or q_E) and
-flags, which hold for every sample, and the alphas' arithmetic as a program
-of a few array steps; it evaluates that program on object arrays, so every
-alpha is Python's own value, the one the builder computes on that sample.
+TypeError (TraceError where a plain object would not refuse).  The plan keeps
+each factor's label, s, q role (q_F or q_E) and flags, which hold for every
+sample, and the alphas' arithmetic as a program of a few array steps; it
+evaluates that program on object arrays, so every alpha is Python's own
+value, the one the builder computes on that sample.
 The module also owns the quadratic-character factors attached to an
 unramified quadratic extension E/F, and the local Gross motive value
 Delta_{G_m} = prod_{r=1}^{m} L(r, chi^r).
@@ -399,8 +400,9 @@ class FactorPlan:
     minus to every entry: each alpha is the value the builder computes on
     that sample alone, to the last bit.  product() is the kernel's plan front
     end, with q^{-s} cached per q, on the alphas as a complex array, and
-    factor() rebuilds one factor of one sample.  A plan depends on the builder and the character layout, not on
-    q; a builder that read q into its alphas would break that."""
+    factor() rebuilds one factor of one sample.  A plan depends on the
+    builder and the character layout, not on q; a builder that read q into
+    its alphas would break that."""
 
     def __init__(self, parts: tuple[list[LFactor], ...], trace: _Trace, field: FieldData):
         factors = list(itertools.chain.from_iterable(parts))
